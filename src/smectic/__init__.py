@@ -13,9 +13,9 @@ two-shock ansatz with eps-sweeps, a first-order minimizer, and a CLI.
 """
 
 from .energy import EnergyReport, energy_eps, energy_indep, gradient_eps
-from .errors import (BandLimitExceeded, BracketFailure, DegenerateEnergy,
-                     IncompatibleProfile, LineSearchFailure, NonAdmissibleInput,
-                     SmecticError, WidthOutOfRange)
+from .errors import (BandLimitExceeded, DegenerateEnergy, IncompatibleProfile,
+                     LineSearchFailure, NonAdmissibleInput, SmecticError,
+                     WidthOutOfRange)
 from .fields import (AdmissibleField, GridSpec, TorusField, as_admissible,
                      inner, load_field, project_vanishing_x1_mean,
                      random_band_limited, regrid, require_admissible,
@@ -25,9 +25,8 @@ from .operators import (cube_dealiased, d1, d2, diff1, diff2, eta,
                         shift2, square_dealiased)
 
 __all__ = [
-    "AdmissibleField", "BandLimitExceeded", "BracketFailure",
-    "DegenerateEnergy", "EnergyReport", "GridSpec", "IncompatibleProfile",
-    "LineSearchFailure", "NonAdmissibleInput", "SmecticError", "TorusField",
+    "AdmissibleField", "BandLimitExceeded", "DegenerateEnergy", "EnergyReport",
+    "GridSpec", "IncompatibleProfile", "LineSearchFailure", "NonAdmissibleInput", "SmecticError", "TorusField",
     "WidthOutOfRange", "as_admissible", "cube_dealiased", "d1", "d2", "diff1",
     "diff2", "energy_eps", "energy_indep", "eta", "frac_abs_d1",
     "gradient_eps", "inner", "inv_abs_d1", "load_field",

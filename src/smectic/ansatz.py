@@ -142,7 +142,7 @@ def _optimize_delta(objective, lo: float, hi: float) -> tuple[float, float]:
         if values[i_min] < e_star:
             d_star, e_star = float(probes[i_min]), float(values[i_min])
         return d_star, e_star
-    # BracketFailure path: reported through the scan fallback, not fatal
+    # no interior bracket among the probes: fine log-spaced scan instead
     scan = np.geomspace(lo, hi, N_FALLBACK_SCAN)
     scan_values = [objective(d) for d in scan]
     i_min = int(np.argmin(scan_values))

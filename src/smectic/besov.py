@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateEnergy
-from .energy import energy_eps, energy_indep
-from .fields import AdmissibleField, TorusField
+from .energy import energy_eps, energy_indep, gradient_eps
+from .fields import AdmissibleField, TorusField, as_admissible, inner
 from .operators import d1, diff1, diff2, eta, shift1
 
 
@@ -250,6 +250,20 @@ def verify_lp_eps(w: AdmissibleField, p: float, eps: float) -> VerificationRecor
     return VerificationRecord(name="lp_eps_estimate", lhs=lhs, rhs=rhs,
                               ratio_or_residual=ratio, params={"p": p, "eps": eps},
                               passed=math.isfinite(ratio))
+
+
+def gradient_check(w: AdmissibleField, v: AdmissibleField, eps: float) -> VerificationRecord:
+    """Central finite difference (step 1e-5) of energy_eps along v against the
+    analytic pairing <gradient_eps(w), v>, at relative tolerance 1e-5."""
+    t = 1e-5
+    plus = energy_eps(as_admissible(w + t * v, tol=1e-6), eps).energy_eps
+    minus = energy_eps(as_admissible(w + (-t) * v, tol=1e-6), eps).energy_eps
+    numeric = (plus - minus) / (2 * t)
+    analytic = inner(gradient_eps(w, eps), v)
+    res = abs(numeric - analytic) / max(abs(numeric), 1e-300)
+    return VerificationRecord(
+        name="gradient_check", lhs=numeric, rhs=analytic, ratio_or_residual=res,
+        params={"eps": eps}, passed=res <= 1e-5, tolerance=1e-5)
 
 
 def tail_mass(w: TorusField, m1: int, m2: int) -> float:

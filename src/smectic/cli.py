@@ -10,6 +10,7 @@ data files are byte-identical across reruns of the same config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -20,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import SWEEP_CSV_HEADER, eps_sweep, mollify, vertical_two_shock
-from .besov import (HGrid, VerificationRecord, hkm1_balance, hkm2_residual,
-                    records_to_csv, records_to_json, verify_b2s, verify_l3,
-                    verify_lp, verify_lp_eps, tail_mass)
-from .energy import energy_eps, gradient_eps
+from .ansatz import SWEEP_CSV_HEADER, eps_sweep, vertical_two_shock
+from .besov import (HGrid, VerificationRecord, gradient_check, hkm1_balance,
+                    hkm2_residual, records_to_csv, records_to_json, verify_b2s,
+                    verify_l3, verify_lp, verify_lp_eps, tail_mass)
+from .energy import energy_eps
 from .entropy import (JumpProfile, div_sigma_identity, duality_gap,
                       entropy_production, jump_cost, div_sigma_jump_measure,
                       rankine_hugoniot_check)
@@ -51,7 +52,6 @@ def _parse_eps_list(text: str) -> list[float]:
     """Either a single float or a dyadic range `2^-a..2^-b`."""
     if ".." in text:
         lo, hi = text.split("..")
-        vals = []
         for part in (lo, hi):
             if not part.startswith("2^"):
                 raise ValueError(f"range endpoints must be dyadic 2^-k, got {part!r}")
@@ -131,19 +131,9 @@ def _cmd_verify(args) -> tuple[list[VerificationRecord], dict]:
             params={"seed": args.seed + i}, passed=res <= 1e-12, tolerance=1e-12))
         records.append(hkm2_residual(w, 0.1))
         records.append(div_sigma_identity(w))
-        # gradient vs central differences
-        v = rng_fields[(i + 1) % len(rng_fields)]
-        t = 1e-5
-        eps = 0.0625
-        plus = energy_eps(as_admissible(w + t * v, tol=1e-6), eps).energy_eps
-        minus = energy_eps(as_admissible(w + (-t) * v, tol=1e-6), eps).energy_eps
-        numeric = (plus - minus) / (2 * t)
-        analytic = inner(gradient_eps(w, eps), v)
-        res = abs(numeric - analytic) / max(abs(numeric), 1e-300)
-        records.append(VerificationRecord(
-            name="gradient_check", lhs=numeric, rhs=analytic,
-            ratio_or_residual=res, params={"seed": args.seed + i, "eps": eps},
-            passed=res <= 1e-5, tolerance=1e-5))
+        rec = gradient_check(w, g2, 0.0625)
+        records.append(dataclasses.replace(
+            rec, params={"seed": args.seed + i, **rec.params}))
     return records, {}
 
 
@@ -271,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", default="0.0625",
                        help="single value or dyadic range 2^-a..2^-b")
         p.add_argument("--p", type=float, default=2.0)
-        p.add_argument("--s", type=float, default=0.5)
         p.add_argument("--c", type=float, default=0.5)
         p.add_argument("--kmax", type=int, default=16)
         p.add_argument("--nfields", type=int, default=5)
@@ -286,20 +275,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Apply JSON config values for every option not given on the command line."""
-    if not args.config:
-        return args
+def _config_argv(args: argparse.Namespace) -> list[str]:
+    """Spell the JSON config file's values as options, so that argparse
+    type-checks them as it does flags given on the command line."""
     config = json.loads(Path(args.config).read_text())
-    explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
-                for a in argv if a.startswith("--")}
+    options = []
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("command", "config") or not hasattr(args, attr):
             raise ValueError(f"unknown config key {key!r}")
-        if attr not in explicit:
-            setattr(args, attr, value)
-    return args
+        flag = "--" + attr.replace("_", "-")
+        if isinstance(getattr(args, attr), bool):  # store_true flag
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} must be true or false")
+            options += [flag] if value else []
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            options.append(f"{flag}={value}")
+        else:
+            raise ValueError(f"config key {key!r} has unsupported value {value!r}")
+    return options
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -307,7 +301,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _merge_config(args, argv)
+        if args.config:
+            # config values first, so that command-line flags override them
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_argv(args) + argv[at:])
         args.grid = _parse_grid(str(args.grid)) if not isinstance(args.grid, GridSpec) else args.grid
         args.eps = _parse_eps_list(str(args.eps))
     except SystemExit as exc:

@@ -25,9 +25,5 @@ class WidthOutOfRange(SmecticError):
     """Mollification width outside the resolvable bracket for this grid."""
 
 
-class BracketFailure(SmecticError):
-    """Golden-section bracket could not be established."""
-
-
 class LineSearchFailure(SmecticError):
     """Backtracking line search exhausted its budget without an accepted step."""

@@ -168,18 +168,6 @@ def inner(f: TorusField, g: TorusField) -> float:
     return float(np.real(np.vdot(f.spectrum, g.spectrum)))
 
 
-def to_spectral(f: TorusField) -> TorusField:
-    """Return a field with both representations valid (forward transform)."""
-    f.spectrum
-    return f
-
-
-def to_physical(f: TorusField) -> TorusField:
-    """Return a field with both representations valid (inverse transform)."""
-    f.samples
-    return f
-
-
 def k1zero_residual(f: TorusField) -> float:
     """Relative L^2 mass of the k1 = 0 column."""
     norm = f.l2()
@@ -230,22 +218,25 @@ def random_band_limited(grid: GridSpec, seed: int, kmax: int,
     return AdmissibleField.from_spectrum(grid, spec * (amplitude / peak))
 
 
+def _embed_band(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Copy the modes -h..h-1 of a spectrum into a zero spectrum of `shape`,
+    h = min(n_src, n_dst) // 2 per axis: zero padding onto a finer grid,
+    truncation onto a coarser one."""
+    out = np.zeros(shape, dtype=complex)
+    h1 = min(spec.shape[0], shape[0]) // 2
+    h2 = min(spec.shape[1], shape[1]) // 2
+    for rows in (slice(None, h1), slice(-h1, None)):
+        for cols in (slice(None, h2), slice(-h2, None)):
+            out[rows, cols] = spec[rows, cols]
+    return out
+
+
 def regrid(f: TorusField, grid: GridSpec) -> TorusField:
-    """Re-express f on another grid by spectral embedding/truncation."""
-    src = f.spectrum
-    m1s, m2s = f.grid.modes1().ravel(), f.grid.modes2().ravel()
-    out = np.zeros(grid.shape, dtype=complex)
-    m1d, m2d = grid.modes1().ravel(), grid.modes2().ravel()
-    lim1 = min(f.grid.n1, grid.n1) // 2
-    lim2 = min(f.grid.n2, grid.n2) // 2
-    sel1 = np.abs(m1s) < lim1
-    sel2 = np.abs(m2s) < lim2
-    idx1 = {m: i for i, m in enumerate(m1d)}
-    idx2 = {m: j for j, m in enumerate(m2d)}
-    for i in np.nonzero(sel1)[0]:
-        di = idx1[m1s[i]]
-        for j in np.nonzero(sel2)[0]:
-            out[di, idx2[m2s[j]]] = src[i, j]
+    """Re-express f on another grid by spectral embedding/truncation; only
+    modes |m| < min(n_src, n_dst) / 2 are carried over."""
+    out = _embed_band(f.spectrum, grid.shape)
+    out[-(min(f.grid.n1, grid.n1) // 2), :] = 0.0
+    out[:, -(min(f.grid.n2, grid.n2) // 2)] = 0.0
     cls = AdmissibleField if isinstance(f, AdmissibleField) else TorusField
     return cls.from_spectrum(grid, out)
 
@@ -284,4 +275,6 @@ def load_field(path: str | Path) -> TorusField:
     raw = np.fromfile(data_path, dtype="<f8")
     if raw.size != grid.npoints:
         raise ValueError(f"{data_path}: expected {grid.npoints} samples, got {raw.size}")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError(f"{data_path}: non-finite samples")
     return TorusField.from_samples(grid, raw.reshape(grid.n2, grid.n1).T)

@@ -13,13 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .besov import gradient_check
 from .energy import energy_eps, gradient_eps
 from .errors import LineSearchFailure
 from .fields import AdmissibleField, GridSpec, TorusField, inner, random_band_limited
-from .operators import multiply_dealiased  # noqa: F401  (re-export convenience)
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 60
+#: first trial step; Barzilai-Borwein steps are clipped to BB_CLIP
+INITIAL_STEP = 1.0
 BB_CLIP = (1e-6, 1e3)
 
 
@@ -50,8 +52,6 @@ class MinimizeOptions:
     energy_rel_tol: float = 1e-14
     step_rule: str = "barzilai-borwein-safeguarded"
     anchor: AnchorPenalty | AnchorPins | None = None
-    initial_step: float = 1.0
-    precondition: bool = True
 
     def __post_init__(self):
         if self.step_rule not in ("backtracking-armijo", "barzilai-borwein-safeguarded"):
@@ -83,23 +83,15 @@ class MinimizeReport:
 _GRADIENT_CERTIFICATES: dict[tuple[int, int], bool] = {}
 
 
-def gradient_certificate(grid: GridSpec, eps: float = 0.0625,
-                         tol: float = 1e-5) -> bool:
+def gradient_certificate(grid: GridSpec) -> bool:
     """Finite-difference check of the analytic gradient, cached per grid."""
     key = (grid.n1, grid.n2)
-    if key in _GRADIENT_CERTIFICATES:
-        return _GRADIENT_CERTIFICATES[key]
-    kmax = max(2, min(grid.n1, grid.n2) // 8)
-    w = random_band_limited(grid, seed=20240, kmax=kmax, amplitude=0.5)
-    v = random_band_limited(grid, seed=20241, kmax=kmax, amplitude=0.5)
-    t = 1e-5
-    plus = energy_eps(_admissible(w + t * v), eps).energy_eps
-    minus = energy_eps(_admissible(w + (-t) * v), eps).energy_eps
-    numeric = (plus - minus) / (2.0 * t)
-    analytic = inner(gradient_eps(w, eps), v)
-    ok = abs(numeric - analytic) <= tol * max(abs(numeric), 1e-12)
-    _GRADIENT_CERTIFICATES[key] = ok
-    return ok
+    if key not in _GRADIENT_CERTIFICATES:
+        kmax = max(2, min(grid.n1, grid.n2) // 8)
+        w = random_band_limited(grid, seed=20240, kmax=kmax, amplitude=0.5)
+        v = random_band_limited(grid, seed=20241, kmax=kmax, amplitude=0.5)
+        _GRADIENT_CERTIFICATES[key] = gradient_check(w, v, 0.0625).passed
+    return _GRADIENT_CERTIFICATES[key]
 
 
 def _admissible(f: TorusField) -> AdmissibleField:
@@ -117,21 +109,18 @@ def _admissible(f: TorusField) -> AdmissibleField:
 
 def lowest_mode_pins(w: AdmissibleField, count: int) -> AnchorPins:
     """Pin the `count` admissible modes of smallest |k| at their coefficients
-    in w (conjugate pairs counted once, zero values pinned as zero)."""
-    m1 = w.grid.modes1() + 0 * w.grid.modes2()
-    m2 = w.grid.modes2() + 0 * w.grid.modes1()
-    spec = w.spectrum
-    entries = []
-    for i in range(w.grid.n1):
-        for j in range(w.grid.n2):
-            a, b = int(m1[i, j]), int(m2[i, j])
-            if a == 0:
-                continue
-            if (a, b) < (-a, -b):
-                continue  # keep one representative per conjugate pair
-            entries.append((a * a + b * b, (a, b), complex(spec[i, j])))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return AnchorPins(pins=tuple((mode, val) for _, mode, val in entries[:count]))
+    in w (conjugate pairs counted once, zero values pinned as zero).
+
+    The representative of a pair is its member with m1 > 0; ties in |m|^2
+    are broken by (m1, m2).
+    """
+    half = slice(1, w.grid.n1 // 2)  # rows m1 = 1 .. n1/2 - 1
+    m1, m2 = np.broadcast_arrays(w.grid.modes1()[half], w.grid.modes2())
+    m1, m2 = m1.ravel(), m2.ravel()
+    spec = w.spectrum[half].ravel()
+    order = np.lexsort((m2, m1, m1 * m1 + m2 * m2))[:count]
+    return AnchorPins(pins=tuple(((int(m1[k]), int(m2[k])), complex(spec[k]))
+                                 for k in order))
 
 
 def _pin_indices(grid: GridSpec, pins: AnchorPins) -> list[tuple[int, int, complex]]:
@@ -165,7 +154,7 @@ def _precondition(g: AdmissibleField, eps: float, step: float) -> AdmissibleFiel
 
 
 def descent_step(w: AdmissibleField, g: AdmissibleField, step: float,
-                 rule: str, objective, f_w: float,
+                 objective, f_w: float,
                  direction: AdmissibleField | None = None):
     """One Armijo-gated step along -direction (default -g).
 
@@ -229,7 +218,7 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
     report = MinimizeReport(iterations=0, final_energy=energy_eps(w, eps),
                             energy_history=[f_w],
                             grad_norm_history=[g.l2()])
-    step = opts.initial_step
+    step = INITIAL_STEP
     prev_w = prev_g = None
     termination = "max-iters"
 
@@ -245,15 +234,14 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
             sy = inner(_admissible(s), _admissible(y))
             if sy > 0.0:
                 bb = inner(_admissible(s), _admissible(s)) / sy
-                step = float(np.clip(bb, BB_CLIP[0] * opts.initial_step,
-                                     BB_CLIP[1] * opts.initial_step))
+                step = float(np.clip(bb, *BB_CLIP))
 
-        direction = _precondition(g, eps, step) if opts.precondition else g
+        direction = _precondition(g, eps, step)
         if pins_idx:
             direction = _zero_pins(direction, pins_idx)
         prev_w, prev_g = w, g
         w_next, accepted, step_used, f_next = descent_step(
-            w, g, step, opts.step_rule, objective, f_w, direction)
+            w, g, step, objective, f_w, direction)
         report.iterations = it + 1
         if not accepted:
             # LineSearchFailure: reported, terminates with max-iters status

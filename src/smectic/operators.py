@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BandLimitExceeded
-from .fields import (AdmissibleField, GridSpec, TorusField, as_admissible,
-                     project_vanishing_x1_mean, require_admissible)
+from .fields import (AdmissibleField, GridSpec, TorusField, _embed_band,
+                     k1zero_residual, project_vanishing_x1_mean,
+                     require_admissible)
 
 #: Relative spectral mass allowed in the outer band (|m| > 7/16 * n) before a
 #: nonlinear evaluation is refused as under-resolved.
@@ -111,40 +112,23 @@ def require_band_headroom(f: TorusField, tol: float = HEADROOM_TOL) -> None:
             "grid too coarse for alias-controlled products")
 
 
-def _pad_spectrum(spec: np.ndarray, grid: GridSpec, p1: int, p2: int) -> np.ndarray:
-    out = np.zeros((p1, p2), dtype=complex)
-    h1, h2 = grid.n1 // 2, grid.n2 // 2
-    out[:h1, :h2] = spec[:h1, :h2]
-    out[:h1, -h2:] = spec[:h1, -h2:]
-    out[-h1:, :h2] = spec[-h1:, :h2]
-    out[-h1:, -h2:] = spec[-h1:, -h2:]
-    return out
-
-
-def _truncate_spectrum(spec: np.ndarray, grid: GridSpec) -> np.ndarray:
-    p1, p2 = spec.shape
-    h1, h2 = grid.n1 // 2, grid.n2 // 2
-    out = np.zeros(grid.shape, dtype=complex)
-    out[:h1, :h2] = spec[:h1, :h2]
-    out[:h1, -h2:] = spec[:h1, -h2:]
-    out[-h1:, :h2] = spec[-h1:, :h2]
-    out[-h1:, -h2:] = spec[-h1:, -h2:]
-    return out
-
-
 def _even(n: int) -> int:
     return n + (n % 2)
 
 
 def _padded_product(fields: list[TorusField], factor: float) -> TorusField:
+    """Product of the factors on a zero-padded grid, truncated back; each
+    distinct factor is inverse-transformed once."""
     grid = fields[0].grid
-    p1, p2 = _even(int(np.ceil(factor * grid.n1))), _even(int(np.ceil(factor * grid.n2)))
-    prod = np.ones((p1, p2))
-    scale = (p1 * p2)
+    shape = (_even(int(np.ceil(factor * grid.n1))), _even(int(np.ceil(factor * grid.n2))))
+    scale = shape[0] * shape[1]
+    physical: dict[int, np.ndarray] = {}
+    prod = np.ones(shape)
     for f in fields:
-        padded = _pad_spectrum(f.spectrum, grid, p1, p2)
-        prod = prod * np.real(np.fft.ifft2(padded) * scale)
-    spec = _truncate_spectrum(np.fft.fft2(prod) / scale, grid)
+        if id(f) not in physical:
+            physical[id(f)] = np.real(np.fft.ifft2(_embed_band(f.spectrum, shape)) * scale)
+        prod = prod * physical[id(f)]
+    spec = _embed_band(np.fft.fft2(prod) / scale, grid.shape)
     return TorusField.from_spectrum(grid, spec)
 
 
@@ -170,17 +154,13 @@ def eta(w: AdmissibleField) -> AdmissibleField:
     """Burgers quantity eta_w = d2 w - d1(w^2/2).
 
     Analytically the result has no k1 = 0 content; roundoff there is removed
-    by projection (the residual is available via fields.k1zero_residual before
-    projecting).
+    by projection (eta_with_residual also reports its size).
     """
-    require_admissible(w)
-    raw = d2(w) - 0.5 * d1(square_dealiased(w))
-    return project_vanishing_x1_mean(raw)
+    return eta_with_residual(w)[0]
 
 
 def eta_with_residual(w: AdmissibleField) -> tuple[AdmissibleField, float]:
     """eta_w together with the relative k1 = 0 residual before projection."""
-    from .fields import k1zero_residual
     require_admissible(w)
     raw = d2(w) - 0.5 * d1(square_dealiased(w))
     return project_vanishing_x1_mean(raw), k1zero_residual(raw)

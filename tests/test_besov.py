@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from smectic.besov import (HGrid, besov_seminorm, hkm1_balance, hkm2_residual,
-                           records_to_csv, records_to_json, tail_mass,
-                           verify_b2s, verify_l3, verify_lp, verify_lp_eps)
-from smectic.errors import DegenerateEnergy
+from smectic.besov import (HGrid, besov_seminorm, gradient_check, hkm1_balance,
+                           hkm2_residual, records_to_csv, records_to_json,
+                           tail_mass, verify_b2s, verify_l3, verify_lp,
+                           verify_lp_eps)
+from smectic.errors import DegenerateEnergy, NonAdmissibleInput
 from smectic.fields import (AdmissibleField, GridSpec, TorusField,
                             random_band_limited)
 from smectic.operators import diff1, eta, shift1
@@ -150,6 +151,23 @@ class TestTailMass:
         w = sine1(GRID)  # single mode (1, 0)
         assert tail_mass(w, 1, 1) <= 1e-28
         assert tail_mass(w, 0, 0) == pytest.approx(0.5, rel=1e-12)
+
+
+class TestGradientCheck:
+    def test_passes_on_random_fields(self):
+        g = GridSpec(64, 64)
+        w = random_band_limited(g, seed=1, kmax=8, amplitude=0.5)
+        v = random_band_limited(g, seed=2, kmax=8, amplitude=0.5)
+        rec = gradient_check(w, v, 0.0625)
+        assert rec.name == "gradient_check" and rec.params == {"eps": 0.0625}
+        assert rec.passed and rec.ratio_or_residual <= 1e-5
+
+    def test_direction_must_be_admissible(self):
+        g = GridSpec(64, 64)
+        w = random_band_limited(g, seed=1, kmax=8, amplitude=0.5)
+        v = TorusField.from_samples(g, np.ones(g.shape))
+        with pytest.raises(NonAdmissibleInput):
+            gradient_check(w, v, 0.0625)
 
 
 class TestSerialization:

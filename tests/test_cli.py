@@ -51,6 +51,15 @@ class TestEnergy:
         assert report["energy_eps"] == 0.0
         assert report["energy_indep"] == 0.0
 
+    def test_nan_field_is_usage_error(self, tmp_path):
+        samples = np.zeros((32, 32))
+        samples[0, 0] = np.nan
+        save_field(TorusField.from_samples(GridSpec(32, 32), samples), tmp_path / "nan")
+        code = run(["energy", "--field", str(tmp_path / "nan"), "--eps", "0.1",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "energy.json").exists()
+
 
 class TestSweep:
     def test_csv_jump_cost_column(self, tmp_path):
@@ -82,6 +91,22 @@ class TestConfigFile:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 3
         assert manifest["config"]["nfields"] == 1
+
+    def test_values_coerced_through_option_types(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": "64x64", "kmax": "8", "nfields": 1}))
+        assert run(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["kmax"] == 8
+
+    @pytest.mark.parametrize("config", [{"kmax": "eight"}, {"seed": 1.5},
+                                        {"nfields": True}, {"format": "xml"},
+                                        {"save_final": "yes"}, {"kmax": None}])
+    def test_bad_value_is_usage_error(self, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": "64x64", **config}))
+        assert run(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -130,6 +130,26 @@ class TestRegrid:
         assert np.allclose(back.spectrum, w.spectrum, atol=1e-15)
         assert isinstance(fine, AdmissibleField)
 
+    @pytest.mark.parametrize("target", [(16, 16), (8, 16), (16, 8), (8, 8)])
+    def test_drops_minus_half_row_and_column(self, target):
+        # only modes |m| < min(n_src, n_dst)/2 are carried over
+        g = GridSpec(16, 16)
+        spec = np.zeros(g.shape, complex)
+        spec[-8, :] = 1.0  # row m1 = -8
+        spec[:, -8] = 1.0  # column m2 = -8
+        out = regrid(TorusField.from_spectrum(g, spec), GridSpec(*target))
+        assert np.all(out.spectrum == 0.0)
+
+    def test_coarse_band_edge_dropped_on_refine(self):
+        g = GridSpec(8, 8)
+        spec = np.zeros(g.shape, complex)
+        spec[4, 1] = spec[1, 4] = 1.0  # m1 = -4 and m2 = -4 on the coarse grid
+        spec[1, 1] = 2.0
+        fine = regrid(TorusField.from_spectrum(g, spec), GridSpec(16, 16))
+        expected = np.zeros((16, 16), complex)
+        expected[1, 1] = 2.0
+        assert np.array_equal(fine.spectrum, expected)
+
 
 class TestFieldFiles:
     def test_roundtrip(self, tmp_path):
@@ -153,4 +173,12 @@ class TestFieldFiles:
         hdr = (tmp_path / "w.json")
         hdr.write_text(hdr.read_text().replace("f64-le", "f32-be"))
         with pytest.raises(ValueError):
+            load_field(tmp_path / "w")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        samples = np.zeros((16, 16))
+        samples[3, 5] = bad
+        save_field(TorusField.from_samples(GridSpec(16, 16), samples), tmp_path / "w")
+        with pytest.raises(ValueError, match="non-finite"):
             load_field(tmp_path / "w")

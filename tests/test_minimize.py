@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smectic.energy import energy_eps, gradient_eps
 from smectic.fields import AdmissibleField, GridSpec, random_band_limited
@@ -26,13 +28,38 @@ class TestCertificate:
         assert gradient_certificate(GRID)  # cached path
 
 
+class TestLowestModePins:
+    @staticmethod
+    def brute_force(w, count):
+        entries = []
+        for i, a in enumerate(w.grid.modes1().ravel()):
+            for j, b in enumerate(w.grid.modes2().ravel()):
+                a, b = int(a), int(b)
+                # admissible, one representative per conjugate pair
+                if a != 0 and (a, b) >= (-a, -b):
+                    entries.append((a * a + b * b, (a, b), complex(w.spectrum[i, j])))
+        entries.sort(key=lambda e: (e[0], e[1]))
+        return tuple((mode, val) for _, mode, val in entries[:count])
+
+    @settings(max_examples=40, deadline=None)
+    @given(n1=st.integers(4, 12).map(lambda k: 2 * k),
+           n2=st.integers(4, 12).map(lambda k: 2 * k),
+           count=st.integers(0, 300), seed=st.integers(0, 2 ** 16))
+    def test_matches_sorted_definition(self, n1, n2, count, seed):
+        grid = GridSpec(n1, n2)
+        w = random_band_limited(grid, seed=seed, kmax=2, amplitude=0.3)
+        pins = lowest_mode_pins(w, count).pins
+        assert pins == self.brute_force(w, count)
+        assert all(type(a) is int and type(b) is int and type(v) is complex
+                   for (a, b), v in pins)
+
+
 class TestDescentStep:
     def test_zero_gradient_is_fixed_point(self):
         w = random_band_limited(GRID, seed=1, kmax=8, amplitude=0.1)
         g = AdmissibleField.zero(GRID)
         w2, accepted, _, f2 = descent_step(
-            w, g, 1.0, "backtracking-armijo",
-            lambda u: energy_eps(u, 0.1).energy_eps,
+            w, g, 1.0, lambda u: energy_eps(u, 0.1).energy_eps,
             energy_eps(w, 0.1).energy_eps)
         assert accepted
         assert w2 is w
@@ -43,8 +70,7 @@ class TestDescentStep:
         f_w = energy_eps(w, eps).energy_eps
         g = gradient_eps(w, eps)
         _, accepted, _, f2 = descent_step(
-            w, g, 1.0, "backtracking-armijo",
-            lambda u: energy_eps(u, eps).energy_eps, f_w)
+            w, g, 1.0, lambda u: energy_eps(u, eps).energy_eps, f_w)
         assert accepted
         assert f2 <= f_w
 

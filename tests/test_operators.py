@@ -118,6 +118,21 @@ class TestDealiasedProducts:
         retained[0, 0] = 0.0
         assert np.max(np.abs(retained)) < 1e-13
 
+    @pytest.mark.parametrize("product,inverse_ffts", [
+        (square_dealiased, 1), (cube_dealiased, 1),
+        (lambda f: multiply_dealiased(f, 2.0 * f), 2)])
+    def test_one_inverse_transform_per_distinct_factor(self, monkeypatch,
+                                                       product, inverse_ffts):
+        f = random_band_limited(GRID, seed=8, kmax=8, amplitude=0.5)
+        calls = []
+        for name in ("fft2", "ifft2"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda a, _f=real, _n=name:
+                                calls.append(_n) or _f(a))
+        product(f)
+        assert calls.count("ifft2") == inverse_ffts
+        assert calls.count("fft2") == 1
+
     def test_headroom_guard(self):
         g = GridSpec(32, 32)
         m1 = g.modes1()
