@@ -177,12 +177,13 @@ def _cmd_entropy(args) -> tuple[list[VerificationRecord], dict]:
     if args.field:
         w = as_admissible(load_field(args.field))
         records.append(div_sigma_identity(w))
+        production = entropy_production(w)
         records.append(VerificationRecord(
-            name="entropy_production", lhs=entropy_production(w), rhs=0.0,
-            ratio_or_residual=entropy_production(w), params={}, passed=True))
+            name="entropy_production", lhs=production, rhs=0.0,
+            ratio_or_residual=production, params={}, passed=True))
+        phi = TorusField.from_samples(w.grid, np.sin(
+            2 * np.pi * np.repeat(w.grid.x1(), w.grid.n2, axis=1)) / (2 * np.pi))
         for eps in args.eps:
-            phi = TorusField.from_samples(w.grid, np.sin(
-                2 * np.pi * np.repeat(w.grid.x1(), w.grid.n2, axis=1)) / (2 * np.pi))
             records.append(duality_gap(w, phi, eps))
     return records, extra
 

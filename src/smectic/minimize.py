@@ -229,11 +229,10 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
             break
 
         if opts.step_rule == "barzilai-borwein-safeguarded" and prev_w is not None:
-            s = w - prev_w
-            y = g - prev_g
-            sy = inner(_admissible(s), _admissible(y))
+            s = _admissible(w - prev_w)
+            sy = inner(s, _admissible(g - prev_g))
             if sy > 0.0:
-                bb = inner(_admissible(s), _admissible(s)) / sy
+                bb = inner(s, s) / sy
                 step = float(np.clip(bb, *BB_CLIP))
 
         direction = _precondition(g, eps, step)

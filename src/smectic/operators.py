@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BandLimitExceeded
-from .fields import (AdmissibleField, GridSpec, TorusField, _embed_band,
+from .fields import (AdmissibleField, GridSpec, TorusField,
                      k1zero_residual, project_vanishing_x1_mean,
                      require_admissible)
 
@@ -61,16 +61,19 @@ def frac_abs_d1(f: TorusField, s: float) -> AdmissibleField:
     return AdmissibleField.from_spectrum(f.grid, f.spectrum * sym)
 
 
-def _shift(f: TorusField, h: float, axis: int) -> TorusField:
-    grid = f.grid
+def shift_symbol(grid: GridSpec, h: float, axis: int) -> np.ndarray:
+    """Fourier symbol of the translation by h along x_axis: exp(i k h), with
+    cos(k h) at the Nyquist mode.  That keeps real fields real and makes the
+    shift by 0 the identity exactly."""
     if axis == 1:
         k, nyq = grid.k1(), _nyquist_mask1(grid)
     else:
         k, nyq = grid.k2(), _nyquist_mask2(grid)
-    # cos at Nyquist, full phase elsewhere: keeps real fields real and
-    # shift(f, 0) == f exactly
-    sym = np.cos(k * h) + 1j * np.where(nyq, 0.0, np.sin(k * h))
-    return type(f).from_spectrum(grid, f.spectrum * sym)
+    return np.cos(k * h) + 1j * np.where(nyq, 0.0, np.sin(k * h))
+
+
+def _shift(f: TorusField, h: float, axis: int) -> TorusField:
+    return type(f).from_spectrum(f.grid, f.spectrum * shift_symbol(f.grid, h, axis))
 
 
 def shift1(f: TorusField, h: float) -> TorusField:
@@ -116,9 +119,29 @@ def _even(n: int) -> int:
     return n + (n % 2)
 
 
+def _hermitian_half(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Columns 0..S2/2 of the Hermitian part (P(m) + conj P(-m))/2 of the
+    zero-padded spectrum P = _embed_band(spec, shape), built from spec alone.
+
+    irfft2 of this half equals real(ifft2(P)) for any spec.  On the padded
+    grid the source Nyquist row and column lose their conjugate partners, so
+    their mass is split between -n/2 and +n/2."""
+    n1, n2 = spec.shape
+    h1, h2 = n1 // 2, n2 // 2
+    mirror = np.conj(np.roll(spec[::-1, ::-1], 1, axis=(0, 1)))  # conj spec(-m)
+    out = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
+    out[:h1, :h2] = spec[:h1, :h2]
+    out[-h1:, :h2] = spec[-h1:, :h2]
+    # mirror row/column h (n-grid index of mode -n/2) lands on mode +n/2
+    out[:h1 + 1, :h2 + 1] += mirror[:h1 + 1, :h2 + 1]
+    out[-(h1 - 1):, :h2 + 1] += mirror[h1 + 1:, :h2 + 1]
+    out *= 0.5
+    return out
+
+
 def _padded_product(fields: list[TorusField], factor: float) -> TorusField:
-    """Product of the factors on a zero-padded grid, truncated back; each
-    distinct factor is inverse-transformed once."""
+    """Product of the factors on a zero-padded grid, truncated back, in real
+    transforms: one irfft2 per distinct factor, one rfft2 for the product."""
     grid = fields[0].grid
     shape = (_even(int(np.ceil(factor * grid.n1))), _even(int(np.ceil(factor * grid.n2))))
     scale = shape[0] * shape[1]
@@ -126,9 +149,15 @@ def _padded_product(fields: list[TorusField], factor: float) -> TorusField:
     prod = np.ones(shape)
     for f in fields:
         if id(f) not in physical:
-            physical[id(f)] = np.real(np.fft.ifft2(_embed_band(f.spectrum, shape)) * scale)
+            physical[id(f)] = np.fft.irfft2(_hermitian_half(f.spectrum, shape), s=shape) * scale
         prod = prod * physical[id(f)]
-    spec = _embed_band(np.fft.fft2(prod) / scale, grid.shape)
+    half = np.fft.rfft2(prod) / scale  # modes m2 = 0..S2/2
+    h2 = grid.n2 // 2
+    m1 = grid.modes1()[:, 0]
+    spec = np.empty(grid.shape, dtype=complex)
+    spec[:, :h2] = half[m1 % shape[0], :h2]
+    # m2 = -h2..-1 from the conjugate symmetry of a real product
+    spec[:, h2:] = np.conj(half[-m1 % shape[0], h2:0:-1])
     return TorusField.from_spectrum(grid, spec)
 
 

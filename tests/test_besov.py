@@ -1,15 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smectic import besov
 from smectic.besov import (HGrid, besov_seminorm, gradient_check, hkm1_balance,
                            hkm2_residual, records_to_csv, records_to_json,
                            tail_mass, verify_b2s, verify_l3, verify_lp,
                            verify_lp_eps)
 from smectic.errors import DegenerateEnergy, NonAdmissibleInput
 from smectic.fields import (AdmissibleField, GridSpec, TorusField,
-                            random_band_limited)
+                            project_vanishing_x1_mean, random_band_limited)
 from smectic.operators import diff1, eta, shift1
 
 GRID = GridSpec(256, 256)
@@ -118,6 +122,51 @@ class TestB2S:
         assert main and cross
         assert all(math.isfinite(r.ratio_or_residual) for r in main)
         assert all(r.passed for r in cross)
+
+
+class TestExactX1Path:
+    """The closed-form layer integral and the x1-only differences against the
+    definitions through diff1, on admissible fields drawn from random samples:
+    full band, so the Nyquist row carries mass.  energy_indep refuses such
+    fields (no dealiasing headroom); only the difference side is under test,
+    so it is replaced by a constant."""
+
+    SHAPES = st.sampled_from([(8, 8), (10, 12), (16, 10)])
+
+    @staticmethod
+    def full_band(shape, seed):
+        grid = GridSpec(*shape)
+        raw = np.random.default_rng(seed).standard_normal(grid.shape)
+        w = project_vanishing_x1_mean(TorusField.from_samples(grid, raw))
+        assert np.abs(w.spectrum[grid.n1 // 2, :]).max() > 1e-3 * w.l2()
+        return w
+
+    @settings(max_examples=10, deadline=None)
+    @given(shape=SHAPES, seed=st.integers(0, 2 ** 32 - 1),
+           h=st.floats(2.0 ** -9, 0.5))
+    def test_layer_integral_matches_fine_midpoint_rule(self, shape, seed, h):
+        w = self.full_band(shape, seed)
+        nodes = 2048
+        rows = sum(np.mean(diff1(w, (i + 0.5) * h / nodes).samples ** 2, axis=0)
+                   for i in range(nodes)) * (h / nodes)
+        row_l2 = np.mean(diff1(w, h).samples ** 2, axis=0)
+        with mock.patch.object(besov, "energy_indep", return_value=1.0):
+            b2s, avebd = verify_b2s(w, HGrid((h,)))
+        assert b2s.lhs == pytest.approx(rows.max(), rel=1e-6)
+        assert avebd.rhs == pytest.approx(4.0 / h * rows.max(), rel=1e-6)
+        assert avebd.lhs == pytest.approx(row_l2.max(), rel=1e-12)
+        assert avebd.passed
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=SHAPES, seed=st.integers(0, 2 ** 32 - 1),
+           hs=st.lists(st.floats(2.0 ** -12, 0.75), min_size=1, max_size=4))
+    def test_l3_differences_match_diff1(self, shape, seed, hs):
+        w = self.full_band(shape, seed)
+        with mock.patch.object(besov, "energy_indep", return_value=1.0):
+            recs = verify_l3(w, HGrid(tuple(hs)))
+        for rec in recs:
+            expected = np.mean(np.abs(diff1(w, rec.params["h"]).samples) ** 3)
+            assert rec.lhs == pytest.approx(expected, rel=1e-12)
 
 
 class TestLp:

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smectic.errors import BandLimitExceeded, NonAdmissibleInput
-from smectic.fields import (AdmissibleField, GridSpec, TorusField, inner,
-                            random_band_limited)
-from smectic.operators import (band_headroom_residual, cube_dealiased, d1, d2,
-                               diff1, eta, frac_abs_d1, inv_abs_d1,
-                               multiply_dealiased, require_band_headroom,
-                               shift1, shift2, square_dealiased)
+from smectic.fields import (AdmissibleField, GridSpec, TorusField, _embed_band,
+                            inner, random_band_limited)
+from smectic.operators import (_padded_product, band_headroom_residual,
+                               cube_dealiased, d1, d2, diff1, eta, frac_abs_d1,
+                               inv_abs_d1, multiply_dealiased,
+                               require_band_headroom, shift1, shift2,
+                               square_dealiased)
 
 
 def sine1(grid, a=1.0, m=1):
@@ -125,13 +128,51 @@ class TestDealiasedProducts:
                                                        product, inverse_ffts):
         f = random_band_limited(GRID, seed=8, kmax=8, amplitude=0.5)
         calls = []
-        for name in ("fft2", "ifft2"):
+        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
             real = getattr(np.fft, name)
-            monkeypatch.setattr(np.fft, name, lambda a, _f=real, _n=name:
-                                calls.append(_n) or _f(a))
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=real, _n=name, **kw:
+                                calls.append(_n) or _f(*a, **kw))
         product(f)
-        assert calls.count("ifft2") == inverse_ffts
-        assert calls.count("fft2") == 1
+        assert calls.count("irfft2") == inverse_ffts
+        assert calls.count("rfft2") == 1
+        assert calls.count("fft2") == calls.count("ifft2") == 0
+
+    @staticmethod
+    def _complex_path(fields, factor):
+        """The product through complex transforms of the zero-padded
+        spectra: the reference for the real-transform kernel."""
+        grid = fields[0].grid
+        shape = tuple(n + n % 2 for n in (int(np.ceil(factor * grid.n1)),
+                                          int(np.ceil(factor * grid.n2))))
+        scale = shape[0] * shape[1]
+        prod = np.ones(shape)
+        for f in fields:
+            prod = prod * np.real(np.fft.ifft2(_embed_band(f.spectrum, shape)) * scale)
+        return _embed_band(np.fft.fft2(prod) / scale, grid.shape)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(8, 8), (10, 12), (16, 40), (40, 16), (64, 64)]),
+           seed=st.integers(0, 2 ** 32 - 1), hermitian=st.booleans(),
+           arity=st.sampled_from(["square", "cube", "pair"]))
+    def test_real_transforms_match_complex_path(self, shape, seed, hermitian, arity):
+        # full-band spectra: the Nyquist row and column carry mass
+        grid = GridSpec(*shape)
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            if hermitian:
+                return TorusField.from_samples(grid, rng.standard_normal(shape))
+            return TorusField.from_spectrum(
+                grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+        f, g = draw(), draw()
+        assert np.abs(f.spectrum[grid.n1 // 2, :]).max() > 0.0
+        assert np.abs(f.spectrum[:, grid.n2 // 2]).max() > 0.0
+        fields, factor = {"square": ([f, f], 1.5), "cube": ([f, f, f], 2.0),
+                          "pair": ([f, g], 1.5)}[arity]
+        expected = self._complex_path(fields, factor)
+        got = _padded_product(fields, factor).spectrum
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_headroom_guard(self):
         g = GridSpec(32, 32)
