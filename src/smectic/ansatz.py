@@ -5,8 +5,6 @@ and the eps-sweep comparing optimized ansatz energies with the sharp jump cost.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,18 +93,6 @@ def mollify(p: JumpProfile, delta: float, grid: GridSpec) -> AdmissibleField:
 
 
 @dataclass(frozen=True)
-class MollifiedShock:
-    """Gaussian-mollified symmetric two-shock ansatz."""
-
-    c: float
-    delta: float
-    grid: GridSpec
-
-    def field(self) -> AdmissibleField:
-        return mollify(vertical_two_shock(self.c), self.delta, self.grid)
-
-
-@dataclass(frozen=True)
 class SweepRecord:
     eps: float
     delta_star: float
@@ -163,8 +149,4 @@ def eps_sweep(p: JumpProfile, eps_list: list[float], grid: GridSpec) -> list[Swe
         return SweepRecord(eps=eps, delta_star=d_star, energy_eps=e_star,
                            jump_cost=jc, gap=e_star - jc, grid=grid)
 
-    threads = int(os.environ.get("SMECTIC_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, eps_list))
     return [run_one(eps) for eps in eps_list]

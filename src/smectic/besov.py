@@ -137,13 +137,20 @@ def hkm1_balance(w: AdmissibleField, h: float) -> VerificationRecord:
         params={"h": h, "dh": dh}, passed=residual <= tol, tolerance=tol)
 
 
-def _guard_degenerate(e_val: float, lhs: float, name: str) -> bool:
-    """True if the record is degenerate (zero energy, zero lhs)."""
+def _ratio_record(name: str, lhs: float, rhs: float, e_val: float,
+                  params: dict) -> VerificationRecord:
+    """Record of an estimate lhs <= C * rhs with an unknown constant C: the
+    measured ratio, judged for finiteness.  At zero energy e_val the record
+    is degenerate (ratio 0) if lhs vanishes too, and DegenerateEnergy is
+    raised otherwise."""
     if e_val > 0.0:
-        return False
+        ratio = lhs / rhs
+        return VerificationRecord(name=name, lhs=lhs, rhs=rhs, ratio_or_residual=ratio,
+                                  params=params, passed=math.isfinite(ratio))
     if lhs > 1e-14:
         raise DegenerateEnergy(f"{name}: zero energy but lhs = {lhs:.3e}")
-    return True
+    return VerificationRecord(name=name, lhs=lhs, rhs=rhs, ratio_or_residual=0.0,
+                              params={**params, "degenerate": True})
 
 
 def _x1_coefficients(w: TorusField) -> np.ndarray:
@@ -164,17 +171,8 @@ def verify_l3(w: AdmissibleField, hs: HGrid | None = None) -> list[VerificationR
         # the samples of diff1(w, h), from the symbol of shift1 along x1 only
         sym = shift_symbol(w.grid, h, axis=1)[: n1 // 2 + 1] - 1.0
         dw = np.fft.irfft(c * sym, n=n1, axis=0) * n1
-        lhs = _mean(np.abs(dw) ** 3)
-        rhs = h * e_val
-        if _guard_degenerate(e_val, lhs, "verify_l3"):
-            records.append(VerificationRecord(
-                name="l3_estimate", lhs=lhs, rhs=rhs, ratio_or_residual=0.0,
-                params={"h": h, "degenerate": True}, passed=True))
-            continue
-        ratio = lhs / rhs
-        records.append(VerificationRecord(
-            name="l3_estimate", lhs=lhs, rhs=rhs, ratio_or_residual=ratio,
-            params={"h": h}, passed=math.isfinite(ratio)))
+        records.append(_ratio_record("l3_estimate", _mean(np.abs(dw) ** 3),
+                                     h * e_val, e_val, {"h": h}))
     return records
 
 
@@ -204,17 +202,11 @@ def verify_b2s(w: AdmissibleField, hs: HGrid | None = None) -> list[Verification
         layer = 2.0 * (h - sin_kh / k)
         layer[-1] = 1.5 * h - 2.0 * sin_kh[-1] / kn + np.sin(2.0 * kn * h) / (4.0 * kn)
         rows = layer @ mass
-        lhs = float(np.max(rows))
         rhs = h * e_val + h ** (5.0 / 3.0) * e_val ** (2.0 / 3.0)
-        if _guard_degenerate(e_val, lhs, "verify_b2s"):
-            records.append(VerificationRecord(
-                name="b2s_estimate", lhs=lhs, rhs=rhs, ratio_or_residual=0.0,
-                params={"h": h, "degenerate": True}, passed=True))
+        records.append(_ratio_record("b2s_estimate", float(np.max(rows)), rhs,
+                                     e_val, {"h": h}))
+        if e_val <= 0.0:
             continue
-        ratio = lhs / rhs
-        records.append(VerificationRecord(
-            name="b2s_estimate", lhs=lhs, rhs=rhs, ratio_or_residual=ratio,
-            params={"h": h}, passed=math.isfinite(ratio)))
         row_l2 = diff_sq @ mass
         bound = (4.0 / h) * rows
         worst = float(np.max(row_l2 - bound))
@@ -234,18 +226,8 @@ def verify_lp(w: AdmissibleField, p: float) -> VerificationRecord:
         raise ValueError(f"p must lie in [1, 10/3), got {p}")
     alpha = max(2.0, p)
     e_val = energy_indep(w)
-    lhs = w.lp(p)
-    if e_val == 0.0:
-        if lhs > 1e-14:
-            raise DegenerateEnergy(f"verify_lp: zero energy but ||w||_p = {lhs:.3e}")
-        return VerificationRecord(name="lp_estimate", lhs=lhs, rhs=0.0,
-                                  ratio_or_residual=0.0,
-                                  params={"p": p, "degenerate": True})
     rhs = e_val ** (2.0 / (3.0 * alpha)) * (e_val + e_val ** (2.0 / 3.0)) ** ((alpha - 2.0) / (2.0 * alpha))
-    ratio = lhs / rhs
-    return VerificationRecord(name="lp_estimate", lhs=lhs, rhs=rhs,
-                              ratio_or_residual=ratio, params={"p": p},
-                              passed=math.isfinite(ratio))
+    return _ratio_record("lp_estimate", w.lp(p), rhs, e_val, {"p": p})
 
 
 def verify_lp_eps(w: AdmissibleField, p: float, eps: float) -> VerificationRecord:
@@ -254,18 +236,8 @@ def verify_lp_eps(w: AdmissibleField, p: float, eps: float) -> VerificationRecor
         raise ValueError(f"p must lie in [1, 6), got {p}")
     alpha = max(2.0, p)
     e_val = energy_eps(w, eps).energy_eps
-    lhs = w.lp(p)
-    if e_val == 0.0:
-        if lhs > 1e-14:
-            raise DegenerateEnergy(f"verify_lp_eps: zero energy but ||w||_p = {lhs:.3e}")
-        return VerificationRecord(name="lp_eps_estimate", lhs=lhs, rhs=0.0,
-                                  ratio_or_residual=0.0,
-                                  params={"p": p, "eps": eps, "degenerate": True})
     rhs = eps ** (-1.0 / alpha) * e_val ** (1.0 / alpha) * (e_val + e_val ** (2.0 / 3.0)) ** ((alpha - 2.0) / (2.0 * alpha))
-    ratio = lhs / rhs
-    return VerificationRecord(name="lp_eps_estimate", lhs=lhs, rhs=rhs,
-                              ratio_or_residual=ratio, params={"p": p, "eps": eps},
-                              passed=math.isfinite(ratio))
+    return _ratio_record("lp_eps_estimate", w.lp(p), rhs, e_val, {"p": p, "eps": eps})
 
 
 def gradient_check(w: AdmissibleField, v: AdmissibleField, eps: float) -> VerificationRecord:

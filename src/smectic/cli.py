@@ -45,21 +45,22 @@ def _parse_grid(text: str) -> GridSpec:
         n1, n2 = text.lower().split("x")
         return GridSpec(int(n1), int(n2))
     except (ValueError, TypeError) as exc:
-        raise ValueError(f"bad --grid {text!r}, expected N1xN2") from exc
+        raise argparse.ArgumentTypeError(f"expected N1xN2, got {text!r}: {exc}") from exc
 
 
 def _parse_eps_list(text: str) -> list[float]:
     """Either a single float or a dyadic range `2^-a..2^-b`."""
-    if ".." in text:
+    try:
+        if ".." not in text:
+            return [float(text)]
         lo, hi = text.split("..")
-        for part in (lo, hi):
-            if not part.startswith("2^"):
-                raise ValueError(f"range endpoints must be dyadic 2^-k, got {part!r}")
-        a = int(lo[2:])
-        b = int(hi[2:])
-        step = -1 if a > b else 1
-        return [2.0 ** e for e in range(a, b + step, step)]
-    return [float(text)]
+        if not (lo.startswith("2^") and hi.startswith("2^")):
+            raise ValueError("range endpoints must be dyadic 2^-k")
+        a, b = int(lo[2:]), int(hi[2:])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+    step = -1 if a > b else 1
+    return [2.0 ** e for e in range(a, b + step, step)]
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -143,8 +144,8 @@ def _cmd_energy(args) -> tuple[list[VerificationRecord], dict]:
     else:
         w = random_band_limited(args.grid, seed=args.seed, kmax=args.kmax,
                                 amplitude=0.5)
-    reports = {repr(eps): json.loads(energy_eps(w, eps).to_json())
-               for eps in args.eps}
+    report = energy_eps(w, args.eps[0])
+    reports = {repr(eps): dataclasses.asdict(report.at_eps(eps)) for eps in args.eps}
     return [], {"energy.json": json.dumps(reports, indent=2) + "\n"}
 
 
@@ -198,7 +199,7 @@ def _cmd_sweep(args) -> tuple[list[VerificationRecord], dict]:
 
 
 def _cmd_minimize(args) -> tuple[list[VerificationRecord], dict]:
-    eps = args.eps[0]
+    eps = args.eps
     if args.field:
         w0 = as_admissible(load_field(args.field))
     else:
@@ -239,14 +240,38 @@ def _cmd_tail(args) -> tuple[list[VerificationRecord], dict]:
     return records, {"tail.csv": "\n".join(lines) + "\n"}
 
 
+#: every flag of the CLI: name -> argparse keyword arguments
+_FLAGS = {
+    "grid": {"type": _parse_grid, "default": "256x256"},
+    "seed": {"type": int, "default": 0},
+    "eps": {"type": _parse_eps_list, "default": "0.0625",
+            "help": "single value or dyadic range 2^-a..2^-b"},
+    "p": {"type": float, "default": 2.0},
+    "c": {"type": float, "default": 0.5},
+    "kmax": {"type": int, "default": 16},
+    "nfields": {"type": int, "default": 5},
+    "max-iters": {"type": int, "default": 500},
+    "pins": {"type": int, "default": 0},
+    "field": {"default": None, "help": "input field (NAME or NAME.json)"},
+    "profile": {"default": None, "help": "jump profile JSON path"},
+    "save-final": {"action": "store_true"},
+    "format": {"choices": ("csv", "json"), "default": "csv"},
+    "out": {"default": "."},
+    "config": {"default": None, "help": "JSON config file; flags override"},
+}
+#: minimize descends at a single eps
+_MINIMIZE_EPS = {"type": float, "default": 0.0625}
+
+#: command -> (handler, the flags it reads besides --out and --config)
 _COMMANDS = {
-    "verify": _cmd_verify,
-    "energy": _cmd_energy,
-    "besov": _cmd_besov,
-    "entropy": _cmd_entropy,
-    "sweep": _cmd_sweep,
-    "minimize": _cmd_minimize,
-    "tail": _cmd_tail,
+    "verify": (_cmd_verify, ("grid", "seed", "kmax", "nfields", "format")),
+    "energy": (_cmd_energy, ("field", "grid", "seed", "kmax", "eps")),
+    "besov": (_cmd_besov, ("grid", "seed", "kmax", "p", "eps", "format")),
+    "entropy": (_cmd_entropy, ("profile", "c", "field", "eps", "format")),
+    "sweep": (_cmd_sweep, ("c", "eps", "grid")),
+    "minimize": (_cmd_minimize, ("eps", "field", "grid", "seed", "kmax", "pins",
+                                 "max-iters", "save-final", "format")),
+    "tail": (_cmd_tail, ("grid", "seed", "kmax", "format")),
 }
 
 
@@ -255,24 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="smectic",
         description="Pseudo-spectral smectic energy laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--grid", default="256x256")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--eps", default="0.0625",
-                       help="single value or dyadic range 2^-a..2^-b")
-        p.add_argument("--p", type=float, default=2.0)
-        p.add_argument("--c", type=float, default=0.5)
-        p.add_argument("--kmax", type=int, default=16)
-        p.add_argument("--nfields", type=int, default=5)
-        p.add_argument("--max-iters", type=int, default=500)
-        p.add_argument("--pins", type=int, default=0)
-        p.add_argument("--field", default=None, help="input field (NAME or NAME.json)")
-        p.add_argument("--profile", default=None, help="jump profile JSON path")
-        p.add_argument("--save-final", action="store_true")
-        p.add_argument("--out", default=".")
-        p.add_argument("--config", default=None, help="JSON config file; flags override")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        for flag in flags + ("out", "config"):
+            kwargs = _MINIMIZE_EPS if (name, flag) == ("minimize", "eps") else _FLAGS[flag]
+            p.add_argument("--" + flag, **kwargs)
     return parser
 
 
@@ -306,8 +318,6 @@ def main(argv: list[str] | None = None) -> int:
             # config values first, so that command-line flags override them
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_argv(args) + argv[at:])
-        args.grid = _parse_grid(str(args.grid)) if not isinstance(args.grid, GridSpec) else args.grid
-        args.eps = _parse_eps_list(str(args.eps))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
     except (ValueError, OSError, json.JSONDecodeError) as exc:
@@ -317,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.time()
     out = Path(args.out)
     try:
-        records, extra = _COMMANDS[args.command](args)
+        records, extra = _COMMANDS[args.command][0](args)
     except SmecticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

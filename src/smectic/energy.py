@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .fields import AdmissibleField, inner, project_vanishing_x1_mean
+from .fields import AdmissibleField, project_vanishing_x1_mean
 from .operators import d1, d2, eta_with_residual, inv_abs_d1, multiply_dealiased
 
 
@@ -27,25 +27,35 @@ class EnergyReport:
     energy_indep: float
     eta_k1zero_residual: float
 
+    @classmethod
+    def weighted(cls, compression: float, bending: float, eps: float,
+                 eta_k1zero_residual: float) -> EnergyReport:
+        """The report of a field with this compression and bending at eps."""
+        if eps <= 0.0:
+            raise ValueError(f"eps must be positive, got {eps}")
+        return cls(
+            compression=compression,
+            bending=bending,
+            eps=eps,
+            energy_eps=0.5 * (compression / eps + eps * bending),
+            energy_indep=(compression * bending) ** 0.5,
+            eta_k1zero_residual=eta_k1zero_residual,
+        )
+
+    def at_eps(self, eps: float) -> EnergyReport:
+        """The same field's report at another eps: only the weighting of
+        compression and bending changes, so no field is evaluated."""
+        return self.weighted(self.compression, self.bending, eps,
+                             self.eta_k1zero_residual)
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
 
 def energy_eps(w: AdmissibleField, eps: float) -> EnergyReport:
     """Evaluate the eps-energy of w with all diagnostics."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
     e, residual = eta_with_residual(w)
-    compression = inv_abs_d1(e).l2() ** 2
-    bending = d1(w).l2() ** 2
-    return EnergyReport(
-        compression=compression,
-        bending=bending,
-        eps=eps,
-        energy_eps=0.5 * (compression / eps + eps * bending),
-        energy_indep=(compression * bending) ** 0.5,
-        eta_k1zero_residual=residual,
-    )
+    return EnergyReport.weighted(inv_abs_d1(e).l2() ** 2, d1(w).l2() ** 2, eps, residual)
 
 
 def energy_indep(w: AdmissibleField) -> float:
@@ -71,8 +81,3 @@ def gradient_eps(w: AdmissibleField, eps: float) -> AdmissibleField:
     compression_part = multiply_dealiased(w, d1(big_g)) - d2(big_g)
     g = (1.0 / eps) * compression_part - eps * d1(d1(w))
     return project_vanishing_x1_mean(g)
-
-
-def directional_derivative(w: AdmissibleField, v: AdmissibleField, eps: float) -> float:
-    """<gradient_eps(w), v> - convenience pairing used by solver and tests."""
-    return inner(gradient_eps(w, eps), v)

@@ -1,9 +1,9 @@
 """First-order descent minimization of the eps-energy over the admissible set.
 
-The zero field is the global minimizer, so meaningful experiments anchor the
-iterate either by a quadratic penalty toward a target field or by freezing a
-set of spectral modes (mode pinning does not perturb the energy landscape away
-from the pins and is preferred for sweeps).
+Safeguarded Barzilai-Borwein steps, gated by an Armijo backtracking line
+search.  The zero field is the global minimizer, so meaningful experiments
+anchor the iterate by freezing a set of spectral modes (mode pinning does not
+perturb the energy landscape away from the pins).
 """
 
 from __future__ import annotations
@@ -16,23 +16,15 @@ import numpy as np
 from .besov import gradient_check
 from .energy import energy_eps, gradient_eps
 from .errors import LineSearchFailure
-from .fields import AdmissibleField, GridSpec, TorusField, inner, random_band_limited
+from .fields import (AdmissibleField, GridSpec, TorusField, inner,
+                     project_vanishing_x1_mean, random_band_limited)
+from .operators import outer_band
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 60
 #: first trial step; Barzilai-Borwein steps are clipped to BB_CLIP
 INITIAL_STEP = 1.0
 BB_CLIP = (1e-6, 1e3)
-
-
-@dataclass(frozen=True)
-class AnchorPenalty:
-    target: AdmissibleField
-    lam: float
-
-    def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError("penalty weight must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -50,12 +42,9 @@ class MinimizeOptions:
     max_iters: int = 500
     grad_tol: float = 1e-9
     energy_rel_tol: float = 1e-14
-    step_rule: str = "barzilai-borwein-safeguarded"
-    anchor: AnchorPenalty | AnchorPins | None = None
+    anchor: AnchorPins | None = None
 
     def __post_init__(self):
-        if self.step_rule not in ("backtracking-armijo", "barzilai-borwein-safeguarded"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.max_iters < 0 or self.grad_tol <= 0 or self.energy_rel_tol <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -96,13 +85,9 @@ def gradient_certificate(grid: GridSpec) -> bool:
 
 def _admissible(f: TorusField) -> AdmissibleField:
     """Project onto the admissible subspace and filter the outer spectral band
-    (|m| > 7n/16) so iterates keep dealiasing headroom."""
-    spec = f.spectrum.copy()
-    spec[0, :] = 0.0
-    m1, m2 = f.grid.modes1(), f.grid.modes2()
-    outer = (np.abs(m1) > 7 * f.grid.n1 // 16) | (np.abs(m2) > 7 * f.grid.n2 // 16)
-    spec[outer] = 0.0
-    return AdmissibleField.from_spectrum(f.grid, spec)
+    so iterates keep dealiasing headroom."""
+    spec = np.where(outer_band(f.grid), 0.0, f.spectrum)
+    return project_vanishing_x1_mean(TorusField.from_spectrum(f.grid, spec))
 
 
 # -- anchoring helpers -------------------------------------------------------
@@ -158,26 +143,26 @@ def descent_step(w: AdmissibleField, g: AdmissibleField, step: float,
                  direction: AdmissibleField | None = None):
     """One Armijo-gated step along -direction (default -g).
 
-    Returns (w_next, accepted, step_used, f_next).  A zero gradient is a
-    fixed point and counts as accepted.
+    Returns (w_next, accepted, f_next).  A zero gradient is a fixed point and
+    counts as accepted.
     """
     d = direction if direction is not None else g
     slope = inner(g, d)
     if slope <= 0.0:
-        return w, True, step, f_w
+        return w, True, f_w
     alpha = step
     for _ in range(MAX_BACKTRACKS):
         cand = _admissible(w + (-alpha) * d)
         f_cand = objective(cand)
         if f_cand <= f_w - ARMIJO_C * alpha * slope:
-            return cand, True, alpha, f_cand
+            return cand, True, f_cand
         alpha *= 0.5
-    return w, False, alpha, f_w
+    return w, False, f_w
 
 
 def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
              ) -> tuple[AdmissibleField, MinimizeReport]:
-    """Descent on energy_eps (plus optional penalty) from w0.
+    """Descent on energy_eps from w0.
 
     Every accepted step decreases the objective; the iterate stays admissible
     and, when pinned, keeps the pinned coefficients bit-fixed.
@@ -187,25 +172,17 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
                            f"grid {w0.grid.n1}x{w0.grid.n2}; refusing to run")
 
     pins_idx = []
-    penalty = None
-    if isinstance(opts.anchor, AnchorPins):
+    if opts.anchor is not None:
         pins_idx = _pin_indices(w0.grid, opts.anchor)
         for i, j, val in pins_idx:
             if abs(w0.spectrum[i, j] - val) > 1e-12 * (1.0 + abs(val)):
                 raise ValueError("w0 does not satisfy the pinned modes")
-    elif isinstance(opts.anchor, AnchorPenalty):
-        penalty = opts.anchor
 
     def objective(w: AdmissibleField) -> float:
-        val = energy_eps(w, eps).energy_eps
-        if penalty is not None:
-            val += penalty.lam * (w - penalty.target).l2() ** 2
-        return val
+        return energy_eps(w, eps).energy_eps
 
     def gradient(w: AdmissibleField) -> AdmissibleField:
         g = gradient_eps(w, eps)
-        if penalty is not None:
-            g = _admissible(g + (2.0 * penalty.lam) * (w - penalty.target))
         if pins_idx:
             g = _zero_pins(g, pins_idx)
         return g
@@ -228,7 +205,7 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
             termination = "gradient"
             break
 
-        if opts.step_rule == "barzilai-borwein-safeguarded" and prev_w is not None:
+        if prev_w is not None:
             s = _admissible(w - prev_w)
             sy = inner(s, _admissible(g - prev_g))
             if sy > 0.0:
@@ -239,7 +216,7 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
         if pins_idx:
             direction = _zero_pins(direction, pins_idx)
         prev_w, prev_g = w, g
-        w_next, accepted, step_used, f_next = descent_step(
+        w_next, accepted, f_next = descent_step(
             w, g, step, objective, f_w, direction)
         report.iterations = it + 1
         if not accepted:
@@ -254,7 +231,6 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
         g = gradient(w)
         report.energy_history.append(f_w)
         report.grad_norm_history.append(g.l2())
-        step = step_used if opts.step_rule == "backtracking-armijo" else step
         if stalled:
             termination = "energy-stall"
             break

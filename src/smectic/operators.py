@@ -8,6 +8,8 @@ quadratic, factor 2 for cubic terms), which leaves every retained mode
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import BandLimitExceeded
@@ -97,14 +99,23 @@ def diff2(f: TorusField, h: float) -> TorusField:
     return shift2(f, h) - f
 
 
-def band_headroom_residual(f: TorusField, frac: float = 7.0 / 16.0) -> float:
-    """Relative L^2 mass beyond |m1| > frac*n1 or |m2| > frac*n2."""
+@functools.lru_cache(maxsize=None)
+def outer_band(grid: GridSpec) -> np.ndarray:
+    """Read-only mask of the outer spectral band |m1| > 7 n1/16 or
+    |m2| > 7 n2/16, which must stay empty for alias-controlled products;
+    built once per grid."""
+    mask = (np.abs(grid.modes1()) > 7 * grid.n1 / 16) | \
+           (np.abs(grid.modes2()) > 7 * grid.n2 / 16)
+    mask.flags.writeable = False
+    return mask
+
+
+def band_headroom_residual(f: TorusField) -> float:
+    """Relative L^2 mass in the outer band (see outer_band)."""
     norm = f.l2()
     if norm == 0.0:
         return 0.0
-    outer = (np.abs(f.grid.modes1()) > frac * f.grid.n1) | \
-            (np.abs(f.grid.modes2()) > frac * f.grid.n2)
-    return float(np.sqrt(np.sum(np.abs(f.spectrum[outer]) ** 2)) / norm)
+    return float(np.sqrt(np.sum(np.abs(f.spectrum[outer_band(f.grid)]) ** 2)) / norm)
 
 
 def require_band_headroom(f: TorusField, tol: float = HEADROOM_TOL) -> None:

@@ -1,11 +1,10 @@
 import math
-import os
 
 import numpy as np
 import pytest
 
-from smectic.ansatz import (MollifiedShock, SweepRecord, eps_sweep, mollify,
-                            sharp_profile_samples, vertical_two_shock)
+from smectic.ansatz import (SweepRecord, eps_sweep, mollify, sharp_profile_samples,
+                            vertical_two_shock)
 from smectic.energy import energy_eps
 from smectic.errors import WidthOutOfRange
 from smectic.fields import GridSpec
@@ -69,11 +68,6 @@ class TestMollify:
             deficits.append(1.0 - rep.compression / pred)
         assert deficits[1] == pytest.approx(deficits[0] / 2.0, rel=0.05)
 
-    def test_mollified_shock_wrapper(self):
-        shock = MollifiedShock(c=0.5, delta=0.01, grid=self.GRID)
-        w = shock.field()
-        assert w.linf() == pytest.approx(0.5, rel=1e-3)
-
 
 class TestEpsSweep:
     def test_records_and_optimum(self):
@@ -91,17 +85,6 @@ class TestEpsSweep:
                 if 2.0 / g.n1 <= d <= 0.125:
                     e = energy_eps(mollify(vertical_two_shock(0.5), d, g), r.eps).energy_eps
                     assert r.energy_eps <= e * (1 + 1e-9)
-
-    def test_threaded_matches_serial(self):
-        g = GridSpec(256, 8)
-        p = vertical_two_shock(0.5)
-        serial = eps_sweep(p, [0.25, 0.125], g)
-        os.environ["SMECTIC_THREADS"] = "2"
-        try:
-            threaded = eps_sweep(p, [0.25, 0.125], g)
-        finally:
-            os.environ.pop("SMECTIC_THREADS")
-        assert [r.energy_eps for r in serial] == [r.energy_eps for r in threaded]
 
     def test_csv_row(self):
         g = GridSpec(256, 8)

@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -226,3 +227,17 @@ class TestSerialization:
         text = records_to_csv(recs)
         assert text.splitlines()[0].startswith("name,lhs,rhs")
         assert "l3_estimate" in records_to_json(recs)
+
+    def test_zero_field_ratio_records(self):
+        # the degenerate record of each ratio estimate, key order included
+        # (--format json writes params as built); b2s then has no avebd record
+        z = AdmissibleField.zero(GRID)
+        recs = (verify_l3(z, HGrid((0.5,))) + verify_b2s(z, HGrid((0.5,)))
+                + [verify_lp(z, 2.0), verify_lp_eps(z, 2.0, 0.1)])
+        params = [{"h": 0.5}, {"h": 0.5}, {"p": 2.0}, {"p": 2.0, "eps": 0.1}]
+        expected = [
+            {"name": name, "lhs": 0.0, "rhs": 0.0, "ratio_or_residual": 0.0,
+             "params": {**par, "degenerate": True}, "passed": True, "tolerance": 0.0}
+            for name, par in zip(("l3_estimate", "b2s_estimate", "lp_estimate",
+                                  "lp_eps_estimate"), params)]
+        assert records_to_json(recs) == json.dumps(expected, indent=2)

@@ -21,6 +21,20 @@ class TestParsing:
     def test_bad_eps_range(self, tmp_path):
         assert run(["sweep", "--eps", "1..2", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv", [["verify", "--field", "X"],
+                                      ["sweep", "--seed", "1"],
+                                      ["tail", "--eps", "0.1"]])
+    def test_flag_the_command_does_not_read(self, tmp_path, argv):
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_minimize_takes_one_eps(self, tmp_path):
+        argv = ["minimize", "--grid", "32x32", "--kmax", "4", "--max-iters", "5",
+                "--out", str(tmp_path)]
+        assert run(argv + ["--eps", "2^-4..2^-5"]) == 2
+        assert not (tmp_path / "manifest.json").exists()
+        assert run(argv + ["--eps", "0.0625"]) == 0
+
 
 class TestVerify:
     def test_passes_and_writes(self, tmp_path, capsys):
@@ -99,19 +113,29 @@ class TestConfigFile:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["kmax"] == 8
 
-    @pytest.mark.parametrize("config", [{"kmax": "eight"}, {"seed": 1.5},
-                                        {"nfields": True}, {"format": "xml"},
-                                        {"save_final": "yes"}, {"kmax": None}])
-    def test_bad_value_is_usage_error(self, tmp_path, config):
+    @pytest.mark.parametrize("command,config", [
+        ("verify", {"kmax": "eight"}), ("verify", {"seed": 1.5}),
+        ("verify", {"nfields": True}), ("verify", {"format": "xml"}),
+        ("minimize", {"save_final": "yes"}), ("verify", {"kmax": None})],
+        ids=[f"config{i}" for i in range(6)])
+    def test_bad_value_is_usage_error(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": "64x64", **config}))
-        assert run(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "manifest.json").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"warp": 9}))
         assert run(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command,config", [("sweep", {"seed": 1}),
+                                                ("verify", {"eps": 0.1})])
+    def test_key_of_another_command_rejected(self, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestEntropyAndTail:

@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from smectic.energy import (directional_derivative, energy_eps, energy_indep,
-                            gradient_eps)
+from smectic.energy import energy_eps, energy_indep, gradient_eps
 from smectic.fields import (AdmissibleField, GridSpec, as_admissible, inner,
                             random_band_limited)
 
@@ -41,6 +40,14 @@ class TestClosedForms:
         eps_opt = np.sqrt(rep.compression / rep.bending)
         assert energy_eps(w, eps_opt).energy_eps == pytest.approx(e_star, rel=1e-12)
 
+    def test_at_eps_equals_evaluation_at_eps(self):
+        w = random_band_limited(GRID, seed=5, kmax=16, amplitude=0.5)
+        rep = energy_eps(w, 0.25)
+        for eps in (0.25, 0.1, 2.0 ** -6):
+            assert rep.at_eps(eps) == energy_eps(w, eps)  # bit for bit
+        with pytest.raises(ValueError):
+            rep.at_eps(0.0)
+
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             energy_eps(sine1(GRID), 0.0)
@@ -63,7 +70,7 @@ class TestGradient:
         plus = energy_eps(as_admissible(w + t * v), eps).energy_eps
         minus = energy_eps(as_admissible(w + (-t) * v), eps).energy_eps
         numeric = (plus - minus) / (2 * t)
-        analytic = directional_derivative(w, v, eps)
+        analytic = inner(gradient_eps(w, eps), v)
         assert analytic == pytest.approx(numeric, rel=1e-5)
 
     def test_single_mode_pairing(self):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from smectic.energy import energy_eps, gradient_eps
 from smectic.fields import AdmissibleField, GridSpec, random_band_limited
-from smectic.minimize import (AnchorPenalty, AnchorPins, MinimizeOptions,
+from smectic.minimize import (AnchorPins, MinimizeOptions,
                               MinimizeReport, descent_step,
                               gradient_certificate, lowest_mode_pins, minimize)
 
@@ -15,11 +15,7 @@ GRID = GridSpec(64, 64)
 class TestOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
-            MinimizeOptions(step_rule="newton")
-        with pytest.raises(ValueError):
             MinimizeOptions(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            AnchorPenalty(target=AdmissibleField.zero(GRID), lam=-1.0)
 
 
 class TestCertificate:
@@ -58,7 +54,7 @@ class TestDescentStep:
     def test_zero_gradient_is_fixed_point(self):
         w = random_band_limited(GRID, seed=1, kmax=8, amplitude=0.1)
         g = AdmissibleField.zero(GRID)
-        w2, accepted, _, f2 = descent_step(
+        w2, accepted, f2 = descent_step(
             w, g, 1.0, lambda u: energy_eps(u, 0.1).energy_eps,
             energy_eps(w, 0.1).energy_eps)
         assert accepted
@@ -69,23 +65,21 @@ class TestDescentStep:
         eps = 0.0625
         f_w = energy_eps(w, eps).energy_eps
         g = gradient_eps(w, eps)
-        _, accepted, _, f2 = descent_step(
+        _, accepted, f2 = descent_step(
             w, g, 1.0, lambda u: energy_eps(u, eps).energy_eps, f_w)
         assert accepted
         assert f2 <= f_w
 
 
 class TestMinimize:
-    @pytest.mark.parametrize("rule,target", [
-        # plain backtracking descent converges linearly but slowly on the
-        # stiff bending term; BB reaches machine levels quickly
-        ("backtracking-armijo", 1e-5),
-        ("barzilai-borwein-safeguarded", 1e-8),
+    @pytest.mark.parametrize("target", [
+        # Barzilai-Borwein steps reach machine levels quickly
+        pytest.param(1e-8, id="barzilai-borwein-safeguarded-1e-08"),
     ])
-    def test_unanchored_converges_to_zero(self, rule, target):
+    def test_unanchored_converges_to_zero(self, target):
         w0 = random_band_limited(GRID, seed=7, kmax=8, amplitude=0.05)
         opts = MinimizeOptions(max_iters=1500, grad_tol=1e-12,
-                               energy_rel_tol=1e-30, step_rule=rule)
+                               energy_rel_tol=1e-30)
         w, rep = minimize(w0, 1.0 / 16.0, opts)
         assert rep.final_energy.energy_eps <= target
         hist = rep.energy_history
@@ -105,16 +99,6 @@ class TestMinimize:
         pins = AnchorPins(pins=(((1, 0), 123.0 + 0j),))
         with pytest.raises(ValueError):
             minimize(w0, 0.0625, MinimizeOptions(anchor=pins))
-
-    def test_penalty_anchor_tracks_target(self):
-        target = random_band_limited(GRID, seed=10, kmax=4, amplitude=0.1)
-        w0 = random_band_limited(GRID, seed=11, kmax=4, amplitude=0.1)
-        opts = MinimizeOptions(max_iters=300,
-                               anchor=AnchorPenalty(target=target, lam=50.0))
-        w, rep = minimize(w0, 0.0625, opts)
-        # strong penalty keeps the minimizer near the target, not at zero
-        assert (w - target).l2() < 0.5 * target.l2()
-        assert rep.final_energy.energy_eps > 0.0
 
     def test_termination_labels(self):
         w0 = random_band_limited(GRID, seed=12, kmax=8, amplitude=0.05)

@@ -8,7 +8,7 @@ from smectic.fields import (AdmissibleField, GridSpec, TorusField, _embed_band,
                             inner, random_band_limited)
 from smectic.operators import (_padded_product, band_headroom_residual,
                                cube_dealiased, d1, d2, diff1, eta, frac_abs_d1,
-                               inv_abs_d1, multiply_dealiased,
+                               inv_abs_d1, multiply_dealiased, outer_band,
                                require_band_headroom, shift1, shift2,
                                square_dealiased)
 
@@ -173,6 +173,12 @@ class TestDealiasedProducts:
         expected = self._complex_path(fields, factor)
         got = _padded_product(fields, factor).spectrum
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("shape", [(8, 8), (10, 12), (32, 32), (40, 16), (1024, 64)])
+    def test_outer_band_in_integer_arithmetic(self, shape):
+        g = GridSpec(*shape)
+        expected = (np.abs(g.modes1()) > 7 * g.n1 // 16) | (np.abs(g.modes2()) > 7 * g.n2 // 16)
+        assert np.array_equal(outer_band(g), expected)
 
     def test_headroom_guard(self):
         g = GridSpec(32, 32)
