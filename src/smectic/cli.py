@@ -29,7 +29,7 @@ from .energy import energy_eps
 from .entropy import (JumpProfile, div_sigma_identity, duality_gap,
                       entropy_production, jump_cost, div_sigma_jump_measure,
                       rankine_hugoniot_check)
-from .errors import SmecticError
+from .errors import LineSearchFailure, SmecticError
 from .fields import (GridSpec, TorusField, as_admissible, inner, load_field,
                      random_band_limited, save_field)
 from .minimize import MinimizeOptions, lowest_mode_pins, minimize
@@ -96,10 +96,6 @@ def _manifest(out: Path, command: str, config: dict, t0: float) -> None:
         "elapsed_seconds": time.time() - t0,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }, indent=2) + "\n")
-
-
-def _exit_from(records: list[VerificationRecord]) -> int:
-    return EXIT_PASS if all(r.passed for r in records) else EXIT_FAIL
 
 
 # -- commands ----------------------------------------------------------------
@@ -184,8 +180,7 @@ def _cmd_entropy(args) -> tuple[list[VerificationRecord], dict]:
             ratio_or_residual=production, params={}, passed=True))
         phi = TorusField.from_samples(w.grid, np.sin(
             2 * np.pi * np.repeat(w.grid.x1(), w.grid.n2, axis=1)) / (2 * np.pi))
-        for eps in args.eps:
-            records.append(duality_gap(w, phi, eps))
+        records += duality_gap(w, phi, args.eps)
     return records, extra
 
 
@@ -209,7 +204,11 @@ def _cmd_minimize(args) -> tuple[list[VerificationRecord], dict]:
     if args.pins > 0:
         anchor = lowest_mode_pins(w0, args.pins)
     opts = MinimizeOptions(max_iters=args.max_iters, anchor=anchor)
-    w, report = minimize(w0, eps, opts)
+    try:
+        w, report = minimize(w0, eps, opts)
+    except LineSearchFailure as exc:
+        _atomic_write(Path(args.out) / "minimize.json", exc.report.to_json() + "\n")
+        raise
     extra = {"minimize.json": report.to_json() + "\n"}
     if args.save_final:
         save_field(w, Path(args.out) / "final")
@@ -345,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     n_fail = sum(not r.passed for r in records)
     print(f"{args.command}: {len(records) - n_fail}/{len(records)} records passed"
           if records else f"{args.command}: done")
-    return _exit_from(records)
+    return EXIT_FAIL if n_fail else EXIT_PASS
 
 
 if __name__ == "__main__":

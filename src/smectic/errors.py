@@ -26,4 +26,9 @@ class WidthOutOfRange(SmecticError):
 
 
 class LineSearchFailure(SmecticError):
-    """Backtracking line search exhausted its budget without an accepted step."""
+    """Backtracking line search exhausted its budget without an accepted step;
+    `report` is the minimizer's report, with termination "line-search"."""
+
+    def __init__(self, message: str, report):
+        super().__init__(message)
+        self.report = report

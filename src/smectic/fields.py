@@ -8,6 +8,7 @@ field, which makes Parseval read  mean(|f|^2) = sum_k |fhat(k)|^2.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,17 +52,25 @@ class GridSpec:
 
     def modes1(self) -> np.ndarray:
         """Integer modes m1 along axis 0, FFT ordering, shape (n1, 1)."""
-        return np.fft.fftfreq(self.n1, 1.0 / self.n1).astype(int)[:, None]
+        return _axis(self.n1)[0][:, None]
 
     def modes2(self) -> np.ndarray:
         """Integer modes m2 along axis 1, FFT ordering, shape (1, n2)."""
-        return np.fft.fftfreq(self.n2, 1.0 / self.n2).astype(int)[None, :]
+        return _axis(self.n2)[0][None, :]
 
     def k1(self) -> np.ndarray:
-        return 2.0 * np.pi * self.modes1().astype(float)
+        return _axis(self.n1)[1][:, None]
 
     def k2(self) -> np.ndarray:
-        return 2.0 * np.pi * self.modes2().astype(float)
+        return _axis(self.n2)[1][None, :]
+
+
+@functools.lru_cache(maxsize=None)
+def _axis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only integer modes and wavenumbers 2*pi*m of an n-point axis in
+    FFT ordering, built once per n."""
+    m = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    return _freeze(m), _freeze(2.0 * np.pi * m.astype(float))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ perturb the energy landscape away from the pins).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +53,9 @@ class MinimizeOptions:
 class MinimizeReport:
     iterations: int
     final_energy: object
-    grad_norm_history: list[float] = field(default_factory=list)
-    energy_history: list[float] = field(default_factory=list)
-    termination: str = "max-iters"
+    grad_norm_history: list[float]
+    energy_history: list[float]
+    termination: str  # gradient, energy-stall, max-iters or line-search
 
     def to_json(self) -> str:
         return json.dumps({
@@ -108,51 +108,40 @@ def lowest_mode_pins(w: AdmissibleField, count: int) -> AnchorPins:
                                  for k in order))
 
 
-def _pin_indices(grid: GridSpec, pins: AnchorPins) -> list[tuple[int, int, complex]]:
-    out = []
-    for (a, b), val in pins.pins:
-        out.append((a % grid.n1, b % grid.n2, val))
-        out.append(((-a) % grid.n1, (-b) % grid.n2, np.conj(val)))
-    return out
-
-
-def _apply_pins(f: AdmissibleField, idx: list[tuple[int, int, complex]]) -> AdmissibleField:
-    spec = f.spectrum.copy()
-    for i, j, val in idx:
-        spec[i, j] = val
-    return AdmissibleField.from_spectrum(f.grid, spec)
-
-
-def _zero_pins(f: AdmissibleField, idx: list[tuple[int, int, complex]]) -> AdmissibleField:
-    spec = f.spectrum.copy()
-    for i, j, _ in idx:
-        spec[i, j] = 0.0
-    return AdmissibleField.from_spectrum(f.grid, spec)
+def _pin_mask(w0: AdmissibleField, anchor: AnchorPins | None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean mask of the pinned modes and their conjugates, and the pinned
+    values on it; raises ValueError unless w0 carries those values."""
+    rows, cols, vals = [], [], []
+    for (a, b), val in (anchor.pins if anchor is not None else ()):
+        rows += [a % w0.grid.n1, -a % w0.grid.n1]
+        cols += [b % w0.grid.n2, -b % w0.grid.n2]
+        vals += [val, np.conj(val)]
+    vals = np.array(vals, dtype=complex)
+    if np.any(np.abs(w0.spectrum[rows, cols] - vals) > 1e-12 * (1.0 + np.abs(vals))):
+        raise ValueError("w0 does not satisfy the pinned modes")
+    mask = np.zeros(w0.grid.shape, dtype=bool)
+    mask[rows, cols] = True
+    values = np.zeros(w0.grid.shape, dtype=complex)
+    values[rows, cols] = vals
+    return mask, values
 
 
 # -- descent -----------------------------------------------------------------
 
-def _precondition(g: AdmissibleField, eps: float, step: float) -> AdmissibleField:
-    """Semi-implicit damping of the stiff bending modes."""
-    k1 = g.grid.k1()
-    return AdmissibleField.from_spectrum(g.grid, g.spectrum / (1.0 + step * eps * k1 ** 2))
-
-
 def descent_step(w: AdmissibleField, g: AdmissibleField, step: float,
-                 objective, f_w: float,
-                 direction: AdmissibleField | None = None):
-    """One Armijo-gated step along -direction (default -g).
+                 objective, f_w: float, direction: AdmissibleField):
+    """One Armijo-gated step along -direction.
 
-    Returns (w_next, accepted, f_next).  A zero gradient is a fixed point and
-    counts as accepted.
+    Returns (w_next, accepted, f_next).  A direction with no descent slope
+    (a zero gradient) is a fixed point and counts as accepted.
     """
-    d = direction if direction is not None else g
-    slope = inner(g, d)
+    slope = inner(g, direction)
     if slope <= 0.0:
         return w, True, f_w
     alpha = step
     for _ in range(MAX_BACKTRACKS):
-        cand = _admissible(w + (-alpha) * d)
+        cand = _admissible(w + (-alpha) * direction)
         f_cand = objective(cand)
         if f_cand <= f_w - ARMIJO_C * alpha * slope:
             return cand, True, f_cand
@@ -165,75 +154,65 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
     """Descent on energy_eps from w0.
 
     Every accepted step decreases the objective; the iterate stays admissible
-    and, when pinned, keeps the pinned coefficients bit-fixed.
+    and keeps the pinned coefficients bit-fixed, as the gradient and so the
+    direction are zero on them.  A failed line search raises
+    LineSearchFailure carrying the report up to the last accepted iterate.
     """
     if not gradient_certificate(w0.grid):
         raise RuntimeError("gradient finite-difference certificate failed for "
                            f"grid {w0.grid.n1}x{w0.grid.n2}; refusing to run")
-
-    pins_idx = []
-    if opts.anchor is not None:
-        pins_idx = _pin_indices(w0.grid, opts.anchor)
-        for i, j, val in pins_idx:
-            if abs(w0.spectrum[i, j] - val) > 1e-12 * (1.0 + abs(val)):
-                raise ValueError("w0 does not satisfy the pinned modes")
+    pinned, pin_values = _pin_mask(w0, opts.anchor)
 
     def objective(w: AdmissibleField) -> float:
         return energy_eps(w, eps).energy_eps
 
     def gradient(w: AdmissibleField) -> AdmissibleField:
-        g = gradient_eps(w, eps)
-        if pins_idx:
-            g = _zero_pins(g, pins_idx)
-        return g
+        g = gradient_eps(w, eps).spectrum
+        return AdmissibleField.from_spectrum(w.grid, np.where(pinned, 0.0, g))
 
-    w = _admissible(w0)
-    if pins_idx:
-        w = _apply_pins(w, pins_idx)
+    w = AdmissibleField.from_spectrum(
+        w0.grid, np.where(pinned, pin_values, _admissible(w0).spectrum))
     f_w = objective(w)
     g = gradient(w)
-    report = MinimizeReport(iterations=0, final_energy=energy_eps(w, eps),
-                            energy_history=[f_w],
-                            grad_norm_history=[g.l2()])
+    energies, grad_norms = [f_w], [g.l2()]
     step = INITIAL_STEP
     prev_w = prev_g = None
-    termination = "max-iters"
+    iterations, termination = 0, "max-iters"
 
     for it in range(opts.max_iters):
-        gnorm = g.l2()
-        if gnorm <= opts.grad_tol:
+        if grad_norms[-1] <= opts.grad_tol:
             termination = "gradient"
             break
 
         if prev_w is not None:
-            s = _admissible(w - prev_w)
-            sy = inner(s, _admissible(g - prev_g))
+            s = w - prev_w
+            sy = inner(s, g - prev_g)
             if sy > 0.0:
-                bb = inner(s, s) / sy
-                step = float(np.clip(bb, *BB_CLIP))
+                step = float(np.clip(inner(s, s) / sy, *BB_CLIP))
 
-        direction = _precondition(g, eps, step)
-        if pins_idx:
-            direction = _zero_pins(direction, pins_idx)
+        # semi-implicit damping of the stiff bending modes
+        direction = AdmissibleField.from_spectrum(
+            g.grid, g.spectrum / (1.0 + step * eps * g.grid.k1() ** 2))
         prev_w, prev_g = w, g
-        w_next, accepted, f_next = descent_step(
-            w, g, step, objective, f_w, direction)
-        report.iterations = it + 1
+        w_next, accepted, f_next = descent_step(w, g, step, objective, f_w, direction)
+        iterations = it + 1
         if not accepted:
-            # LineSearchFailure: reported, terminates with max-iters status
-            report.termination = "max-iters"
-            report.final_energy = energy_eps(w, eps)
-            raise LineSearchFailure(
-                f"no Armijo decrease after {MAX_BACKTRACKS} backtracks at "
-                f"iteration {it} (grad norm {gnorm:.3e})")
+            termination = "line-search"
+            break
         stalled = abs(f_w - f_next) <= opts.energy_rel_tol * max(1.0, abs(f_w))
         w, f_w = w_next, f_next
         g = gradient(w)
-        report.energy_history.append(f_w)
-        report.grad_norm_history.append(g.l2())
+        energies.append(f_w)
+        grad_norms.append(g.l2())
         if stalled:
             termination = "energy-stall"
             break
-    report.termination = termination
-    report.final_energy = energy_eps(w, eps)
+
+    report = MinimizeReport(iterations=iterations, final_energy=energy_eps(w, eps),
+                            grad_norm_history=grad_norms,
+                            energy_history=energies, termination=termination)
+    if termination == "line-search":
+        raise LineSearchFailure(
+            f"no Armijo decrease after {MAX_BACKTRACKS} backtracks at "
+            f"iteration {iterations - 1} (grad norm {grad_norms[-1]:.3e})", report)
     return w, report

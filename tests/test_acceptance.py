@@ -158,7 +158,7 @@ def test_criterion_7_duality_bound(two_shock_sweep):
     for r in two_shock_sweep:
         w = mollify(profile, r.delta_star, g)
         for phi in phis:
-            rec = duality_gap(w, phi, r.eps)
+            [rec] = duality_gap(w, phi, [r.eps])
             assert rec.ratio_or_residual <= 2.0
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from smectic import minimize as minimize_module
 from smectic.cli import main
 from smectic.fields import GridSpec, TorusField, save_field
 
@@ -164,3 +165,12 @@ class TestMinimizeCommand:
         hist = report["energy_history"]
         assert all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))
         assert (tmp_path / "final.bin").exists()
+
+    def test_line_search_failure_writes_report(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(minimize_module, "MAX_BACKTRACKS", 0)
+        code = run(["minimize", "--grid", "32x32", "--kmax", "4",
+                    "--max-iters", "5", "--out", str(tmp_path)])
+        assert code == 1
+        assert "no Armijo decrease" in capsys.readouterr().err
+        report = json.loads((tmp_path / "minimize.json").read_text())
+        assert report["termination"] == "line-search"

@@ -83,7 +83,7 @@ class TestDuality:
         w = random_band_limited(GRID, seed=5, kmax=16, amplitude=0.5)
         x1 = np.repeat(GRID.x1(), GRID.n2, axis=1)
         phi = TorusField.from_samples(GRID, np.sin(2 * np.pi * x1) / (2 * np.pi))
-        rec = duality_gap(w, phi, 0.0625)
+        [rec] = duality_gap(w, phi, [0.0625])
         assert rec.passed
         assert 0.0 <= rec.ratio_or_residual <= 2.0
 

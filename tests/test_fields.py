@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smectic.energy import energy_eps, gradient_eps
 from smectic.errors import NonAdmissibleInput
 from smectic.fields import (ADMISSIBLE_TOL, AdmissibleField, GridSpec,
                             TorusField, as_admissible, inner, k1zero_residual,
@@ -28,6 +29,19 @@ class TestGridSpec:
         assert g.k1()[1, 0] == pytest.approx(2 * np.pi)
         assert g.shape == (8, 16)
         assert g.npoints == 128
+
+    def test_mode_arrays_built_once_per_axis_length(self, monkeypatch):
+        g = GridSpec(48, 40)
+        w = random_band_limited(g, seed=3, kmax=6, amplitude=0.3)
+        energy_eps(w, 0.1), gradient_eps(w, 0.1)
+        calls = []
+        fftfreq = np.fft.fftfreq
+        monkeypatch.setattr(np.fft, "fftfreq",
+                            lambda *a, **k: calls.append(a) or fftfreq(*a, **k))
+        energy_eps(w, 0.1), gradient_eps(w, 0.1)
+        assert calls == []
+        for a in (g.modes1(), g.modes2(), g.k1(), g.k2()):
+            assert not a.flags.writeable
 
 
 class TestTorusField:

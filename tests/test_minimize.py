@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smectic import minimize as minimize_module
 from smectic.energy import energy_eps, gradient_eps
+from smectic.errors import LineSearchFailure
 from smectic.fields import AdmissibleField, GridSpec, random_band_limited
 from smectic.minimize import (AnchorPins, MinimizeOptions,
                               MinimizeReport, descent_step,
@@ -56,7 +58,7 @@ class TestDescentStep:
         g = AdmissibleField.zero(GRID)
         w2, accepted, f2 = descent_step(
             w, g, 1.0, lambda u: energy_eps(u, 0.1).energy_eps,
-            energy_eps(w, 0.1).energy_eps)
+            energy_eps(w, 0.1).energy_eps, g)
         assert accepted
         assert w2 is w
 
@@ -66,7 +68,7 @@ class TestDescentStep:
         f_w = energy_eps(w, eps).energy_eps
         g = gradient_eps(w, eps)
         _, accepted, f2 = descent_step(
-            w, g, 1.0, lambda u: energy_eps(u, eps).energy_eps, f_w)
+            w, g, 1.0, lambda u: energy_eps(u, eps).energy_eps, f_w, g)
         assert accepted
         assert f2 <= f_w
 
@@ -91,7 +93,8 @@ class TestMinimize:
         opts = MinimizeOptions(max_iters=50, anchor=pins)
         w, rep = minimize(w0, 0.0625, opts)
         for (a, b), val in pins.pins:
-            assert abs(w.spectrum[a % GRID.n1, b % GRID.n2] - val) <= 1e-14
+            assert w.spectrum[a % GRID.n1, b % GRID.n2] == val
+            assert w.spectrum[-a % GRID.n1, -b % GRID.n2] == np.conj(val)
         assert rep.final_energy.energy_eps <= energy_eps(w0, 0.0625).energy_eps
 
     def test_pin_mismatch_rejected(self):
@@ -107,6 +110,17 @@ class TestMinimize:
         _, rep = minimize(AdmissibleField.zero(GRID), 0.0625,
                           MinimizeOptions(max_iters=10))
         assert rep.termination == "gradient"
+
+    def test_line_search_failure_carries_report(self, monkeypatch):
+        monkeypatch.setattr(minimize_module, "MAX_BACKTRACKS", 0)
+        w0 = random_band_limited(GRID, seed=14, kmax=8, amplitude=0.05)
+        with pytest.raises(LineSearchFailure) as info:
+            minimize(w0, 0.0625, MinimizeOptions(max_iters=5))
+        rep = info.value.report
+        assert rep.termination == "line-search"
+        assert rep.iterations == 1
+        assert len(rep.energy_history) == len(rep.grad_norm_history) == 1
+        assert rep.final_energy.energy_eps == rep.energy_history[0]
 
     def test_report_json(self):
         w0 = random_band_limited(GRID, seed=13, kmax=8, amplitude=0.05)
