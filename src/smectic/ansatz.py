@@ -94,24 +94,35 @@ def mollify(p: JumpProfile, delta: float, grid: GridSpec) -> AdmissibleField:
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """The optimized ansatz at one eps, and how its optimum was found:
+    `n_evals` objective evaluations, golden section inside an interior
+    bracket (`bracketed`) or the fallback scan, and whether delta_star sits
+    on an end of the width range (`at_bound`), a box value, not an optimum."""
+
     eps: float
     delta_star: float
     energy_eps: float
     jump_cost: float
     gap: float
     grid: GridSpec
+    n_evals: int
+    bracketed: bool
+    at_bound: bool
 
     def csv_row(self) -> list[str]:
         return [repr(self.eps), repr(self.delta_star), repr(self.energy_eps),
-                repr(self.jump_cost), repr(self.gap)]
+                repr(self.jump_cost), repr(self.gap), repr(self.n_evals),
+                str(int(self.bracketed)), str(int(self.at_bound))]
 
 
-SWEEP_CSV_HEADER = ["eps", "delta_star", "energy_eps", "jump_cost", "gap"]
+SWEEP_CSV_HEADER = ["eps", "delta_star", "energy_eps", "jump_cost", "gap",
+                    "n_evals", "bracketed", "at_bound"]
 
 
-def _optimize_delta(objective, lo: float, hi: float) -> tuple[float, float]:
+def _optimize_delta(objective, lo: float, hi: float) -> tuple[float, float, bool]:
     """Minimize over [lo, hi]: golden section inside a validated bracket,
-    falling back to a log-spaced grid scan when no interior bracket exists."""
+    falling back to a log-spaced grid scan when no interior bracket exists.
+    Returns (argmin, min, whether a bracket was found)."""
     probes = np.geomspace(lo, hi, N_BRACKET_PROBE)
     values = [objective(d) for d in probes]
     bracket = None
@@ -127,26 +138,36 @@ def _optimize_delta(objective, lo: float, hi: float) -> tuple[float, float]:
         i_min = int(np.argmin(values))
         if values[i_min] < e_star:
             d_star, e_star = float(probes[i_min]), float(values[i_min])
-        return d_star, e_star
+        return d_star, e_star, True
     # no interior bracket among the probes: fine log-spaced scan instead
     scan = np.geomspace(lo, hi, N_FALLBACK_SCAN)
     scan_values = [objective(d) for d in scan]
     i_min = int(np.argmin(scan_values))
-    return float(scan[i_min]), float(scan_values[i_min])
+    return float(scan[i_min]), float(scan_values[i_min]), False
 
 
 def eps_sweep(p: JumpProfile, eps_list: list[float], grid: GridSpec) -> list[SweepRecord]:
     """For each eps, optimize the mollification width and compare the ansatz
-    energy with the sharp jump cost of the profile."""
+    energy with the sharp jump cost of the profile.
+
+    The mollified profile does not depend on x2, so its energy is evaluated
+    on n1 x 8, the fewest columns a grid may have; only n1 of `grid` matters
+    (it also sets the smallest width 2/n1).  The records report `grid`."""
     jc = jump_cost(p)
     lo, hi = 2.0 / grid.n1, 0.125
+    lean = GridSpec(grid.n1, 8)
 
     def run_one(eps: float) -> SweepRecord:
-        def objective(delta: float) -> float:
-            return energy_eps(mollify(p, delta, grid), eps).energy_eps
+        n_evals = 0
 
-        d_star, e_star = _optimize_delta(objective, lo, hi)
+        def objective(delta: float) -> float:
+            nonlocal n_evals
+            n_evals += 1
+            return energy_eps(mollify(p, delta, lean), eps).energy_eps
+
+        d_star, e_star, bracketed = _optimize_delta(objective, lo, hi)
         return SweepRecord(eps=eps, delta_star=d_star, energy_eps=e_star,
-                           jump_cost=jc, gap=e_star - jc, grid=grid)
+                           jump_cost=jc, gap=e_star - jc, grid=grid, n_evals=n_evals,
+                           bracketed=bracketed, at_bound=d_star in (lo, hi))
 
     return [run_one(eps) for eps in eps_list]

@@ -84,15 +84,19 @@ def _write_records(records: list[VerificationRecord], out: Path, stem: str,
         _atomic_write(out / f"{stem}.json", records_to_json(records))
 
 
-def _manifest(out: Path, command: str, config: dict, t0: float) -> None:
+def _manifest(out: Path, args: argparse.Namespace, t0: float, exit_code: int,
+              error: str | None = None) -> None:
     try:
         version = metadata.version("smectic")
     except metadata.PackageNotFoundError:
         version = "unknown"
+    config = {k: (repr(v) if isinstance(v, GridSpec) else v) for k, v in vars(args).items()}
     _atomic_write(out / "manifest.json", json.dumps({
-        "command": command,
+        "command": args.command,
         "config": config,
         "version": version,
+        "exit_code": exit_code,
+        "error": error,
         "elapsed_seconds": time.time() - t0,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }, indent=2) + "\n")
@@ -327,24 +331,25 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     try:
         records, extra = _COMMANDS[args.command][0](args)
-    except SmecticError as exc:
+    except (SmecticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_FAIL if isinstance(exc, SmecticError) else EXIT_USAGE
+        try:
+            _manifest(out, args, t0, code, str(exc))
+        except OSError as write_exc:  # the failure may be the --out directory
+            print(f"error: no manifest written: {write_exc}", file=sys.stderr)
+        return code
 
     if records:
         _write_records(records, out, args.command, args.format)
     for name, text in extra.items():
         _atomic_write(out / name, text)
-    config_echo = {k: (repr(v) if isinstance(v, GridSpec) else v)
-                   for k, v in vars(args).items()}
-    _manifest(out, args.command, config_echo, t0)
     n_fail = sum(not r.passed for r in records)
+    code = EXIT_FAIL if n_fail else EXIT_PASS
+    _manifest(out, args, t0, code)
     print(f"{args.command}: {len(records) - n_fail}/{len(records)} records passed"
           if records else f"{args.command}: done")
-    return EXIT_FAIL if n_fail else EXIT_PASS
+    return code
 
 
 if __name__ == "__main__":

@@ -85,12 +85,16 @@ class TorusField:
 
     At least one representation is present; the missing one is computed on
     first access and cached.  Instances are immutable; every operation in this
-    package returns a new field.
+    package returns a new field.  The Burgers quantity is cached the same
+    way: the first successful operators.eta_with_residual(w) stores it in
+    `_eta`, and since w never changes, it cannot go stale.
     """
 
     grid: GridSpec
     _samples: np.ndarray | None = field(default=None, repr=False)
     _spectrum: np.ndarray | None = field(default=None, repr=False)
+    _eta: tuple[AdmissibleField, float] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self._samples is None and self._spectrum is None:

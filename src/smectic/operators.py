@@ -200,7 +200,13 @@ def eta(w: AdmissibleField) -> AdmissibleField:
 
 
 def eta_with_residual(w: AdmissibleField) -> tuple[AdmissibleField, float]:
-    """eta_w together with the relative k1 = 0 residual before projection."""
-    require_admissible(w)
-    raw = d2(w) - 0.5 * d1(square_dealiased(w))
-    return project_vanishing_x1_mean(raw), k1zero_residual(raw)
+    """eta_w together with the relative k1 = 0 residual before projection.
+
+    Computed once per field instance: a successful evaluation is stored on w
+    (fields are immutable), so a failing one raises again on every call.
+    """
+    if w._eta is None:
+        require_admissible(w)
+        raw = d2(w) - 0.5 * d1(square_dealiased(w))
+        object.__setattr__(w, "_eta", (project_vanishing_x1_mean(raw), k1zero_residual(raw)))
+    return w._eta

@@ -1,9 +1,15 @@
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smectic.ansatz import (SweepRecord, eps_sweep, mollify, sharp_profile_samples,
+from smectic import ansatz
+from smectic.ansatz import (N_BRACKET_PROBE, N_FALLBACK_SCAN, SweepRecord,
+                            eps_sweep, mollify, sharp_profile_samples,
                             vertical_two_shock)
 from smectic.energy import energy_eps
 from smectic.errors import WidthOutOfRange
@@ -90,5 +96,46 @@ class TestEpsSweep:
         g = GridSpec(256, 8)
         rec = eps_sweep(vertical_two_shock(0.5), [0.25], g)[0]
         row = rec.csv_row()
-        assert len(row) == 5
+        assert len(row) == 8
         assert float(row[0]) == 0.25
+        assert row[5:] == [repr(rec.n_evals), str(int(rec.bracketed)),
+                           str(int(rec.at_bound))]
+
+    def test_reports_how_each_optimum_was_found(self):
+        # 2^-6 has no interior bracket among the probes (scan fallback),
+        # 2^-7 goes through golden section; both optima sit on the 1/8 cap
+        g = GridSpec(1024, 64)
+        grids = []
+
+        def counting_mollify(p, delta, grid):
+            grids.append(grid)
+            return mollify(p, delta, grid)
+
+        with mock.patch.object(ansatz, "mollify", counting_mollify):
+            recs = eps_sweep(vertical_two_shock(0.5), [2.0 ** -6, 2.0 ** -7], g)
+        assert sum(r.n_evals for r in recs) == len(grids)
+        assert set(grids) == {GridSpec(1024, 8)}
+        assert all(r.grid == g for r in recs)
+        scan, golden = recs
+        assert not scan.bracketed and scan.n_evals == N_BRACKET_PROBE + N_FALLBACK_SCAN
+        assert golden.bracketed and N_BRACKET_PROBE < golden.n_evals < scan.n_evals
+        for r in recs:
+            assert r.at_bound == (r.delta_star in (2.0 / g.n1, 0.125))
+        assert scan.at_bound and golden.at_bound
+
+
+class TestLeanGrid:
+    """The sweep evaluates the x2-independent ansatz on n1 x 8: its energy
+    equals the one on the requested grid up to roundoff."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n1=st.sampled_from([256, 512, 1024]), n2=st.sampled_from([16, 64]),
+           c=st.floats(0.1, 1.0), width=st.floats(0.0, 1.0),
+           eps=st.floats(2.0 ** -10, 1.0))
+    def test_energy_matches_full_grid(self, n1, n2, c, width, eps):
+        lo, hi = 2.0 / n1, 0.125
+        delta = lo * (hi / lo) ** width
+        p = vertical_two_shock(c)
+        lean = energy_eps(mollify(p, delta, GridSpec(n1, 8)), eps).energy_eps
+        full = energy_eps(mollify(p, delta, GridSpec(n1, n2)), eps).energy_eps
+        assert lean == pytest.approx(full, rel=1e-14, abs=0.0)

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smectic import besov
@@ -145,6 +145,8 @@ class TestExactX1Path:
     @settings(max_examples=10, deadline=None)
     @given(shape=SHAPES, seed=st.integers(0, 2 ** 32 - 1),
            h=st.floats(2.0 ** -9, 0.5))
+    # the Nyquist row alone breaks the averaging bound here (ratio 1.19)
+    @example(shape=(10, 12), seed=0, h=0.03125)
     def test_layer_integral_matches_fine_midpoint_rule(self, shape, seed, h):
         w = self.full_band(shape, seed)
         nodes = 2048

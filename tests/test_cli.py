@@ -82,7 +82,8 @@ class TestSweep:
                     "--grid", "256x16", "--out", str(tmp_path)])
         assert code == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "eps,delta_star,energy_eps,jump_cost,gap"
+        assert lines[0] == ("eps,delta_star,energy_eps,jump_cost,gap,"
+                            "n_evals,bracketed,at_bound")
         for line in lines[1:]:
             jump = float(line.split(",")[3])
             assert abs(jump - 1.0 / 6.0) <= 1e-10
@@ -174,3 +175,34 @@ class TestMinimizeCommand:
         assert "no Armijo decrease" in capsys.readouterr().err
         report = json.loads((tmp_path / "minimize.json").read_text())
         assert report["termination"] == "line-search"
+
+
+class TestManifest:
+    def test_failed_command_writes_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(minimize_module, "MAX_BACKTRACKS", 0)
+        code = run(["minimize", "--grid", "32x32", "--kmax", "4",
+                    "--max-iters", "5", "--out", str(tmp_path)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert code == manifest["exit_code"] == 1
+        assert manifest["error"].startswith("no Armijo decrease")
+        assert manifest["command"] == "minimize"
+        assert manifest["config"]["max_iters"] == 5
+
+    def test_usage_failure_writes_manifest(self, tmp_path):
+        code = run(["energy", "--field", str(tmp_path / "missing"),
+                    "--out", str(tmp_path)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert code == manifest["exit_code"] == 2
+        assert "missing" in manifest["error"]
+
+    def test_passing_command_manifest_has_no_error(self, tmp_path):
+        assert run(["minimize", "--grid", "32x32", "--kmax", "4", "--max-iters", "5",
+                    "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_code"] == 0 and manifest["error"] is None
+
+    def test_failed_record_manifest_has_exit_code(self, tmp_path):
+        # hkm1_balance at h = 1/8 fails on this field (a known record failure)
+        assert run(["besov", "--grid", "256x256", "--kmax", "32", "--out", str(tmp_path)]) == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_code"] == 1 and manifest["error"] is None

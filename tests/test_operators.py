@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smectic import operators
+from smectic.energy import energy_eps, energy_indep, gradient_eps
 from smectic.errors import BandLimitExceeded, NonAdmissibleInput
 from smectic.fields import (AdmissibleField, GridSpec, TorusField, _embed_band,
                             inner, random_band_limited)
@@ -207,3 +209,40 @@ class TestEta:
         w = random_band_limited(GRID, seed=8, kmax=8, amplitude=0.5)
         e = eta(w)
         assert np.all(e.spectrum[0, :] == 0.0)
+
+    def test_computed_once_per_field_instance(self, monkeypatch):
+        w = random_band_limited(GRID, seed=8, kmax=8, amplitude=0.5)
+        squares = []  # per product: is it a square (eta's only product)?
+
+        def counting(fields, factor):
+            squares.append(fields[0] is fields[-1])
+            return _padded_product(fields, factor)
+
+        monkeypatch.setattr(operators, "_padded_product", counting)
+        first = energy_eps(w, 0.1)
+        assert squares == [True]
+        squares.clear()
+        assert energy_eps(w, 0.1) == first
+        energy_indep(w)
+        gradient_eps(w, 0.1)
+        assert squares == [False]  # gradient_eps's own product w * d1 G
+        squares.clear()
+        # a new instance with the same values evaluates afresh, to the same bits
+        assert energy_eps(w + 0 * w, 0.1) == first
+        assert squares == [True]
+
+    def test_failed_evaluation_raises_every_time(self):
+        f = TorusField.from_samples(GRID, np.ones(GRID.shape))
+        for _ in range(2):
+            with pytest.raises(NonAdmissibleInput):
+                eta(f)
+        assert f._eta is None
+
+    def test_stored_eta_not_compared_or_shown(self):
+        w = random_band_limited(GRID, seed=8, kmax=8, amplitude=0.5)
+        twin = AdmissibleField.from_spectrum(GRID, w.spectrum)
+        shown = repr(w)
+        eta(w)
+        assert w._eta is not None and twin._eta is None
+        assert w == twin
+        assert repr(w) == shown == repr(twin)
