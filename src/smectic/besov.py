@@ -48,6 +48,13 @@ class VerificationRecord:
     passed: bool = True
     tolerance: float = 0.0
 
+    @classmethod
+    def checked(cls, name: str, lhs: float, rhs: float, residual: float,
+                tol: float, params: dict) -> "VerificationRecord":
+        """Record of an identity or a check: it passes iff residual <= tol."""
+        return cls(name=name, lhs=lhs, rhs=rhs, ratio_or_residual=residual,
+                   params=params, passed=bool(residual <= tol), tolerance=tol)
+
     def to_dict(self) -> dict:
         return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
                 "ratio_or_residual": self.ratio_or_residual,
@@ -94,6 +101,28 @@ def _mean(samples: np.ndarray) -> float:
     return float(np.mean(samples))
 
 
+def parseval(w: TorusField, params: dict) -> VerificationRecord:
+    """Spectral against grid L2 norm, at relative tolerance 1e-12."""
+    spec_norm = float(np.sqrt(np.sum(np.abs(w.spectrum) ** 2)))
+    grid_norm = float(np.sqrt(np.mean(w.samples ** 2)))
+    res = abs(spec_norm - grid_norm) / max(grid_norm, 1e-300)
+    return VerificationRecord.checked("parseval", spec_norm, grid_norm, res, 1e-12, params)
+
+
+def adjointness(f: TorusField, g: TorusField, params: dict) -> VerificationRecord:
+    """<d1 f, g> = -<f, d1 g>, at relative tolerance 1e-12."""
+    lhs, rhs = inner(d1(f), g), -inner(f, d1(g))
+    res = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+    return VerificationRecord.checked("adjointness", lhs, rhs, res, 1e-12, params)
+
+
+def shift_group_law(w: TorusField, params: dict) -> VerificationRecord:
+    """shift1 by 0.3 then 0.45 against shift1 by 0.75, relative L2 residual
+    at tolerance 1e-12."""
+    res = (shift1(shift1(w, 0.3), 0.45) - shift1(w, 0.75)).l2() / w.l2()
+    return VerificationRecord.checked("shift_group_law", res, 0.0, res, 1e-12, params)
+
+
 def hkm2_residual(w: AdmissibleField, h: float) -> VerificationRecord:
     """x2-integrated cubic balance law: exact identity for smooth fields.
 
@@ -105,11 +134,8 @@ def hkm2_residual(w: AdmissibleField, h: float) -> VerificationRecord:
     lhs = -0.5 * _mean(dw.samples ** 2 * d1w_shifted.samples)
     e = eta(w)
     rhs = _mean(diff1(e, h).samples * dw.samples)
-    residual = abs(lhs - rhs)
-    tol = 1e-8 * (1.0 + w.l2() ** 3)
-    return VerificationRecord(
-        name="hkm2_integrated", lhs=lhs, rhs=rhs, ratio_or_residual=residual,
-        params={"h": h}, passed=residual <= tol, tolerance=tol)
+    return VerificationRecord.checked("hkm2_integrated", lhs, rhs, abs(lhs - rhs),
+                                      1e-8 * (1.0 + w.l2() ** 3), {"h": h})
 
 
 def hkm1_balance(w: AdmissibleField, h: float) -> VerificationRecord:
@@ -129,12 +155,9 @@ def hkm1_balance(w: AdmissibleField, h: float) -> VerificationRecord:
     lhs = (cubed(h + dh) - cubed(h - dh)) / (2.0 * dh)
     e = eta(w)
     rhs = -6.0 * _mean(diff1(e, h).samples * np.abs(diff1(w, h).samples))
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    residual = abs(lhs - rhs) / scale
-    tol = 1e-4
-    return VerificationRecord(
-        name="hkm1_balance", lhs=lhs, rhs=rhs, ratio_or_residual=residual,
-        params={"h": h, "dh": dh}, passed=residual <= tol, tolerance=tol)
+    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    return VerificationRecord.checked("hkm1_balance", lhs, rhs, residual, 1e-4,
+                                      {"h": h, "dh": dh})
 
 
 def _ratio_record(name: str, lhs: float, rhs: float, e_val: float,
@@ -246,18 +269,19 @@ def verify_lp_eps(w: AdmissibleField, p: float, eps: float) -> VerificationRecor
     return _ratio_record("lp_eps_estimate", w.lp(p), rhs, e_val, {"p": p, "eps": eps})
 
 
-def gradient_check(w: AdmissibleField, v: AdmissibleField, eps: float) -> VerificationRecord:
+def gradient_check(w: AdmissibleField, v: AdmissibleField, eps: float,
+                   params: dict | None = None) -> VerificationRecord:
     """Central finite difference (step 1e-5) of energy_eps along v against the
-    analytic pairing <gradient_eps(w), v>, at relative tolerance 1e-5."""
+    analytic pairing <gradient_eps(w), v>, at relative tolerance 1e-5; the
+    record's params are `params` followed by eps."""
     t = 1e-5
     plus = energy_eps(as_admissible(w + t * v, tol=1e-6), eps).energy_eps
     minus = energy_eps(as_admissible(w + (-t) * v, tol=1e-6), eps).energy_eps
     numeric = (plus - minus) / (2 * t)
     analytic = inner(gradient_eps(w, eps), v)
     res = abs(numeric - analytic) / max(abs(numeric), 1e-300)
-    return VerificationRecord(
-        name="gradient_check", lhs=numeric, rhs=analytic, ratio_or_residual=res,
-        params={"eps": eps}, passed=res <= 1e-5, tolerance=1e-5)
+    return VerificationRecord.checked("gradient_check", numeric, analytic, res, 1e-5,
+                                      {**(params or {}), "eps": eps})
 
 
 def tail_mass(w: TorusField, m1: int, m2: int) -> float:
@@ -265,3 +289,15 @@ def tail_mass(w: TorusField, m1: int, m2: int) -> float:
     mm1, mm2 = w.grid.modes1(), w.grid.modes2()
     outside = (np.abs(mm1) > m1) | (np.abs(mm2) > m2)
     return float(np.sum(np.abs(w.spectrum[outside]) ** 2))
+
+
+def tail_decay(w: TorusField) -> tuple[dict[int, float], list[VerificationRecord]]:
+    """Tail mass outside each box |m1| <= m, |m2| <= m^4 for m = 4, 8, 16, 32,
+    and a tail_monotone record per box after the first: its mass may not
+    exceed the previous one's."""
+    boxes = (4, 8, 16, 32)
+    masses = {m: tail_mass(w, m, m ** 4) for m in boxes}
+    records = [VerificationRecord.checked("tail_monotone", masses[m], masses[prev],
+                                          masses[m] - masses[prev], 0.0, {"m": m})
+               for prev, m in zip(boxes, boxes[1:])]
+    return masses, records

@@ -19,21 +19,18 @@ import time
 from importlib import metadata
 from pathlib import Path
 
-import numpy as np
-
 from .ansatz import SWEEP_CSV_HEADER, eps_sweep, vertical_two_shock
-from .besov import (HGrid, VerificationRecord, gradient_check, hkm1_balance,
-                    hkm2_residual, records_to_csv, records_to_json, verify_b2s,
-                    verify_l3, verify_lp, verify_lp_eps, tail_mass)
+from .besov import (VerificationRecord, adjointness, gradient_check,
+                    hkm1_balance, hkm2_residual, parseval, records_to_csv,
+                    records_to_json, shift_group_law, tail_decay, verify_b2s,
+                    verify_l3, verify_lp, verify_lp_eps)
 from .energy import energy_eps
-from .entropy import (JumpProfile, div_sigma_identity, duality_gap,
-                      entropy_production, jump_cost, div_sigma_jump_measure,
-                      rankine_hugoniot_check)
+from .entropy import (JumpProfile, div_sigma_identity, div_sigma_jump_measure,
+                      field_records, jump_cost, rankine_hugoniot_check)
 from .errors import LineSearchFailure, SmecticError
-from .fields import (GridSpec, TorusField, as_admissible, inner, load_field,
+from .fields import (AdmissibleField, GridSpec, as_admissible, load_field,
                      random_band_limited, save_field)
-from .minimize import MinimizeOptions, lowest_mode_pins, minimize
-from .operators import d1, shift1
+from .minimize import MinimizeOptions, minimize
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -63,6 +60,17 @@ def _parse_eps_list(text: str) -> list[float]:
     return [2.0 ** e for e in range(a, b + step, step)]
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its error messages
+    return parse
+
+
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
@@ -74,14 +82,6 @@ def _atomic_write(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _write_records(records: list[VerificationRecord], out: Path, stem: str,
-                   fmt: str) -> None:
-    if fmt == "csv":
-        _atomic_write(out / f"{stem}.csv", records_to_csv(records))
-    else:
-        _atomic_write(out / f"{stem}.json", records_to_json(records))
 
 
 def _manifest(out: Path, args: argparse.Namespace, t0: float, exit_code: int,
@@ -104,62 +104,37 @@ def _manifest(out: Path, args: argparse.Namespace, t0: float, exit_code: int,
 
 # -- commands ----------------------------------------------------------------
 
+def _input_field(args, seed: int = 0, amplitude: float = 0.5) -> AdmissibleField:
+    """The --field file when given, else a random band-limited field drawn
+    with --seed plus `seed`."""
+    if getattr(args, "field", None):
+        return as_admissible(load_field(args.field))
+    return random_band_limited(args.grid, seed=args.seed + seed, kmax=args.kmax,
+                               amplitude=amplitude)
+
+
 def _cmd_verify(args) -> tuple[list[VerificationRecord], dict]:
-    grid = args.grid
+    fields = [_input_field(args, i) for i in range(args.nfields)]
     records = []
-    rng_fields = [random_band_limited(grid, seed=args.seed + i, kmax=args.kmax,
-                                      amplitude=0.5) for i in range(args.nfields)]
-    for i, w in enumerate(rng_fields):
-        # Parseval: spectral vs grid L2 norm
-        spec_norm = float(np.sqrt(np.sum(np.abs(w.spectrum) ** 2)))
-        grid_norm = float(np.sqrt(np.mean(w.samples ** 2)))
-        res = abs(spec_norm - grid_norm) / max(grid_norm, 1e-300)
-        records.append(VerificationRecord(
-            name="parseval", lhs=spec_norm, rhs=grid_norm,
-            ratio_or_residual=res, params={"seed": args.seed + i},
-            passed=res <= 1e-12, tolerance=1e-12))
-        # multiplier adjointness: <d1 f, g> = -<f, d1 g>
-        g2 = rng_fields[(i + 1) % len(rng_fields)]
-        lhs, rhs = inner(d1(w), g2), -inner(w, d1(g2))
-        res = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-        records.append(VerificationRecord(
-            name="adjointness", lhs=lhs, rhs=rhs, ratio_or_residual=res,
-            params={"seed": args.seed + i}, passed=res <= 1e-12, tolerance=1e-12))
-        # shift group law
-        res = (shift1(shift1(w, 0.3), 0.45) - shift1(w, 0.75)).l2() / w.l2()
-        records.append(VerificationRecord(
-            name="shift_group_law", lhs=res, rhs=0.0, ratio_or_residual=res,
-            params={"seed": args.seed + i}, passed=res <= 1e-12, tolerance=1e-12))
-        records.append(hkm2_residual(w, 0.1))
-        records.append(div_sigma_identity(w))
-        rec = gradient_check(w, g2, 0.0625)
-        records.append(dataclasses.replace(
-            rec, params={"seed": args.seed + i, **rec.params}))
+    for i, w in enumerate(fields):
+        g, label = fields[(i + 1) % len(fields)], {"seed": args.seed + i}
+        records += [parseval(w, label), adjointness(w, g, label),
+                    shift_group_law(w, label), hkm2_residual(w, 0.1),
+                    div_sigma_identity(w), gradient_check(w, g, 0.0625, label)]
     return records, {}
 
 
 def _cmd_energy(args) -> tuple[list[VerificationRecord], dict]:
-    if args.field:
-        w = as_admissible(load_field(args.field))
-    else:
-        w = random_band_limited(args.grid, seed=args.seed, kmax=args.kmax,
-                                amplitude=0.5)
-    report = energy_eps(w, args.eps[0])
+    report = energy_eps(_input_field(args), args.eps[0])
     reports = {repr(eps): dataclasses.asdict(report.at_eps(eps)) for eps in args.eps}
     return [], {"energy.json": json.dumps(reports, indent=2) + "\n"}
 
 
 def _cmd_besov(args) -> tuple[list[VerificationRecord], dict]:
-    w = random_band_limited(args.grid, seed=args.seed, kmax=args.kmax,
-                            amplitude=0.5)
-    hs = HGrid()
-    records = list(verify_l3(w, hs)) + list(verify_b2s(w, hs))
-    records.append(verify_lp(w, args.p))
-    for eps in args.eps:
-        records.append(verify_lp_eps(w, args.p, eps))
-    records.append(hkm2_residual(w, 0.125))
-    records.append(hkm1_balance(w, 0.125))
-    return records, {}
+    w = _input_field(args)
+    return [*verify_l3(w), *verify_b2s(w), verify_lp(w, args.p),
+            *(verify_lp_eps(w, args.p, eps) for eps in args.eps),
+            hkm2_residual(w, 0.125), hkm1_balance(w, 0.125)], {}
 
 
 def _cmd_entropy(args) -> tuple[list[VerificationRecord], dict]:
@@ -170,76 +145,37 @@ def _cmd_entropy(args) -> tuple[list[VerificationRecord], dict]:
     records = rankine_hugoniot_check(profile)
     extra = {}
     if all(r.passed for r in records):
-        jc = jump_cost(profile)
         extra["entropy.json"] = json.dumps({
-            "jump_cost": jc,
+            "jump_cost": jump_cost(profile),
             "div_sigma_jump_measure": div_sigma_jump_measure(profile),
         }, indent=2) + "\n"
     if args.field:
-        w = as_admissible(load_field(args.field))
-        records.append(div_sigma_identity(w))
-        production = entropy_production(w)
-        records.append(VerificationRecord(
-            name="entropy_production", lhs=production, rhs=0.0,
-            ratio_or_residual=production, params={}, passed=True))
-        phi = TorusField.from_samples(w.grid, np.sin(
-            2 * np.pi * np.repeat(w.grid.x1(), w.grid.n2, axis=1)) / (2 * np.pi))
-        records += duality_gap(w, phi, args.eps)
+        records += field_records(_input_field(args), args.eps)
     return records, extra
 
 
 def _cmd_sweep(args) -> tuple[list[VerificationRecord], dict]:
-    profile = vertical_two_shock(args.c)
-    recs = eps_sweep(profile, args.eps, args.grid)
-    lines = [",".join(SWEEP_CSV_HEADER)]
-    for r in recs:
-        lines.append(",".join(r.csv_row()))
+    recs = eps_sweep(vertical_two_shock(args.c), args.eps, args.grid)
+    lines = [",".join(SWEEP_CSV_HEADER)] + [",".join(r.csv_row()) for r in recs]
     return [], {"sweep.csv": "\n".join(lines) + "\n"}
 
 
 def _cmd_minimize(args) -> tuple[list[VerificationRecord], dict]:
-    eps = args.eps
-    if args.field:
-        w0 = as_admissible(load_field(args.field))
-    else:
-        w0 = random_band_limited(args.grid, seed=args.seed, kmax=args.kmax,
-                                 amplitude=0.05)
-    anchor = None
-    if args.pins > 0:
-        anchor = lowest_mode_pins(w0, args.pins)
-    opts = MinimizeOptions(max_iters=args.max_iters, anchor=anchor)
+    opts = MinimizeOptions(max_iters=args.max_iters, pins=args.pins)
     try:
-        w, report = minimize(w0, eps, opts)
+        w, report = minimize(_input_field(args, amplitude=0.05), args.eps, opts)
     except LineSearchFailure as exc:
         _atomic_write(Path(args.out) / "minimize.json", exc.report.to_json() + "\n")
         raise
-    extra = {"minimize.json": report.to_json() + "\n"}
     if args.save_final:
         save_field(w, Path(args.out) / "final")
-    hist = report.energy_history
-    monotone = all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))
-    records = [VerificationRecord(
-        name="minimize_monotone", lhs=hist[-1], rhs=hist[0],
-        ratio_or_residual=0.0 if monotone else 1.0,
-        params={"eps": eps, "termination": report.termination},
-        passed=monotone)]
-    return records, extra
+    return ([report.monotone_record(args.eps)],
+            {"minimize.json": report.to_json() + "\n"})
 
 
 def _cmd_tail(args) -> tuple[list[VerificationRecord], dict]:
-    w = random_band_limited(args.grid, seed=args.seed, kmax=args.kmax,
-                            amplitude=0.5)
-    lines = ["m,tail_mass"]
-    prev = None
-    records = []
-    for m in (4, 8, 16, 32):
-        t = tail_mass(w, m, m ** 4)
-        lines.append(f"{m},{t!r}")
-        if prev is not None:
-            records.append(VerificationRecord(
-                name="tail_monotone", lhs=t, rhs=prev, ratio_or_residual=t - prev,
-                params={"m": m}, passed=t <= prev))
-        prev = t
+    masses, records = tail_decay(_input_field(args))
+    lines = ["m,tail_mass"] + [f"{m},{t!r}" for m, t in masses.items()]
     return records, {"tail.csv": "\n".join(lines) + "\n"}
 
 
@@ -251,10 +187,11 @@ _FLAGS = {
             "help": "single value or dyadic range 2^-a..2^-b"},
     "p": {"type": float, "default": 2.0},
     "c": {"type": float, "default": 0.5},
-    "kmax": {"type": int, "default": 16},
-    "nfields": {"type": int, "default": 5},
-    "max-iters": {"type": int, "default": 500},
-    "pins": {"type": int, "default": 0},
+    "kmax": {"type": _at_least(1), "default": 16},
+    "nfields": {"type": _at_least(1), "default": 5},
+    "max-iters": {"type": _at_least(0), "default": 500},
+    "pins": {"type": _at_least(0), "default": 0,
+             "help": "hold the N lowest modes of the start field"},
     "field": {"default": None, "help": "input field (NAME or NAME.json)"},
     "profile": {"default": None, "help": "jump profile JSON path"},
     "save-final": {"action": "store_true"},
@@ -341,7 +278,13 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
     if records:
-        _write_records(records, out, args.command, args.format)
+        # records go to <command>.<format>, or to <command>_records.<format>
+        # when the command writes a file of that name itself
+        name = f"{args.command}.{args.format}"
+        if name in extra:
+            name = f"{args.command}_records.{args.format}"
+        to_text = records_to_csv if args.format == "csv" else records_to_json
+        _atomic_write(out / name, to_text(records))
     for name, text in extra.items():
         _atomic_write(out / name, text)
     n_fail = sum(not r.passed for r in records)

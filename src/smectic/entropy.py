@@ -96,11 +96,10 @@ def rankine_hugoniot_check(p: JumpProfile) -> list[VerificationRecord]:
     records = []
     for idx, itf in enumerate(p.interfaces):
         res = itf.rh_residual()
-        records.append(VerificationRecord(
-            name="rankine_hugoniot", lhs=res, rhs=0.0, ratio_or_residual=res,
-            params={"interface": idx, "w_minus": itf.w_minus,
-                    "w_plus": itf.w_plus, "normal": list(itf.normal)},
-            passed=res <= RH_TOL, tolerance=RH_TOL))
+        records.append(VerificationRecord.checked(
+            "rankine_hugoniot", res, 0.0, res, RH_TOL,
+            {"interface": idx, "w_minus": itf.w_minus, "w_plus": itf.w_plus,
+             "normal": list(itf.normal)}))
     return records
 
 
@@ -143,12 +142,9 @@ def div_sigma_identity(w: AdmissibleField) -> VerificationRecord:
     """Residual of div Sigma(w) = w * eta_w for smooth (band-limited) fields."""
     lhs_field = div_sigma(w)
     rhs_field = multiply_dealiased(w, eta(w))
-    residual = (lhs_field - rhs_field).l2()
-    tol = 1e-10 * (1.0 + w.l2() ** 3)
-    return VerificationRecord(
-        name="div_sigma_identity", lhs=lhs_field.l2(), rhs=rhs_field.l2(),
-        ratio_or_residual=residual, params={}, passed=residual <= tol,
-        tolerance=tol)
+    return VerificationRecord.checked(
+        "div_sigma_identity", lhs_field.l2(), rhs_field.l2(),
+        (lhs_field - rhs_field).l2(), 1e-10 * (1.0 + w.l2() ** 3), {})
 
 
 def entropy_production(w: AdmissibleField) -> float:
@@ -180,3 +176,17 @@ def duality_gap(w: AdmissibleField, phi: TorusField,
             name="duality_bound", lhs=lhs, rhs=rhs, ratio_or_residual=ratio,
             params={"eps": eps}, passed=lhs <= rhs * (1.0 + 1e-8), tolerance=1e-8))
     return records
+
+
+def field_records(w: AdmissibleField, eps_values: list[float]) -> list[VerificationRecord]:
+    """The entropy checks of a smooth field: the div Sigma identity, the
+    entropy production (a diagnostic that always passes) and the duality
+    bound per eps against the test function phi = sin(2 pi x1) / (2 pi)."""
+    identity = div_sigma_identity(w)
+    production = entropy_production(w)
+    phi = TorusField.from_samples(w.grid, np.sin(
+        2 * np.pi * np.repeat(w.grid.x1(), w.grid.n2, axis=1)) / (2 * np.pi))
+    return [identity,
+            VerificationRecord(name="entropy_production", lhs=production, rhs=0.0,
+                               ratio_or_residual=production, params={}),
+            *duality_gap(w, phi, eps_values)]

@@ -231,6 +231,12 @@ def random_band_limited(grid: GridSpec, seed: int, kmax: int,
     return AdmissibleField.from_spectrum(grid, spec * (amplitude / peak))
 
 
+def negated_modes(spec: np.ndarray) -> np.ndarray:
+    """The spectrum at the negated mode: out[m] = spec[-m] on the FFT index
+    grid (a real field has spec[-m] = conj spec[m])."""
+    return np.roll(spec[::-1, ::-1], 1, axis=(0, 1))
+
+
 def _embed_band(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Copy the modes -h..h-1 of a spectrum into a zero spectrum of `shape`,
     h = min(n_src, n_dst) // 2 per axis: zero padding onto a finer grid,

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import gradient_check
+from .besov import VerificationRecord, gradient_check
 from .energy import energy_eps, gradient_eps
 from .errors import LineSearchFailure
 from .fields import (AdmissibleField, GridSpec, TorusField, inner,
-                     project_vanishing_x1_mean, random_band_limited)
+                     negated_modes, project_vanishing_x1_mean,
+                     random_band_limited)
 from .operators import outer_band
 
 ARMIJO_C = 1e-4
@@ -28,24 +29,21 @@ BB_CLIP = (1e-6, 1e3)
 
 
 @dataclass(frozen=True)
-class AnchorPins:
-    """Spectral coefficients held fixed: ((m1, m2), value) pairs.
-
-    Conjugate modes are pinned implicitly so the field stays real.
-    """
-
-    pins: tuple[tuple[tuple[int, int], complex], ...]
-
-
-@dataclass(frozen=True)
 class MinimizeOptions:
+    """`pins` is the number of lowest admissible modes of the start field
+    held at their values (see lowest_mode_pins); 0 runs unanchored."""
+
     max_iters: int = 500
     grad_tol: float = 1e-9
     energy_rel_tol: float = 1e-14
-    anchor: AnchorPins | None = None
+    pins: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 0 or self.grad_tol <= 0 or self.energy_rel_tol <= 0:
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if self.pins < 0:
+            raise ValueError(f"pins must be >= 0, got {self.pins}")
+        if self.grad_tol <= 0 or self.energy_rel_tol <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -65,6 +63,15 @@ class MinimizeReport:
             "energy_history": self.energy_history,
             "termination": self.termination,
         }, indent=2)
+
+    def monotone_record(self, eps: float) -> VerificationRecord:
+        """minimize_monotone: residual 0 if the energy history never rises,
+        1 otherwise."""
+        hist = self.energy_history
+        monotone = all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))
+        return VerificationRecord.checked(
+            "minimize_monotone", hist[-1], hist[0], 0.0 if monotone else 1.0, 0.0,
+            {"eps": eps, "termination": self.termination})
 
 
 # -- gradient validity gate --------------------------------------------------
@@ -92,39 +99,18 @@ def _admissible(f: TorusField) -> AdmissibleField:
 
 # -- anchoring helpers -------------------------------------------------------
 
-def lowest_mode_pins(w: AdmissibleField, count: int) -> AnchorPins:
-    """Pin the `count` admissible modes of smallest |k| at their coefficients
-    in w (conjugate pairs counted once, zero values pinned as zero).
-
-    The representative of a pair is its member with m1 > 0; ties in |m|^2
-    are broken by (m1, m2).
-    """
+def lowest_mode_pins(w: AdmissibleField, count: int) -> np.ndarray:
+    """Mask of the `count` admissible modes of smallest |k|, one per
+    conjugate pair: the member with m1 > 0.  Ties in |m|^2 are broken by
+    (m1, m2)."""
     half = slice(1, w.grid.n1 // 2)  # rows m1 = 1 .. n1/2 - 1
     m1, m2 = np.broadcast_arrays(w.grid.modes1()[half], w.grid.modes2())
-    m1, m2 = m1.ravel(), m2.ravel()
-    spec = w.spectrum[half].ravel()
-    order = np.lexsort((m2, m1, m1 * m1 + m2 * m2))[:count]
-    return AnchorPins(pins=tuple(((int(m1[k]), int(m2[k])), complex(spec[k]))
-                                 for k in order))
-
-
-def _pin_mask(w0: AdmissibleField, anchor: AnchorPins | None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean mask of the pinned modes and their conjugates, and the pinned
-    values on it; raises ValueError unless w0 carries those values."""
-    rows, cols, vals = [], [], []
-    for (a, b), val in (anchor.pins if anchor is not None else ()):
-        rows += [a % w0.grid.n1, -a % w0.grid.n1]
-        cols += [b % w0.grid.n2, -b % w0.grid.n2]
-        vals += [val, np.conj(val)]
-    vals = np.array(vals, dtype=complex)
-    if np.any(np.abs(w0.spectrum[rows, cols] - vals) > 1e-12 * (1.0 + np.abs(vals))):
-        raise ValueError("w0 does not satisfy the pinned modes")
-    mask = np.zeros(w0.grid.shape, dtype=bool)
-    mask[rows, cols] = True
-    values = np.zeros(w0.grid.shape, dtype=complex)
-    values[rows, cols] = vals
-    return mask, values
+    order = np.lexsort((m2.ravel(), m1.ravel(), (m1 * m1 + m2 * m2).ravel()))
+    lowest = np.zeros(m1.size, dtype=bool)
+    lowest[order[:count]] = True
+    mask = np.zeros(w.grid.shape, dtype=bool)
+    mask[half] = lowest.reshape(m1.shape)
+    return mask
 
 
 # -- descent -----------------------------------------------------------------
@@ -151,7 +137,7 @@ def descent_step(w: AdmissibleField, g: AdmissibleField, step: float,
 
 def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
              ) -> tuple[AdmissibleField, MinimizeReport]:
-    """Descent on energy_eps from w0.
+    """Descent on energy_eps from w0, holding its `opts.pins` lowest modes.
 
     Every accepted step decreases the objective; the iterate stays admissible
     and keeps the pinned coefficients bit-fixed, as the gradient and so the
@@ -161,7 +147,8 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
     if not gradient_certificate(w0.grid):
         raise RuntimeError("gradient finite-difference certificate failed for "
                            f"grid {w0.grid.n1}x{w0.grid.n2}; refusing to run")
-    pinned, pin_values = _pin_mask(w0, opts.anchor)
+    held = lowest_mode_pins(w0, opts.pins)
+    pinned = held | negated_modes(held)
 
     def objective(w: AdmissibleField) -> float:
         return energy_eps(w, eps).energy_eps
@@ -170,6 +157,9 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
         g = gradient_eps(w, eps).spectrum
         return AdmissibleField.from_spectrum(w.grid, np.where(pinned, 0.0, g))
 
+    # each held mode's partner gets the conjugate of its value (w0's own
+    # spectrum is Hermitian only to roundoff)
+    pin_values = np.where(held, w0.spectrum, np.conj(negated_modes(w0.spectrum)))
     w = AdmissibleField.from_spectrum(
         w0.grid, np.where(pinned, pin_values, _admissible(w0).spectrum))
     f_w = objective(w)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BandLimitExceeded
 from .fields import (AdmissibleField, GridSpec, TorusField,
-                     k1zero_residual, project_vanishing_x1_mean,
+                     k1zero_residual, negated_modes, project_vanishing_x1_mean,
                      require_admissible)
 
 #: Relative spectral mass allowed in the outer band (|m| > 7/16 * n) before a
@@ -139,7 +139,7 @@ def _hermitian_half(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     their mass is split between -n/2 and +n/2."""
     n1, n2 = spec.shape
     h1, h2 = n1 // 2, n2 // 2
-    mirror = np.conj(np.roll(spec[::-1, ::-1], 1, axis=(0, 1)))  # conj spec(-m)
+    mirror = np.conj(negated_modes(spec))
     out = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
     out[:h1, :h2] = spec[:h1, :h2]
     out[-h1:, :h2] = spec[-h1:, :h2]

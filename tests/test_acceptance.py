@@ -23,7 +23,7 @@ from smectic.entropy import (Interface, JumpProfile, div_sigma_identity,
                              rankine_hugoniot_check)
 from smectic.fields import (AdmissibleField, GridSpec, TorusField,
                             as_admissible, inner, random_band_limited, regrid)
-from smectic.minimize import MinimizeOptions, lowest_mode_pins, minimize
+from smectic.minimize import MinimizeOptions, minimize
 from smectic.operators import d1, shift1
 
 GRID256 = GridSpec(256, 256)
@@ -193,9 +193,8 @@ def test_criterion_9_minimizer_contract(two_shock_sweep):
     eps = 1.0 / 64.0
     record = next(r for r in two_shock_sweep if r.eps == eps)
     w0 = mollify(vertical_two_shock(0.5), record.delta_star, SWEEP_GRID)
-    pins = lowest_mode_pins(w0, 8)
     opts = MinimizeOptions(max_iters=400, grad_tol=1e-12, energy_rel_tol=1e-15,
-                           anchor=pins)
+                           pins=8)
     w, rep = minimize(w0, eps, opts)
     hist = rep.energy_history
     assert all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))

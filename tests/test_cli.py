@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from smectic import minimize as minimize_module
 from smectic.cli import main
-from smectic.fields import GridSpec, TorusField, save_field
+from smectic.fields import GridSpec, TorusField, random_band_limited, save_field
 
 
 def run(args):
@@ -35,6 +37,105 @@ class TestParsing:
         assert run(argv + ["--eps", "2^-4..2^-5"]) == 2
         assert not (tmp_path / "manifest.json").exists()
         assert run(argv + ["--eps", "0.0625"]) == 0
+
+
+class TestIntegerRanges:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--nfields", "0"], ["verify", "--nfields", "-2"]])
+    def test_nfields_at_least_one(self, tmp_path, argv, capsys):
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "energy", "besov", "minimize", "tail"])
+    @pytest.mark.parametrize("kmax", ["0", "-5"])
+    def test_kmax_at_least_one(self, tmp_path, command, kmax, capsys):
+        assert run([command, "--kmax", kmax, "--out", str(tmp_path)]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_pins_not_negative(self, tmp_path, capsys):
+        assert run(["minimize", "--pins", "-3", "--out", str(tmp_path)]) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_max_iters_not_negative(self, tmp_path, capsys):
+        assert run(["minimize", "--max-iters", "-1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "must be >= 0" in err and "tolerances" not in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_config_value_checked_too(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nfields": 0}))
+        assert run(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_lower_bounds_accepted(self, tmp_path):
+        assert run(["minimize", "--grid", "32x32", "--kmax", "1", "--pins", "0",
+                    "--max-iters", "0", "--out", str(tmp_path)]) == 0
+
+
+#: the records every command makes on the small inputs of TestRecordsFile
+RECORD_NAMES = {
+    "verify": {"parseval", "adjointness", "shift_group_law", "hkm2_integrated",
+               "div_sigma_identity", "gradient_check"},
+    "besov": {"l3_estimate", "b2s_estimate", "avebd_crosscheck", "lp_estimate",
+              "lp_eps_estimate", "hkm2_integrated", "hkm1_balance"},
+    "entropy": {"rankine_hugoniot", "div_sigma_identity", "entropy_production",
+                "duality_bound"},
+    "minimize": {"minimize_monotone"},
+    "tail": {"tail_monotone"},
+    "energy": set(),
+    "sweep": set(),
+}
+#: each command's own output files
+OWN_FILES = {"verify": set(), "besov": set(), "entropy": {"entropy.json"},
+             "minimize": {"minimize.json"}, "tail": {"tail.csv"},
+             "energy": {"energy.json"}, "sweep": {"sweep.csv"}}
+
+
+class TestRecordsFile:
+    ARGV = {
+        "verify": ["--grid", "32x32", "--kmax", "4", "--nfields", "2"],
+        "energy": ["--grid", "32x32", "--kmax", "4"],
+        "besov": ["--grid", "32x32", "--kmax", "4"],
+        "entropy": ["--field", "{field}", "--eps", "2^-2..2^-3"],
+        "sweep": ["--eps", "0.25", "--grid", "256x16"],
+        "minimize": ["--grid", "32x32", "--kmax", "4", "--max-iters", "5"],
+        "tail": ["--grid", "32x32", "--kmax", "8"],
+    }
+
+    # energy and sweep make no records and read no --format
+    @pytest.mark.parametrize("command,fmt", [
+        (c, f) for c in sorted(RECORD_NAMES) if RECORD_NAMES[c] for f in ("csv", "json")
+    ] + [("energy", None), ("sweep", None)])
+    def test_records_file_holds_the_records(self, tmp_path, capsys, command, fmt):
+        """Records go to <command>.<format>, or to <command>_records.<format>
+        when the command writes <command>.<format> itself; no file is
+        overwritten."""
+        save_field(random_band_limited(GridSpec(32, 32), seed=1, kmax=4, amplitude=0.5),
+                   tmp_path / "w")
+        out = tmp_path / "out"
+        argv = [a.replace("{field}", str(tmp_path / "w")) for a in self.ARGV[command]]
+        if fmt is not None:
+            argv += ["--format", fmt]
+        run([command] + argv + ["--out", str(out)])
+        summary = capsys.readouterr().out.split()
+        written = {p.name for p in out.iterdir()} - {"manifest.json"}
+        if fmt is None:
+            assert summary == [f"{command}:", "done"]
+            assert written == OWN_FILES[command]
+            return
+        own = f"{command}.{fmt}"
+        records_file = f"{command}_records.{fmt}" if own in OWN_FILES[command] else own
+        assert written == OWN_FILES[command] | {records_file}
+        text = (out / records_file).read_text()
+        if fmt == "csv":
+            records = list(csv.DictReader(io.StringIO(text)))
+        else:
+            records = json.loads(text)
+        assert len(records) == int(summary[1].split("/")[1])
+        assert {r["name"] for r in records} == RECORD_NAMES[command]
 
 
 class TestVerify:

@@ -7,8 +7,7 @@ from smectic import minimize as minimize_module
 from smectic.energy import energy_eps, gradient_eps
 from smectic.errors import LineSearchFailure
 from smectic.fields import AdmissibleField, GridSpec, random_band_limited
-from smectic.minimize import (AnchorPins, MinimizeOptions,
-                              MinimizeReport, descent_step,
+from smectic.minimize import (MinimizeOptions, MinimizeReport, descent_step,
                               gradient_certificate, lowest_mode_pins, minimize)
 
 GRID = GridSpec(64, 64)
@@ -18,6 +17,11 @@ class TestOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             MinimizeOptions(grad_tol=0.0)
+
+    @pytest.mark.parametrize("field,value", [("max_iters", -1), ("pins", -3)])
+    def test_negative_count_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            MinimizeOptions(**{field: value})
 
 
 class TestCertificate:
@@ -35,9 +39,12 @@ class TestLowestModePins:
                 a, b = int(a), int(b)
                 # admissible, one representative per conjugate pair
                 if a != 0 and (a, b) >= (-a, -b):
-                    entries.append((a * a + b * b, (a, b), complex(w.spectrum[i, j])))
+                    entries.append((a * a + b * b, (a, b), (i, j)))
         entries.sort(key=lambda e: (e[0], e[1]))
-        return tuple((mode, val) for _, mode, val in entries[:count])
+        mask = np.zeros(w.grid.shape, dtype=bool)
+        for _, _, index in entries[:count]:
+            mask[index] = True
+        return mask
 
     @settings(max_examples=40, deadline=None)
     @given(n1=st.integers(4, 12).map(lambda k: 2 * k),
@@ -46,10 +53,9 @@ class TestLowestModePins:
     def test_matches_sorted_definition(self, n1, n2, count, seed):
         grid = GridSpec(n1, n2)
         w = random_band_limited(grid, seed=seed, kmax=2, amplitude=0.3)
-        pins = lowest_mode_pins(w, count).pins
-        assert pins == self.brute_force(w, count)
-        assert all(type(a) is int and type(b) is int and type(v) is complex
-                   for (a, b), v in pins)
+        mask = lowest_mode_pins(w, count)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, self.brute_force(w, count))
 
 
 class TestDescentStep:
@@ -89,19 +95,14 @@ class TestMinimize:
 
     def test_pins_are_bit_frozen(self):
         w0 = random_band_limited(GRID, seed=8, kmax=8, amplitude=0.2)
-        pins = lowest_mode_pins(w0, 4)
-        opts = MinimizeOptions(max_iters=50, anchor=pins)
-        w, rep = minimize(w0, 0.0625, opts)
-        for (a, b), val in pins.pins:
-            assert w.spectrum[a % GRID.n1, b % GRID.n2] == val
-            assert w.spectrum[-a % GRID.n1, -b % GRID.n2] == np.conj(val)
+        held = lowest_mode_pins(w0, 4)
+        w, rep = minimize(w0, 0.0625, MinimizeOptions(max_iters=50, pins=4))
+        for i, j in zip(*np.nonzero(held)):
+            val = w0.spectrum[i, j]
+            assert w.spectrum[i, j] == val
+            assert w.spectrum[-i % GRID.n1, -j % GRID.n2] == np.conj(val)
+        assert held.sum() == 4
         assert rep.final_energy.energy_eps <= energy_eps(w0, 0.0625).energy_eps
-
-    def test_pin_mismatch_rejected(self):
-        w0 = random_band_limited(GRID, seed=9, kmax=8, amplitude=0.2)
-        pins = AnchorPins(pins=(((1, 0), 123.0 + 0j),))
-        with pytest.raises(ValueError):
-            minimize(w0, 0.0625, MinimizeOptions(anchor=pins))
 
     def test_termination_labels(self):
         w0 = random_band_limited(GRID, seed=12, kmax=8, amplitude=0.05)
