@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import erf
 
 from .energy import energy_eps
 from .entropy import Interface, JumpProfile, jump_cost
@@ -78,6 +76,8 @@ def mollify(p: JumpProfile, delta: float, grid: GridSpec) -> AdmissibleField:
     equivalent to the spectral multiplier exp(-delta^2 k1^2 / 2) up to the
     sampling error of the sharp step.
     """
+    from scipy.special import erf  # only the sweep needs scipy
+
     if not (2.0 / grid.n1 <= delta <= 0.125):
         raise WidthOutOfRange(
             f"delta {delta} outside [2/n1, 1/8] = [{2.0 / grid.n1}, 0.125]")
@@ -117,6 +117,15 @@ class SweepRecord:
 
 SWEEP_CSV_HEADER = ["eps", "delta_star", "energy_eps", "jump_cost", "gap",
                     "n_evals", "bracketed", "at_bound"]
+
+
+def minimize_scalar(fun, **kwargs):
+    """scipy.optimize.minimize_scalar, imported on first call so that no
+    command but the sweep loads scipy.  `_optimize_delta` calls it by this
+    module-level name: perfbench's tracer rebinds it (span ansatz.golden)."""
+    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+
+    return scipy_minimize_scalar(fun, **kwargs)
 
 
 def _optimize_delta(objective, lo: float, hi: float) -> tuple[float, float, bool]:

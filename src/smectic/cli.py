@@ -179,6 +179,10 @@ def _cmd_tail(args) -> tuple[list[VerificationRecord], dict]:
     return records, {"tail.csv": "\n".join(lines) + "\n"}
 
 
+#: the files the commands write themselves, whatever their verdict
+_OWN_FILES = frozenset({"energy.json", "entropy.json", "sweep.csv",
+                        "minimize.json", "tail.csv"})
+
 #: every flag of the CLI: name -> argparse keyword arguments
 _FLAGS = {
     "grid": {"type": _parse_grid, "default": "256x256"},
@@ -279,9 +283,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if records:
         # records go to <command>.<format>, or to <command>_records.<format>
-        # when the command writes a file of that name itself
+        # when the command can write a file of that name itself
         name = f"{args.command}.{args.format}"
-        if name in extra:
+        if name in _OWN_FILES:
             name = f"{args.command}_records.{args.format}"
         to_text = records_to_csv if args.format == "csv" else records_to_json
         _atomic_write(out / name, to_text(records))

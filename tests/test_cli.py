@@ -1,17 +1,57 @@
 import csv
+import inspect
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from smectic import ansatz
 from smectic import minimize as minimize_module
 from smectic.cli import main
+from smectic.entropy import Interface, JumpProfile
 from smectic.fields import GridSpec, TorusField, random_band_limited, save_field
 
 
 def run(args):
     return main(args)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestImportContract:
+    @pytest.mark.parametrize("module", ["smectic", "smectic.cli"])
+    def test_import_loads_no_scipy(self, module):
+        """Only the sweep needs scipy; every other command starts without it.
+        numpy.fft is loaded, as perfbench's tracer wraps it when it installs."""
+        code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import {module}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+                "'numpy.fft' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out.split() == ["[]", "True"]
+
+    def test_golden_section_called_by_module_name(self, monkeypatch):
+        """perfbench's tracer rebinds `smectic.ansatz.minimize_scalar` (span
+        ansatz.golden): the sweep must call that module-level function."""
+        assert inspect.isfunction(ansatz.minimize_scalar)
+        assert ansatz.minimize_scalar.__qualname__ == "minimize_scalar"
+        calls = []
+        golden = ansatz.minimize_scalar
+
+        def counted(fun, **kwargs):
+            calls.append(kwargs["method"])
+            return golden(fun, **kwargs)
+
+        monkeypatch.setattr(ansatz, "minimize_scalar", counted)
+        d_star, _, bracketed = ansatz._optimize_delta(
+            lambda d: (np.log(d) - np.log(0.03)) ** 2, 0.01, 0.125)
+        assert bracketed and calls == ["golden"]
+        assert d_star == pytest.approx(0.03, rel=1e-4)
 
 
 class TestParsing:
@@ -247,6 +287,22 @@ class TestEntropyAndTail:
         assert code == 0
         data = json.loads((tmp_path / "entropy.json").read_text())
         assert data["jump_cost"] == pytest.approx(1.0 / 6.0, abs=1e-12)
+
+    def test_incompatible_profile_records_name(self, tmp_path, capsys):
+        """A failed slope law writes no jump-cost file, yet the records keep
+        their name: the name does not depend on the verdict."""
+        profile = tmp_path / "profile.json"
+        profile.write_text(JumpProfile((
+            Interface(start=(0.0, 0.0), end=(0.0, 1.0), w_minus=-0.5, w_plus=0.5),
+            Interface(start=(0.0, 0.5), end=(1.0, 0.5), w_minus=-1.0, w_plus=1.0),
+        )).to_json())
+        out = tmp_path / "out"
+        assert run(["entropy", "--profile", str(profile), "--format", "json",
+                    "--out", str(out)]) == 1
+        assert {p.name for p in out.iterdir()} == {"entropy_records.json", "manifest.json"}
+        records = json.loads((out / "entropy_records.json").read_text())
+        assert [r["passed"] for r in records] == [True, False]
+        assert capsys.readouterr().out.split() == ["entropy:", "1/2", "records", "passed"]
 
     def test_tail(self, tmp_path):
         code = run(["tail", "--grid", "128x128", "--seed", "3", "--kmax", "40",

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 from smectic import operators
 from smectic.energy import energy_eps, energy_indep, gradient_eps
 from smectic.errors import BandLimitExceeded, NonAdmissibleInput
-from smectic.fields import (AdmissibleField, GridSpec, TorusField, _embed_band,
-                            inner, random_band_limited)
+from smectic.fields import (ADMISSIBLE_TOL, AdmissibleField, GridSpec, TorusField,
+                            _embed_band, inner, k1zero_residual,
+                            random_band_limited, require_admissible)
 from smectic.operators import (_padded_product, band_headroom_residual,
                                cube_dealiased, d1, d2, diff1, eta, frac_abs_d1,
                                inv_abs_d1, multiply_dealiased, outer_band,
@@ -194,6 +197,53 @@ class TestDealiasedProducts:
             require_band_headroom(f)
         with pytest.raises(BandLimitExceeded):
             square_dealiased(f)
+
+
+#: values for a gated spectral region: signed zeros, subnormal, tiny, unit,
+#: large (squares overflow) and NaN
+GATE_VALUES = [0.0, -0.0, 5e-324, 1e-300, 1e-12, 1.0, 1e300, np.nan]
+#: each gate with its unchanged residual, error, gated region on 8x8 (the
+#: k1 = 0 row; the outer band) and tolerance
+GATES = {
+    "admissible": (require_admissible, k1zero_residual, NonAdmissibleInput,
+                   np.arange(8)[:, None] == 0, ADMISSIBLE_TOL),
+    "headroom": (require_band_headroom, band_headroom_residual, BandLimitExceeded,
+                 outer_band(GridSpec(8, 8)), operators.HEADROOM_TOL),
+}
+
+
+class TestGateShortcuts:
+    @pytest.mark.parametrize("gate", sorted(GATES))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 16))
+    def test_verdict_is_the_residual_rule(self, gate, data, seed):
+        """Each gate raises iff its residual exceeds tol, also where its
+        empty-region shortcut skips the residual: the region holds signed
+        zeros and one of GATE_VALUES, or any mix of them; the rest of the
+        spectrum is zero, tiny, unit, overflowing or NaN."""
+        require, residual, error, region, default_tol = GATES[gate]
+        g = GridSpec(8, 8)
+        region = np.broadcast_to(region, g.shape)
+        n = 2 * int(region.sum())  # real and imaginary parts
+        pattern = data.draw(st.lists(st.sampled_from([0.0, -0.0, None]),
+                                     min_size=n, max_size=n))
+        mixed = data.draw(st.lists(st.sampled_from(GATE_VALUES), min_size=n, max_size=n))
+        fills = [[v if p is None else p for p in pattern] for v in GATE_VALUES] + [mixed]
+        rng = np.random.default_rng(seed)
+        rest = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        for fill, scale, tol in itertools.product(
+                fills, (0.0, 1e-300, 1.0, 1e300, np.nan), (0.0, default_tol, 1.0)):
+            spec = scale * rest
+            spec[region] = np.array(fill[:n // 2]) + 1j * np.array(fill[n // 2:])
+            f = TorusField.from_spectrum(g, spec)
+            with np.errstate(all="ignore"):
+                expected = residual(f) > tol
+                try:
+                    require(f, tol)
+                    raised = False
+                except error:
+                    raised = True
+            assert raised == expected, (fill, scale, tol)
 
 
 class TestEta:
