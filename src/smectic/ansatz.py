@@ -160,11 +160,11 @@ def eps_sweep(p: JumpProfile, eps_list: list[float], grid: GridSpec) -> list[Swe
     energy with the sharp jump cost of the profile.
 
     The mollified profile does not depend on x2, so its energy is evaluated
-    on n1 x 8, the fewest columns a grid may have; only n1 of `grid` matters
-    (it also sets the smallest width 2/n1).  The records report `grid`."""
+    on `grid.x2_free()`; only n1 of `grid` matters (it also sets the
+    smallest width 2/n1).  The records report `grid`."""
     jc = jump_cost(p)
     lo, hi = 2.0 / grid.n1, 0.125
-    lean = GridSpec(grid.n1, 8)
+    lean = grid.x2_free()
 
     def run_one(eps: float) -> SweepRecord:
         n_evals = 0

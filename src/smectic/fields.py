@@ -65,6 +65,12 @@ class GridSpec:
     def k2(self) -> np.ndarray:
         return _axis(self.n2)[1][None, :]
 
+    def x2_free(self) -> "GridSpec":
+        """The grid an x2-independent field needs: n1 x 8, the fewest
+        columns a grid may have.  Such a field is held by its m2 = 0 column,
+        which regrid carries over exactly in both directions."""
+        return GridSpec(self.n1, 8)
+
 
 @functools.lru_cache(maxsize=None)
 def _axis(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,13 +188,25 @@ def inner(f: TorusField, g: TorusField) -> float:
     return float(np.real(np.vdot(f.spectrum, g.spectrum)))
 
 
-def k1zero_residual(f: TorusField) -> float:
-    """Relative L^2 mass of the k1 = 0 column."""
-    norm = f.l2()
+def relative_mass(spec: np.ndarray, part) -> float:
+    """Relative L^2 mass of spec[part] in spec, 0.0 for a zero spectrum.
+
+    The magnitudes are scaled by the power of two that brings the largest
+    into [1/2, 1) before they are squared, so no field underflows to a zero
+    norm (1e-170 cos(2 pi x2) has all its mass at k1 = 0), and since that
+    scaling is exact, the ratio keeps its bits wherever the squares did not
+    underflow or overflow before."""
+    a = np.abs(spec)
+    a = np.ldexp(a, -np.frexp(np.max(a))[1])
+    norm = np.sqrt(np.sum(a ** 2))
     if norm == 0.0:
         return 0.0
-    col = f.spectrum[0, :]
-    return float(np.sqrt(np.sum(np.abs(col) ** 2)) / norm)
+    return float(np.sqrt(np.sum(a[part] ** 2)) / norm)
+
+
+def k1zero_residual(f: TorusField) -> float:
+    """Relative L^2 mass of the k1 = 0 row."""
+    return relative_mass(f.spectrum, 0)
 
 
 def require_admissible(f: TorusField, tol: float = ADMISSIBLE_TOL) -> None:

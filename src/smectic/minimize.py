@@ -18,7 +18,7 @@ from .energy import energy_eps, gradient_eps
 from .errors import LineSearchFailure
 from .fields import (AdmissibleField, GridSpec, TorusField, inner,
                      negated_modes, project_vanishing_x1_mean,
-                     random_band_limited)
+                     random_band_limited, regrid)
 from .operators import outer_band
 
 ARMIJO_C = 1e-4
@@ -54,6 +54,7 @@ class MinimizeReport:
     grad_norm_history: list[float]
     energy_history: list[float]
     termination: str  # gradient, energy-stall, max-iters or line-search
+    grid: GridSpec  # the grid the descent ran on
 
     def to_json(self) -> str:
         return json.dumps({
@@ -62,6 +63,7 @@ class MinimizeReport:
             "grad_norm_history": self.grad_norm_history,
             "energy_history": self.energy_history,
             "termination": self.termination,
+            "grid": [self.grid.n1, self.grid.n2],
         }, indent=2)
 
     def monotone_record(self, eps: float) -> VerificationRecord:
@@ -143,11 +145,23 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
     and keeps the pinned coefficients bit-fixed, as the gradient and so the
     direction are zero on them.  A failed line search raises
     LineSearchFailure carrying the report up to the last accepted iterate.
+
+    A w0 whose spectrum is exactly zero off the m2 = 0 column does not
+    depend on x2, and neither do eta, G = |d1|^-2 eta and the gradient of
+    such a field, so every iterate keeps that column alone: the descent
+    runs on `w0.grid.x2_free()` and its result is regridded to w0's grid.
+    The pins are chosen on w0's grid; those off m2 = 0 hold zeros that the
+    descent never changes.
     """
+    requested = w0.grid
+    held = lowest_mode_pins(w0, opts.pins)
+    lean = requested if w0.spectrum[:, 1:].any() else requested.x2_free()
+    if lean != requested:
+        w0 = regrid(w0, lean)
+        held = held[:, :1] & (lean.modes2() == 0)
     if not gradient_certificate(w0.grid):
         raise RuntimeError("gradient finite-difference certificate failed for "
                            f"grid {w0.grid.n1}x{w0.grid.n2}; refusing to run")
-    held = lowest_mode_pins(w0, opts.pins)
     pinned = held | negated_modes(held)
 
     def objective(w: AdmissibleField) -> float:
@@ -199,10 +213,10 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
             break
 
     report = MinimizeReport(iterations=iterations, final_energy=energy_eps(w, eps),
-                            grad_norm_history=grad_norms,
-                            energy_history=energies, termination=termination)
+                            grad_norm_history=grad_norms, energy_history=energies,
+                            termination=termination, grid=w.grid)
     if termination == "line-search":
         raise LineSearchFailure(
             f"no Armijo decrease after {MAX_BACKTRACKS} backtracks at "
             f"iteration {iterations - 1} (grad norm {grad_norms[-1]:.3e})", report)
-    return w, report
+    return (w if lean == requested else regrid(w, requested)), report

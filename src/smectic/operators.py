@@ -15,7 +15,7 @@ import numpy as np
 from .errors import BandLimitExceeded
 from .fields import (AdmissibleField, GridSpec, TorusField,
                      k1zero_residual, negated_modes, project_vanishing_x1_mean,
-                     require_admissible)
+                     relative_mass, require_admissible)
 
 #: Relative spectral mass allowed in the outer band (|m| > 7/16 * n) before a
 #: nonlinear evaluation is refused as under-resolved.
@@ -112,10 +112,7 @@ def outer_band(grid: GridSpec) -> np.ndarray:
 
 def band_headroom_residual(f: TorusField) -> float:
     """Relative L^2 mass in the outer band (see outer_band)."""
-    norm = f.l2()
-    if norm == 0.0:
-        return 0.0
-    return float(np.sqrt(np.sum(np.abs(f.spectrum[outer_band(f.grid)]) ** 2)) / norm)
+    return relative_mass(f.spectrum, outer_band(f.grid))
 
 
 def require_band_headroom(f: TorusField, tol: float = HEADROOM_TOL) -> None:

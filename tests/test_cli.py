@@ -13,7 +13,8 @@ from smectic import ansatz
 from smectic import minimize as minimize_module
 from smectic.cli import main
 from smectic.entropy import Interface, JumpProfile
-from smectic.fields import GridSpec, TorusField, random_band_limited, save_field
+from smectic.fields import (GridSpec, TorusField, load_field, random_band_limited,
+                            save_field)
 
 
 def run(args):
@@ -323,6 +324,19 @@ class TestMinimizeCommand:
         hist = report["energy_history"]
         assert all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))
         assert (tmp_path / "final.bin").exists()
+        assert report["grid"] == [32, 32]
+
+    def test_x2_independent_field_descends_on_the_lean_grid(self, tmp_path):
+        shock = ansatz.mollify(ansatz.vertical_two_shock(0.5), 0.125, GridSpec(64, 16))
+        save_field(shock, tmp_path / "shock")
+        code = run(["minimize", "--field", str(tmp_path / "shock"), "--pins", "8",
+                    "--max-iters", "20", "--save-final", "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads((tmp_path / "minimize.json").read_text())["grid"] == [64, 8]
+        header = json.loads((tmp_path / "final.json").read_text())
+        assert (header["n1"], header["n2"]) == (64, 16)
+        samples = load_field(tmp_path / "final").samples
+        assert np.all(samples == samples[:, :1])
 
     def test_line_search_failure_writes_report(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(minimize_module, "MAX_BACKTRACKS", 0)

@@ -100,6 +100,15 @@ class TestAdmissibility:
             require_admissible(bad)
         assert k1zero_residual(bad) == pytest.approx(1.0)
 
+    def test_gate_sees_mass_whose_squares_underflow(self):
+        """1e-170 cos(2 pi x2) holds all its mass at k1 = 0, though each
+        squared coefficient underflows to 0.0."""
+        g = GridSpec(8, 8)
+        tiny = TorusField.from_samples(g, np.repeat(1e-170 * np.cos(2 * np.pi * g.x2()), 8, axis=0))
+        assert k1zero_residual(tiny) == 1.0
+        with pytest.raises(NonAdmissibleInput):
+            require_admissible(tiny)
+
     def test_projection_idempotent(self):
         g = GridSpec(32, 32)
         f = TorusField.from_samples(g, np.random.default_rng(2).standard_normal(g.shape))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,21 @@ from hypothesis import strategies as st
 from smectic import minimize as minimize_module
 from smectic.energy import energy_eps, gradient_eps
 from smectic.errors import LineSearchFailure
-from smectic.fields import AdmissibleField, GridSpec, random_band_limited
+from smectic.fields import (AdmissibleField, GridSpec, TorusField, as_admissible,
+                            negated_modes, random_band_limited)
 from smectic.minimize import (MinimizeOptions, MinimizeReport, descent_step,
                               gradient_certificate, lowest_mode_pins, minimize)
 
 GRID = GridSpec(64, 64)
+
+
+def x1_profile(grid, seed):
+    """A random admissible field of x1 alone: four cosines, constant along x2."""
+    rng = np.random.default_rng(seed)
+    x1 = grid.x1()
+    u = sum(rng.uniform(0.02, 0.1) * np.cos(2 * np.pi * m * x1 + rng.uniform(0, 2 * np.pi))
+            for m in range(1, 5))
+    return as_admissible(TorusField.from_samples(grid, np.repeat(u, grid.n2, axis=1)))
 
 
 class TestOptions:
@@ -129,3 +141,47 @@ class TestMinimize:
         assert isinstance(rep, MinimizeReport)
         text = rep.to_json()
         assert '"termination"' in text
+
+
+class TestLeanGrid:
+    """An x2-independent start field descends on GridSpec.x2_free(); the
+    reference runs on the requested grid with that helper patched out."""
+
+    @pytest.mark.parametrize("pins", [0, 8, 40])
+    @pytest.mark.parametrize("n2", [16, 64])
+    @pytest.mark.parametrize("n1", [32, 64, 128])
+    def test_matches_the_full_grid_descent(self, monkeypatch, n1, n2, pins):
+        grid = GridSpec(n1, n2)
+        w0 = x1_profile(grid, seed=n1 + n2 + pins)
+        assert not w0.spectrum[:, 1:].any()
+        opts = MinimizeOptions(max_iters=40, pins=pins)
+        w, rep = minimize(w0, 0.0625, opts)
+        monkeypatch.setattr(GridSpec, "x2_free", lambda self: self)
+        w_full, rep_full = minimize(w0, 0.0625, opts)
+        assert rep.grid == GridSpec(n1, 8) and rep_full.grid == grid
+        assert rep.iterations == rep_full.iterations
+        assert rep.termination == rep_full.termination
+        np.testing.assert_allclose(rep.energy_history, rep_full.energy_history,
+                                   rtol=1e-13, atol=0.0)
+        assert w.grid == grid
+        # the pins are chosen on the requested grid
+        held = lowest_mode_pins(w0, pins)[:, :1] & (grid.modes2() == 0)
+        held |= negated_modes(held)
+        assert np.array_equal(w.spectrum[held], w_full.spectrum[held])
+        assert np.abs(w.spectrum - w_full.spectrum).max() <= 1e-13
+
+    def test_any_off_column_coefficient_keeps_the_full_grid(self):
+        """The rule is exact zeros: one mode pair at m2 = 1 of 1e-300 is
+        enough to descend on the requested grid."""
+        grid = GridSpec(32, 16)
+        spec = x1_profile(grid, seed=3).spectrum.copy()
+        spec[1, 1] = spec[-1, -1] = 1e-300
+        _, rep = minimize(AdmissibleField.from_spectrum(grid, spec), 0.0625,
+                          MinimizeOptions(max_iters=5, pins=8))
+        assert rep.grid == grid
+        assert json.loads(rep.to_json())["grid"] == [32, 16]
+
+    def test_certificate_is_for_the_descent_grid(self, monkeypatch):
+        monkeypatch.setattr(minimize_module, "_GRADIENT_CERTIFICATES", {})
+        minimize(x1_profile(GridSpec(32, 64), seed=5), 0.0625, MinimizeOptions(max_iters=2))
+        assert list(minimize_module._GRADIENT_CERTIFICATES) == [(32, 8)]

@@ -246,6 +246,32 @@ class TestGateShortcuts:
             assert raised == expected, (fill, scale, tol)
 
 
+class TestResidualScale:
+    @pytest.mark.parametrize("gate", sorted(GATES))
+    @settings(max_examples=50, deadline=None)
+    @given(k=st.integers(-600, 600), seed=st.integers(0, 2 ** 16),
+           region_scale=st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 1e3]))
+    def test_power_of_two_scaling_keeps_the_bits(self, gate, k, seed, region_scale):
+        """The residual of 2^k f is that of f, bit for bit, also where the
+        squares of 2^k f's coefficients underflow or overflow."""
+        _, residual, _, region, _ = GATES[gate]
+        g = GridSpec(8, 8)
+        rng = np.random.default_rng(seed)
+        spec = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        spec = np.where(region, region_scale * spec, spec)
+        scaled = TorusField.from_spectrum(g, 2.0 ** k * spec)
+        assert residual(scaled) == residual(TorusField.from_spectrum(g, spec))
+
+    @pytest.mark.parametrize("gate", sorted(GATES))
+    def test_tiny_field_in_the_region_is_refused(self, gate):
+        require, residual, error, region, tol = GATES[gate]
+        g = GridSpec(8, 8)
+        f = TorusField.from_spectrum(g, np.where(region, 1e-170, np.zeros(g.shape)))
+        assert residual(f) == pytest.approx(1.0)
+        with pytest.raises(error):
+            require(f, tol)
+
+
 class TestEta:
     def test_closed_form_sine(self):
         # w = a sin(2 pi x1): eta = -pi a^2 sin(4 pi x1)
