@@ -14,10 +14,8 @@ from .entropy import Interface, JumpProfile, jump_cost
 from .errors import WidthOutOfRange
 from .fields import AdmissibleField, GridSpec
 
-#: log-spaced probe points used to validate a golden-section bracket
+#: log-spaced widths probed before golden section refines the best of them
 N_BRACKET_PROBE = 16
-#: fallback grid-scan resolution when no interior bracket exists
-N_FALLBACK_SCAN = 64
 
 
 def vertical_two_shock(c: float) -> JumpProfile:
@@ -44,27 +42,6 @@ def _vertical_jumps(p: JumpProfile) -> list[tuple[float, float]]:
     if abs(sum(j for _, j in jumps)) > 1e-12:
         raise ValueError("interface jumps do not close up periodically")
     return sorted(jumps)
-
-
-def sharp_profile_samples(p: JumpProfile, n1: int) -> np.ndarray:
-    """Sample the piecewise-constant x2-independent profile on the x1 grid,
-    normalized to zero mean."""
-    jumps = _vertical_jumps(p)
-    x = np.arange(n1) / n1
-    w = np.zeros(n1)
-    for a, j in jumps:
-        w += j * (x >= a)
-    w -= np.mean(w)
-    # consistency: traces at each interface must match the accumulated steps
-    for itf in p.interfaces:
-        a = itf.start[0] % 1.0
-        i = int(round(a * n1)) % n1
-        right, left = w[i], w[i - 1]
-        lo = itf.w_minus if itf.normal[0] > 0 else itf.w_plus
-        hi = itf.w_plus if itf.normal[0] > 0 else itf.w_minus
-        if abs(right - hi) > 1e-10 or abs(left - lo) > 1e-10:
-            raise ValueError("interface traces inconsistent with accumulated regions")
-    return w
 
 
 def mollify(p: JumpProfile, delta: float, grid: GridSpec) -> AdmissibleField:
@@ -95,9 +72,11 @@ def mollify(p: JumpProfile, delta: float, grid: GridSpec) -> AdmissibleField:
 @dataclass(frozen=True)
 class SweepRecord:
     """The optimized ansatz at one eps, and how its optimum was found:
-    `n_evals` objective evaluations, golden section inside an interior
-    bracket (`bracketed`) or the fallback scan, and whether delta_star sits
-    on an end of the width range (`at_bound`), a box value, not an optimum."""
+    `n_evals` objective evaluations (N_BRACKET_PROBE when no golden section
+    ran), whether golden section refined the best probe between its two
+    higher neighbours (`bracketed`) or the best probe itself is returned,
+    and whether delta_star sits on an end of the width range (`at_bound`),
+    a box value, not an optimum."""
 
     eps: float
     delta_star: float
@@ -129,30 +108,20 @@ def minimize_scalar(fun, **kwargs):
 
 
 def _optimize_delta(objective, lo: float, hi: float) -> tuple[float, float, bool]:
-    """Minimize over [lo, hi]: golden section inside a validated bracket,
-    falling back to a log-spaced grid scan when no interior bracket exists.
-    Returns (argmin, min, whether a bracket was found)."""
+    """Minimize over [lo, hi]: the best of N_BRACKET_PROBE log-spaced probes,
+    refined by golden section when both its neighbours are strictly higher.
+    Golden section keeps the best point it evaluates, the probe among them,
+    so refining never returns more than the probe's value; on a tie with a
+    neighbour there is no bracket and the probe is returned as it is.
+    Returns (argmin, min, whether golden section produced it)."""
     probes = np.geomspace(lo, hi, N_BRACKET_PROBE)
     values = [objective(d) for d in probes]
-    bracket = None
-    for i in range(1, N_BRACKET_PROBE - 1):
-        if values[i] < values[i - 1] and values[i] < values[i + 1]:
-            bracket = (probes[i - 1], probes[i], probes[i + 1])
-            break
-    if bracket is not None:
-        res = minimize_scalar(objective, bracket=bracket, method="golden",
-                              options={"xtol": 1e-6})
-        d_star, e_star = float(res.x), float(res.fun)
-        # the scan may still have seen a lower point elsewhere
-        i_min = int(np.argmin(values))
-        if values[i_min] < e_star:
-            d_star, e_star = float(probes[i_min]), float(values[i_min])
-        return d_star, e_star, True
-    # no interior bracket among the probes: fine log-spaced scan instead
-    scan = np.geomspace(lo, hi, N_FALLBACK_SCAN)
-    scan_values = [objective(d) for d in scan]
-    i_min = int(np.argmin(scan_values))
-    return float(scan[i_min]), float(scan_values[i_min]), False
+    i = int(np.argmin(values))
+    if 0 < i < N_BRACKET_PROBE - 1 and values[i - 1] > values[i] < values[i + 1]:
+        res = minimize_scalar(objective, bracket=tuple(probes[i - 1:i + 2]),
+                              method="golden", options={"xtol": 1e-6})
+        return float(res.x), float(res.fun), True
+    return float(probes[i]), float(values[i]), False
 
 
 def eps_sweep(p: JumpProfile, eps_list: list[float], grid: GridSpec) -> list[SweepRecord]:

@@ -155,10 +155,13 @@ class TorusField:
     # -- norms and algebra --------------------------------------------------
 
     def l2(self) -> float:
-        """L^2(T^2) norm, exact for the trigonometric interpolant."""
+        """L^2(T^2) norm, exact for the trigonometric interpolant, summed
+        from `_scaled_squares`: a nonzero field has a nonzero norm."""
         if self.has_spectrum:
-            return float(np.sqrt(np.sum(np.abs(self._spectrum) ** 2)))
-        return float(np.sqrt(np.mean(self._samples ** 2)))
+            sq, e = _scaled_squares(self._spectrum)
+            return float(np.ldexp(np.sqrt(np.sum(sq)), e))
+        sq, e = _scaled_squares(self._samples)
+        return float(np.ldexp(np.sqrt(np.mean(sq)), e))
 
     def lp(self, p: float) -> float:
         """L^p grid norm (rectangle rule)."""
@@ -188,20 +191,30 @@ def inner(f: TorusField, g: TorusField) -> float:
     return float(np.real(np.vdot(f.spectrum, g.spectrum)))
 
 
-def relative_mass(spec: np.ndarray, part) -> float:
-    """Relative L^2 mass of spec[part] in spec, 0.0 for a zero spectrum.
+def _scaled_squares(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(|values|^2 * 4^-e, e), with e the exponent that brings the largest
+    magnitude into [1/2, 1) (0 when all are zero).
 
-    The magnitudes are scaled by the power of two that brings the largest
-    into [1/2, 1) before they are squared, so no field underflows to a zero
-    norm (1e-170 cos(2 pi x2) has all its mass at k1 = 0), and since that
-    scaling is exact, the ratio keeps its bits wherever the squares did not
-    underflow or overflow before."""
-    a = np.abs(spec)
-    a = np.ldexp(a, -np.frexp(np.max(a))[1])
-    norm = np.sqrt(np.sum(a ** 2))
+    The magnitudes are scaled before they are squared, so a nonzero array
+    cannot underflow to a zero sum of squares (1e-170 cos(2 pi x2) squares
+    to nothing unscaled), and since the scaling is exact, a sum of squares
+    or its square root scaled back keeps its bits wherever the unscaled
+    squares did not underflow or overflow."""
+    a = np.abs(values)
+    e = int(np.frexp(np.max(a))[1])
+    np.ldexp(a, -e, out=a)
+    return np.square(a, out=a), e
+
+
+def relative_mass(spec: np.ndarray, part) -> float:
+    """Relative L^2 mass of spec[part] in spec, 0.0 for a zero spectrum;
+    summed from `_scaled_squares`, so a field whose squares underflow reads
+    its true ratio."""
+    sq, _ = _scaled_squares(spec)
+    norm = np.sqrt(np.sum(sq))
     if norm == 0.0:
         return 0.0
-    return float(np.sqrt(np.sum(a[part] ** 2)) / norm)
+    return float(np.sqrt(np.sum(sq[part])) / norm)
 
 
 def k1zero_residual(f: TorusField) -> float:

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smectic import ansatz
-from smectic.ansatz import (N_BRACKET_PROBE, N_FALLBACK_SCAN, SweepRecord,
-                            eps_sweep, mollify, sharp_profile_samples,
+from smectic.ansatz import (N_BRACKET_PROBE, SweepRecord, eps_sweep, mollify,
                             vertical_two_shock)
 from smectic.energy import energy_eps
 from smectic.errors import WidthOutOfRange
@@ -29,15 +28,6 @@ class TestVerticalTwoShock:
             vertical_two_shock(0.0)
 
 
-class TestSharpProfile:
-    def test_values(self):
-        w = sharp_profile_samples(vertical_two_shock(0.5), 64)
-        assert np.allclose(np.unique(np.round(w, 12)), [-0.5, 0.5])
-        assert abs(np.mean(w)) <= 1e-14
-        assert w[1] == pytest.approx(0.5)   # just right of the x1=0 interface
-        assert w[33] == pytest.approx(-0.5)  # just right of the x1=1/2 interface
-
-
 class TestMollify:
     GRID = GridSpec(1024, 16)
 
@@ -45,6 +35,13 @@ class TestMollify:
         w = mollify(vertical_two_shock(0.5), 0.01, self.GRID)
         assert np.all(w.spectrum[0, :] == 0.0)
         assert np.allclose(w.samples, w.samples[:, :1])
+
+    def test_orientation(self):
+        # +c right of the x1 = 0 interface, -c right of the x1 = 1/2 one
+        c, g = 0.5, GridSpec(64, 8)
+        w = mollify(vertical_two_shock(c), 2.0 / g.n1, g).samples[:, 0]
+        assert w[g.n1 // 4] == pytest.approx(c, abs=1e-6)
+        assert w[3 * g.n1 // 4] == pytest.approx(-c, abs=1e-6)
 
     def test_width_bracket(self):
         p = vertical_two_shock(0.5)
@@ -102,8 +99,9 @@ class TestEpsSweep:
                            str(int(rec.at_bound))]
 
     def test_reports_how_each_optimum_was_found(self):
-        # 2^-6 has no interior bracket among the probes (scan fallback),
-        # 2^-7 goes through golden section; both optima sit on the 1/8 cap
+        # at 2^-6 and 2^-7 the best of the 16 probes is the 1/8 cap, so
+        # neither runs golden section; at 2^-7 the probes also hold an
+        # interior local minimum, which is not refined
         g = GridSpec(1024, 64)
         grids = []
 
@@ -116,12 +114,88 @@ class TestEpsSweep:
         assert sum(r.n_evals for r in recs) == len(grids)
         assert set(grids) == {GridSpec(1024, 8)}
         assert all(r.grid == g for r in recs)
-        scan, golden = recs
-        assert not scan.bracketed and scan.n_evals == N_BRACKET_PROBE + N_FALLBACK_SCAN
-        assert golden.bracketed and N_BRACKET_PROBE < golden.n_evals < scan.n_evals
         for r in recs:
-            assert r.at_bound == (r.delta_star in (2.0 / g.n1, 0.125))
-        assert scan.at_bound and golden.at_bound
+            assert r.n_evals == N_BRACKET_PROBE and not r.bracketed
+            assert r.delta_star == 0.125 and r.at_bound
+
+
+class TestOptimizeDelta:
+    """The width rule on hand-made objectives: the best of the
+    N_BRACKET_PROBE log-spaced probes, refined by golden section only when
+    both its neighbours are strictly higher."""
+
+    LO, HI = 2.0 ** -9, 0.125
+    PROBES = np.geomspace(LO, HI, N_BRACKET_PROBE)
+
+    def optimize(self, monkeypatch, objective):
+        calls, evals = [], []
+        golden = ansatz.minimize_scalar
+
+        def counted_golden(fun, **kwargs):
+            calls.append(kwargs["bracket"])
+            return golden(fun, **kwargs)
+
+        def counted(d):
+            evals.append(d)
+            return objective(d)
+
+        monkeypatch.setattr(ansatz, "minimize_scalar", counted_golden)
+        d_star, e_star, bracketed = ansatz._optimize_delta(counted, self.LO, self.HI)
+        return d_star, e_star, bracketed, calls, len(evals)
+
+    def test_interior_global_minimum_is_refined(self, monkeypatch):
+        target = 0.0123
+        d_star, e_star, bracketed, calls, n = self.optimize(
+            monkeypatch, lambda d: (math.log(d) - math.log(target)) ** 2)
+        assert bracketed and len(calls) == 1 and n > N_BRACKET_PROBE
+        assert d_star == pytest.approx(target, abs=1e-4)
+        assert e_star <= min((math.log(d) - math.log(target)) ** 2 for d in self.PROBES)
+
+    def test_lower_end_beats_an_interior_local_minimum(self, monkeypatch):
+        # the 2^-7 shape: a dip between the probes, but the cap is lower still
+        dip = self.PROBES[5]
+
+        def objective(d):
+            return min(1.0 + (math.log(d) - math.log(dip)) ** 2,
+                       2.0 - math.log(d / self.LO) / math.log(self.HI / self.LO) * 1.5)
+
+        values = [objective(d) for d in self.PROBES]
+        assert values[4] > values[5] < values[6] and min(values) == values[-1]
+        d_star, e_star, bracketed, calls, n = self.optimize(monkeypatch, objective)
+        assert (d_star, e_star) == (self.HI, values[-1])
+        assert not bracketed and calls == [] and n == N_BRACKET_PROBE
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_monotone_objective_returns_an_end(self, monkeypatch, sign):
+        d_star, e_star, bracketed, calls, n = self.optimize(
+            monkeypatch, lambda d: sign * math.log(d))
+        assert d_star == (self.LO if sign > 0 else self.HI)
+        assert e_star == sign * math.log(d_star)
+        assert not bracketed and calls == [] and n == N_BRACKET_PROBE
+
+    def test_plateau_tie_beside_the_best_probe(self, monkeypatch):
+        # probes 7 and 8 share the lowest value: no strict bracket, and
+        # scipy's golden section would raise on it
+        tied = set(self.PROBES[7:9])
+        d_star, e_star, bracketed, calls, n = self.optimize(
+            monkeypatch, lambda d: 0.0 if d in tied else abs(math.log(d / self.PROBES[7])) + 1.0)
+        assert (d_star, e_star) == (self.PROBES[7], 0.0)
+        assert not bracketed and calls == [] and n == N_BRACKET_PROBE
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=6),
+           ripple=st.floats(0.0, 2.0), freq=st.floats(0.5, 12.0))
+    def test_never_above_the_best_probe(self, coeffs, ripple, freq):
+        # polynomials in log(delta) plus a ripple: interior, end and
+        # multi-modal minima alike
+        def objective(d):
+            t = math.log(d / self.LO) / math.log(self.HI / self.LO)
+            return sum(c * t ** k for k, c in enumerate(coeffs)) + ripple * math.sin(freq * t)
+
+        d_star, e_star, bracketed = ansatz._optimize_delta(objective, self.LO, self.HI)
+        assert self.LO <= d_star <= self.HI
+        assert e_star == objective(d_star)
+        assert e_star <= min(objective(d) for d in self.PROBES)
 
 
 class TestLeanGrid:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from smectic import besov
 from smectic.besov import (HGrid, besov_seminorm, gradient_check, hkm1_balance,
                            hkm2_residual, records_to_csv, records_to_json,
-                           tail_mass, verify_b2s, verify_l3, verify_lp,
+                           shift_group_law, tail_mass, verify_b2s, verify_l3, verify_lp,
                            verify_lp_eps)
 from smectic.errors import DegenerateEnergy, NonAdmissibleInput
 from smectic.fields import (AdmissibleField, GridSpec, TorusField,
@@ -220,6 +220,17 @@ class TestGradientCheck:
         v = TorusField.from_samples(g, np.ones(g.shape))
         with pytest.raises(NonAdmissibleInput):
             gradient_check(w, v, 0.0625)
+
+
+class TestShiftGroupLaw:
+    @pytest.mark.parametrize("w", [
+        random_band_limited(GridSpec(16, 16), seed=1, kmax=2, amplitude=1e-170),
+        AdmissibleField.zero(GridSpec(16, 16))], ids=["squares-underflow", "zero"])
+    def test_tiny_and_zero_fields_give_passing_records(self, w):
+        rec = shift_group_law(w, {})
+        assert rec.passed and rec.ratio_or_residual <= 1e-12
+        if not w.spectrum.any():
+            assert rec.ratio_or_residual == 0.0
 
 
 class TestSerialization:

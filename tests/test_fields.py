@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smectic.energy import energy_eps, gradient_eps
 from smectic.errors import NonAdmissibleInput
@@ -70,6 +72,26 @@ class TestTorusField:
         assert f.l2() == pytest.approx(2.0 / np.sqrt(2.0), rel=1e-12)
         assert f.linf() == pytest.approx(2.0, rel=1e-10)
         assert f.lp(2.0) == pytest.approx(f.l2(), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(-600, 600), seed=st.integers(0, 2 ** 16))
+    def test_l2_scales_exactly_by_powers_of_two(self, k, seed):
+        """l2(2^k f) == 2^k l2(f) bit for bit on both paths, also where the
+        squares of 2^k f underflow or overflow."""
+        f = random_band_limited(GridSpec(16, 16), seed=seed, kmax=4)
+        assert (2.0 ** k * f).l2() == 2.0 ** k * f.l2()
+        samples = TorusField.from_samples(f.grid, f.samples)
+        assert (TorusField.from_samples(f.grid, np.ldexp(f.samples, k)).l2()
+                == 2.0 ** k * samples.l2())
+
+    def test_l2_of_a_field_whose_squares_underflow(self):
+        g = GridSpec(16, 16)
+        tiny = random_band_limited(g, seed=1, kmax=2, amplitude=1e-170)
+        unit = random_band_limited(g, seed=1, kmax=2, amplitude=1.0)
+        assert tiny.l2() == pytest.approx(1e-170 * unit.l2(), rel=1e-14, abs=0.0)
+        from_samples = TorusField.from_samples(g, tiny.samples).l2()
+        assert from_samples == pytest.approx(tiny.l2(), rel=1e-14, abs=0.0)
+        assert TorusField.zero(g).l2() == 0.0
 
     def test_arithmetic(self):
         g = GridSpec(16, 16)
