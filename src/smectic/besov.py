@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateEnergy
 from .energy import energy_eps, energy_indep, gradient_eps
-from .fields import AdmissibleField, TorusField, as_admissible, inner
+from .fields import AdmissibleField, TorusField, as_admissible, inner, mode_masses
 from .operators import d1, diff1, diff2, eta, shift1, shift_symbol
 
 
@@ -102,10 +102,11 @@ def _mean(samples: np.ndarray) -> float:
 
 
 def parseval(w: TorusField, params: dict) -> VerificationRecord:
-    """Spectral against grid L2 norm, at relative tolerance 1e-12."""
-    spec_norm = float(np.sqrt(np.sum(np.abs(w.spectrum) ** 2)))
-    grid_norm = float(np.sqrt(np.mean(w.samples ** 2)))
-    res = abs(spec_norm - grid_norm) / max(grid_norm, 1e-300)
+    """Spectral against grid L2 norm (both through TorusField.l2, so squares
+    that underflow do not hide a difference), at relative tolerance 1e-12."""
+    spec_norm = TorusField.from_spectrum(w.grid, w.spectrum).l2()
+    grid_norm = TorusField.from_samples(w.grid, w.samples).l2()
+    res = abs(spec_norm - grid_norm) / grid_norm if grid_norm else float(spec_norm > 0.0)
     return VerificationRecord.checked("parseval", spec_norm, grid_norm, res, 1e-12, params)
 
 
@@ -182,7 +183,7 @@ def _x1_coefficients(w: TorusField) -> np.ndarray:
     """x1-Fourier coefficients c(m1; x2) of every grid row x2, for
     m1 = 0..n1/2 (the last row is the Nyquist mode): one 1D transform along
     x2.  A real field has c(-m1; x2) = conj c(m1; x2)."""
-    return np.fft.ifft(w.spectrum[: w.grid.n1 // 2 + 1], axis=1) * w.grid.n2
+    return np.fft.ifft(w.spectrum, axis=1) * w.grid.n2
 
 
 def verify_l3(w: AdmissibleField, hs: HGrid | None = None) -> list[VerificationRecord]:
@@ -194,7 +195,7 @@ def verify_l3(w: AdmissibleField, hs: HGrid | None = None) -> list[VerificationR
     records = []
     for h in hs.values:
         # the samples of diff1(w, h), from the symbol of shift1 along x1 only
-        sym = shift_symbol(w.grid, h, axis=1)[: n1 // 2 + 1] - 1.0
+        sym = shift_symbol(w.grid, h, axis=1) - 1.0
         dw = np.fft.irfft(c * sym, n=n1, axis=0) * n1
         records.append(_ratio_record("l3_estimate", _mean(np.abs(dw) ** 3),
                                      h * e_val, e_val, {"h": h}))
@@ -217,9 +218,8 @@ def verify_b2s(w: AdmissibleField, hs: HGrid | None = None) -> list[Verification
     """
     hs = hs or HGrid()
     e_val = energy_indep(w)
-    mass = np.abs(_x1_coefficients(w)[1:]) ** 2  # m1 = 1..n1/2
-    mass[:-1] *= 2.0  # modes m1 and -m1; the Nyquist mode counts once
-    k = 2.0 * np.pi * np.arange(1, w.grid.n1 // 2 + 1)
+    mass = mode_masses(_x1_coefficients(w))[1:]  # m1 = 1..n1/2, with -m1
+    k = w.grid.k1()[1:, 0]
     records = []
     for h in hs.values:
         # |sigma - 1|^2 = 2(1 - cos kh), or (1 - cos kh)^2 at the Nyquist
@@ -288,9 +288,8 @@ def gradient_check(w: AdmissibleField, v: AdmissibleField, eps: float,
 
 def tail_mass(w: TorusField, m1: int, m2: int) -> float:
     """Spectral mass outside the frequency box |m1'| <= m1, |m2'| <= m2."""
-    mm1, mm2 = w.grid.modes1(), w.grid.modes2()
-    outside = (np.abs(mm1) > m1) | (np.abs(mm2) > m2)
-    return float(np.sum(np.abs(w.spectrum[outside]) ** 2))
+    outside = (w.grid.modes1() > m1) | (np.abs(w.grid.modes2()) > m2)
+    return float(np.sum(mode_masses(w.spectrum)[outside]))
 
 
 def tail_decay(w: TorusField) -> tuple[dict[int, float], list[VerificationRecord]]:

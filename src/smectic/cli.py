@@ -114,9 +114,10 @@ def _input_field(args, seed: int = 0, amplitude: float = 0.5) -> AdmissibleField
 
 
 def _cmd_verify(args) -> tuple[list[VerificationRecord], dict]:
-    fields = [_input_field(args, i) for i in range(args.nfields)]
+    # field i is paired with field i + 1: a lone field with the next seed's
+    fields = [_input_field(args, i) for i in range(max(2, args.nfields))]
     records = []
-    for i, w in enumerate(fields):
+    for i, w in enumerate(fields[:args.nfields]):
         g, label = fields[(i + 1) % len(fields)], {"seed": args.seed + i}
         records += [parseval(w, label), adjointness(w, g, label),
                     shift_group_law(w, label), hkm2_residual(w, 0.1),

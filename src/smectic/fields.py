@@ -3,7 +3,12 @@
 Samples live on the uniform grid x = (i/n1, j/n2); spectral coefficients are
 indexed by integer mode pairs (m1, m2) with wavenumber k = 2*pi*(m1, m2).  The
 transform is normalized so that the (0, 0) coefficient is the mean of the
-field, which makes Parseval read  mean(|f|^2) = sum_k |fhat(k)|^2.
+field.  A real field has fhat(-m) = conj fhat(m), so only the half
+m1 = 0..n1/2 is held: rfftn(samples, axes=(1, 0)) / N, of shape
+(n1/2 + 1, n2), m2 in FFT ordering.  Each held mode stands for its partner -m
+too (the rows m1 = 0 and n1/2 are their own), so Parseval reads
+mean(|f|^2) = sum_m w(m1) |fhat(m)|^2 with w = 2 for 0 < m1 < n1/2, else 1;
+no other module applies that weight.
 """
 
 from __future__ import annotations
@@ -20,9 +25,6 @@ from .errors import NonAdmissibleInput
 
 #: Relative tolerance for the k1 = 0 admissibility gate.
 ADMISSIBLE_TOL = 1e-10
-
-#: Relative imaginary residue above which an inverse transform is rejected.
-CONJUGATE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,11 @@ class GridSpec:
     def npoints(self) -> int:
         return self.n1 * self.n2
 
+    @property
+    def spectrum_shape(self) -> tuple[int, int]:
+        """Shape of the held half spectrum: rows m1 = 0..n1/2."""
+        return (self.n1 // 2 + 1, self.n2)
+
     def x1(self) -> np.ndarray:
         return np.arange(self.n1)[:, None] / self.n1
 
@@ -52,18 +59,18 @@ class GridSpec:
         return np.arange(self.n2)[None, :] / self.n2
 
     def modes1(self) -> np.ndarray:
-        """Integer modes m1 along axis 0, FFT ordering, shape (n1, 1)."""
-        return _axis(self.n1)[0][:, None]
+        """Integer modes m1 = 0..n1/2 of the held rows, shape (n1/2 + 1, 1)."""
+        return _axis(self.n1, True)[0][:, None]
 
     def modes2(self) -> np.ndarray:
         """Integer modes m2 along axis 1, FFT ordering, shape (1, n2)."""
-        return _axis(self.n2)[0][None, :]
+        return _axis(self.n2, False)[0][None, :]
 
     def k1(self) -> np.ndarray:
-        return _axis(self.n1)[1][:, None]
+        return _axis(self.n1, True)[1][:, None]
 
     def k2(self) -> np.ndarray:
-        return _axis(self.n2)[1][None, :]
+        return _axis(self.n2, False)[1][None, :]
 
     def x2_free(self) -> "GridSpec":
         """The grid an x2-independent field needs: n1 x 8, the fewest
@@ -73,10 +80,10 @@ class GridSpec:
 
 
 @functools.lru_cache(maxsize=None)
-def _axis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only integer modes and wavenumbers 2*pi*m of an n-point axis in
-    FFT ordering, built once per n."""
-    m = np.fft.fftfreq(n, 1.0 / n).astype(int)
+def _axis(n: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only integer modes and wavenumbers 2*pi*m of an n-point axis,
+    0..n/2 for the half axis, else in FFT ordering; built once per axis."""
+    m = (np.fft.rfftfreq if half else np.fft.fftfreq)(n, 1.0 / n).astype(int)
     return _freeze(m), _freeze(2.0 * np.pi * m.astype(float))
 
 
@@ -106,9 +113,10 @@ class TorusField:
     def __post_init__(self):
         if self._samples is None and self._spectrum is None:
             raise ValueError("field needs samples or spectrum")
-        for a in (self._samples, self._spectrum):
-            if a is not None and a.shape != self.grid.shape:
-                raise ValueError(f"array shape {a.shape} != grid {self.grid.shape}")
+        for a, shape in ((self._samples, self.grid.shape),
+                         (self._spectrum, self.grid.spectrum_shape)):
+            if a is not None and a.shape != shape:
+                raise ValueError(f"array shape {a.shape} != {shape} on grid {self.grid.shape}")
 
     # -- constructors -------------------------------------------------------
 
@@ -137,18 +145,15 @@ class TorusField:
     @property
     def samples(self) -> np.ndarray:
         if self._samples is None:
-            raw = np.fft.ifft2(self._spectrum) * self.grid.npoints
-            scale = np.max(np.abs(raw)) or 1.0
-            if np.max(np.abs(raw.imag)) > CONJUGATE_TOL * scale:
-                raise ValueError("inverse transform has imaginary residue; "
-                                 "spectrum violates conjugate symmetry")
-            object.__setattr__(self, "_samples", _freeze(raw.real))
+            g = self.grid
+            raw = np.fft.irfftn(self._spectrum, s=(g.n2, g.n1), axes=(1, 0)) * g.npoints
+            object.__setattr__(self, "_samples", _freeze(raw))
         return self._samples
 
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            spec = np.fft.fft2(self._samples) / self.grid.npoints
+            spec = np.fft.rfftn(self._samples, axes=(1, 0)) / self.grid.npoints
             object.__setattr__(self, "_spectrum", _freeze(spec))
         return self._spectrum
 
@@ -158,7 +163,7 @@ class TorusField:
         """L^2(T^2) norm, exact for the trigonometric interpolant, summed
         from `_scaled_squares`: a nonzero field has a nonzero norm."""
         if self.has_spectrum:
-            sq, e = _scaled_squares(self._spectrum)
+            sq, e = _scaled_squares(self._spectrum, spectral=True)
             return float(np.ldexp(np.sqrt(np.sum(sq)), e))
         sq, e = _scaled_squares(self._samples)
         return float(np.ldexp(np.sqrt(np.mean(sq)), e))
@@ -187,13 +192,18 @@ class AdmissibleField(TorusField):
 
 
 def inner(f: TorusField, g: TorusField) -> float:
-    """L^2 inner product <f, g> on the torus."""
-    return float(np.real(np.vdot(f.spectrum, g.spectrum)))
+    """L^2 inner product <f, g> on the torus: each row 0 < m1 < n1/2 counts
+    for its partner -m1 too."""
+    a, b = f.spectrum, g.spectrum
+    return float(np.real(2.0 * np.vdot(a[1:-1], b[1:-1])
+                         + np.vdot(a[0], b[0]) + np.vdot(a[-1], b[-1])))
 
 
-def _scaled_squares(values: np.ndarray) -> tuple[np.ndarray, int]:
+def _scaled_squares(values: np.ndarray, spectral: bool = False) -> tuple[np.ndarray, int]:
     """(|values|^2 * 4^-e, e), with e the exponent that brings the largest
-    magnitude into [1/2, 1) (0 when all are zero).
+    magnitude into [1/2, 1) (0 when all are zero); for a half spectrum
+    (`spectral`), the rows 0 < m1 < n1/2 doubled for their partners -m1, so
+    the squares sum to the L^2 mass times 4^-e.
 
     The magnitudes are scaled before they are squared, so a nonzero array
     cannot underflow to a zero sum of squares (1e-170 cos(2 pi x2) squares
@@ -203,14 +213,24 @@ def _scaled_squares(values: np.ndarray) -> tuple[np.ndarray, int]:
     a = np.abs(values)
     e = int(np.frexp(np.max(a))[1])
     np.ldexp(a, -e, out=a)
-    return np.square(a, out=a), e
+    np.square(a, out=a)
+    if spectral:
+        a[1:-1] *= 2.0
+    return a, e
+
+
+def mode_masses(spec: np.ndarray) -> np.ndarray:
+    """The L^2 mass of each held mode of a half spectrum (rows m1 = 0..n1/2),
+    its partner -m included: summed over a set of modes, their mass."""
+    sq, e = _scaled_squares(spec, spectral=True)
+    return np.ldexp(sq, 2 * e)
 
 
 def relative_mass(spec: np.ndarray, part) -> float:
-    """Relative L^2 mass of spec[part] in spec, 0.0 for a zero spectrum;
-    summed from `_scaled_squares`, so a field whose squares underflow reads
-    its true ratio."""
-    sq, _ = _scaled_squares(spec)
+    """Relative L^2 mass of spec[part] in the half spectrum spec, 0.0 for a
+    zero spectrum; summed from `_scaled_squares`, so a field whose squares
+    underflow reads its true ratio."""
+    sq, _ = _scaled_squares(spec, spectral=True)
     norm = np.sqrt(np.sum(sq))
     if norm == 0.0:
         return 0.0
@@ -233,10 +253,14 @@ def require_admissible(f: TorusField, tol: float = ADMISSIBLE_TOL) -> None:
 
 def project_vanishing_x1_mean(f: TorusField) -> AdmissibleField:
     """Zero every coefficient with k1 = 0 (orthogonal projection onto the
-    admissible subspace); idempotent."""
+    admissible subspace); idempotent.  A field held as samples keeps them,
+    less the x1-mean of each column, so a column equality survives."""
     spec = f.spectrum.copy()
     spec[0, :] = 0.0
-    return AdmissibleField.from_spectrum(f.grid, spec)
+    samples = None
+    if f.has_samples:
+        samples = _freeze(f.samples - np.mean(f.samples, axis=0))
+    return AdmissibleField(f.grid, _samples=samples, _spectrum=_freeze(spec))
 
 
 def as_admissible(f: TorusField, tol: float = ADMISSIBLE_TOL) -> AdmissibleField:
@@ -253,10 +277,9 @@ def random_band_limited(grid: GridSpec, seed: int, kmax: int,
     if kmax >= min(grid.n1, grid.n2) / 3:
         raise ValueError(f"kmax {kmax} leaves no dealiasing headroom on {grid.n1}x{grid.n2}")
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal(grid.shape)
-    spec = np.fft.fft2(raw) / grid.npoints
+    spec = TorusField.from_samples(grid, rng.standard_normal(grid.shape)).spectrum
     m1, m2 = grid.modes1(), grid.modes2()
-    keep = (np.abs(m1) <= kmax) & (np.abs(m2) <= kmax) & (m1 != 0)
+    keep = (0 < m1) & (m1 <= kmax) & (np.abs(m2) <= kmax)
     spec = np.where(keep, spec, 0.0)
     f = TorusField.from_spectrum(grid, spec)
     peak = f.linf()
@@ -265,31 +288,15 @@ def random_band_limited(grid: GridSpec, seed: int, kmax: int,
     return AdmissibleField.from_spectrum(grid, spec * (amplitude / peak))
 
 
-def negated_modes(spec: np.ndarray) -> np.ndarray:
-    """The spectrum at the negated mode: out[m] = spec[-m] on the FFT index
-    grid (a real field has spec[-m] = conj spec[m])."""
-    return np.roll(spec[::-1, ::-1], 1, axis=(0, 1))
-
-
-def _embed_band(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Copy the modes -h..h-1 of a spectrum into a zero spectrum of `shape`,
-    h = min(n_src, n_dst) // 2 per axis: zero padding onto a finer grid,
-    truncation onto a coarser one."""
-    out = np.zeros(shape, dtype=complex)
-    h1 = min(spec.shape[0], shape[0]) // 2
-    h2 = min(spec.shape[1], shape[1]) // 2
-    for rows in (slice(None, h1), slice(-h1, None)):
-        for cols in (slice(None, h2), slice(-h2, None)):
-            out[rows, cols] = spec[rows, cols]
-    return out
-
-
 def regrid(f: TorusField, grid: GridSpec) -> TorusField:
     """Re-express f on another grid by spectral embedding/truncation; only
-    modes |m| < min(n_src, n_dst) / 2 are carried over."""
-    out = _embed_band(f.spectrum, grid.shape)
-    out[-(min(f.grid.n1, grid.n1) // 2), :] = 0.0
-    out[:, -(min(f.grid.n2, grid.n2) // 2)] = 0.0
+    modes |m| < min(n_src, n_dst) / 2 are carried over, so the Nyquist row
+    and column of the coarser grid are dropped."""
+    h1 = min(f.grid.n1, grid.n1) // 2
+    h2 = min(f.grid.n2, grid.n2) // 2
+    out = np.zeros(grid.spectrum_shape, dtype=complex)
+    out[:h1, :h2] = f.spectrum[:h1, :h2]
+    out[:h1, 1 - h2:] = f.spectrum[:h1, 1 - h2:]
     cls = AdmissibleField if isinstance(f, AdmissibleField) else TorusField
     return cls.from_spectrum(grid, out)
 

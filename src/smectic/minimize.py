@@ -17,8 +17,7 @@ from .besov import VerificationRecord, gradient_check
 from .energy import energy_eps, gradient_eps
 from .errors import LineSearchFailure
 from .fields import (AdmissibleField, GridSpec, TorusField, inner,
-                     negated_modes, project_vanishing_x1_mean,
-                     random_band_limited, regrid)
+                     project_vanishing_x1_mean, random_band_limited, regrid)
 from .operators import outer_band
 
 ARMIJO_C = 1e-4
@@ -102,15 +101,15 @@ def _admissible(f: TorusField) -> AdmissibleField:
 # -- anchoring helpers -------------------------------------------------------
 
 def lowest_mode_pins(w: AdmissibleField, count: int) -> np.ndarray:
-    """Mask of the `count` admissible modes of smallest |k|, one per
-    conjugate pair: the member with m1 > 0.  Ties in |m|^2 are broken by
-    (m1, m2)."""
+    """Mask of the `count` admissible held modes of smallest |k|, among the
+    rows 0 < m1 < n1/2 (each stands for its partner -m).  Ties in |m|^2 are
+    broken by (m1, m2)."""
     half = slice(1, w.grid.n1 // 2)  # rows m1 = 1 .. n1/2 - 1
     m1, m2 = np.broadcast_arrays(w.grid.modes1()[half], w.grid.modes2())
     order = np.lexsort((m2.ravel(), m1.ravel(), (m1 * m1 + m2 * m2).ravel()))
     lowest = np.zeros(m1.size, dtype=bool)
     lowest[order[:count]] = True
-    mask = np.zeros(w.grid.shape, dtype=bool)
+    mask = np.zeros(w.grid.spectrum_shape, dtype=bool)
     mask[half] = lowest.reshape(m1.shape)
     return mask
 
@@ -146,36 +145,37 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
     direction are zero on them.  A failed line search raises
     LineSearchFailure carrying the report up to the last accepted iterate.
 
-    A w0 whose spectrum is exactly zero off the m2 = 0 column does not
-    depend on x2, and neither do eta, G = |d1|^-2 eta and the gradient of
-    such a field, so every iterate keeps that column alone: the descent
-    runs on `w0.grid.x2_free()` and its result is regridded to w0's grid.
-    The pins are chosen on w0's grid; those off m2 = 0 hold zeros that the
+    A w0 that does not depend on x2 keeps that independence, as do eta,
+    G = |d1|^-2 eta and the gradient of such a field, so the descent runs
+    on `w0.grid.x2_free()` and its result is regridded to w0's grid.  The
+    lean start is w0's first sample column when w0 holds samples and every
+    column equals it (8 equal columns transform to exact zeros off m2 = 0),
+    else w0's m2 = 0 column when its spectrum is exactly zero off it.  The
+    pins are chosen on w0's grid; those off m2 = 0 hold zeros that the
     descent never changes.
     """
-    requested = w0.grid
+    requested, lean = w0.grid, w0.grid.x2_free()
     held = lowest_mode_pins(w0, opts.pins)
-    lean = requested if w0.spectrum[:, 1:].any() else requested.x2_free()
-    if lean != requested:
+    column = w0.samples[:, :1] if w0.has_samples else None
+    if column is not None and np.all(w0.samples == column):
+        w0 = AdmissibleField.from_samples(lean, np.repeat(column, lean.n2, axis=1))
+    elif not w0.spectrum[:, 1:].any():
         w0 = regrid(w0, lean)
+    if w0.grid != requested:
         held = held[:, :1] & (lean.modes2() == 0)
     if not gradient_certificate(w0.grid):
         raise RuntimeError("gradient finite-difference certificate failed for "
                            f"grid {w0.grid.n1}x{w0.grid.n2}; refusing to run")
-    pinned = held | negated_modes(held)
 
     def objective(w: AdmissibleField) -> float:
         return energy_eps(w, eps).energy_eps
 
     def gradient(w: AdmissibleField) -> AdmissibleField:
         g = gradient_eps(w, eps).spectrum
-        return AdmissibleField.from_spectrum(w.grid, np.where(pinned, 0.0, g))
+        return AdmissibleField.from_spectrum(w.grid, np.where(held, 0.0, g))
 
-    # each held mode's partner gets the conjugate of its value (w0's own
-    # spectrum is Hermitian only to roundoff)
-    pin_values = np.where(held, w0.spectrum, np.conj(negated_modes(w0.spectrum)))
     w = AdmissibleField.from_spectrum(
-        w0.grid, np.where(pinned, pin_values, _admissible(w0).spectrum))
+        w0.grid, np.where(held, w0.spectrum, _admissible(w0).spectrum))
     f_w = objective(w)
     g = gradient(w)
     energies, grad_norms = [f_w], [g.l2()]
@@ -219,4 +219,4 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
         raise LineSearchFailure(
             f"no Armijo decrease after {MAX_BACKTRACKS} backtracks at "
             f"iteration {iterations - 1} (grad norm {grad_norms[-1]:.3e})", report)
-    return (w if lean == requested else regrid(w, requested)), report
+    return (w if w.grid == requested else regrid(w, requested)), report

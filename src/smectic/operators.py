@@ -2,8 +2,10 @@
 
 All derivative symbols zero the Nyquist mode so that derivatives of real
 fields stay real.  Products are evaluated on zero-padded grids (3/2 rule for
-quadratic, factor 2 for cubic terms), which leaves every retained mode
-|m| < n/2 alias-free regardless of the input band.
+quadratic, factor 2 for cubic terms), each factor with its Nyquist row and
+column split evenly between -n/2 and +n/2.  The product is truncated back by
+`regrid`'s rule: it keeps the modes |m| < n/2, alias-free regardless of the
+input band, and its Nyquist row and column are zero.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import BandLimitExceeded
 from .fields import (AdmissibleField, GridSpec, TorusField,
-                     k1zero_residual, negated_modes, project_vanishing_x1_mean,
+                     k1zero_residual, project_vanishing_x1_mean, regrid,
                      relative_mass, require_admissible)
 
 #: Relative spectral mass allowed in the outer band (|m| > 7/16 * n) before a
@@ -22,25 +24,21 @@ from .fields import (AdmissibleField, GridSpec, TorusField,
 HEADROOM_TOL = 1e-6
 
 
-def _nyquist_mask1(grid: GridSpec) -> np.ndarray:
-    return grid.modes1() == -grid.n1 // 2
-
-
-def _nyquist_mask2(grid: GridSpec) -> np.ndarray:
-    return grid.modes2() == -grid.n2 // 2
+def _nyquist(grid: GridSpec, axis: int) -> np.ndarray:
+    """Mask of the Nyquist mode |m| = n/2 along x_axis."""
+    m, n = (grid.modes1(), grid.n1) if axis == 1 else (grid.modes2(), grid.n2)
+    return np.abs(m) == n // 2
 
 
 def d1(f: TorusField) -> TorusField:
     """Spectral x1-derivative (symbol i*k1, Nyquist zeroed)."""
-    sym = 1j * f.grid.k1()
-    sym = np.where(_nyquist_mask1(f.grid), 0.0, sym)
+    sym = np.where(_nyquist(f.grid, 1), 0.0, 1j * f.grid.k1())
     return type(f).from_spectrum(f.grid, f.spectrum * sym)
 
 
 def d2(f: TorusField) -> TorusField:
     """Spectral x2-derivative (symbol i*k2, Nyquist zeroed)."""
-    sym = 1j * f.grid.k2()
-    sym = np.where(_nyquist_mask2(f.grid), 0.0, sym)
+    sym = np.where(_nyquist(f.grid, 2), 0.0, 1j * f.grid.k2())
     return TorusField.from_spectrum(f.grid, f.spectrum * sym)
 
 
@@ -67,11 +65,8 @@ def shift_symbol(grid: GridSpec, h: float, axis: int) -> np.ndarray:
     """Fourier symbol of the translation by h along x_axis: exp(i k h), with
     cos(k h) at the Nyquist mode.  That keeps real fields real and makes the
     shift by 0 the identity exactly."""
-    if axis == 1:
-        k, nyq = grid.k1(), _nyquist_mask1(grid)
-    else:
-        k, nyq = grid.k2(), _nyquist_mask2(grid)
-    return np.cos(k * h) + 1j * np.where(nyq, 0.0, np.sin(k * h))
+    k = grid.k1() if axis == 1 else grid.k2()
+    return np.cos(k * h) + 1j * np.where(_nyquist(grid, axis), 0.0, np.sin(k * h))
 
 
 def _shift(f: TorusField, h: float, axis: int) -> TorusField:
@@ -129,46 +124,35 @@ def _even(n: int) -> int:
     return n + (n % 2)
 
 
-def _hermitian_half(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Columns 0..S2/2 of the Hermitian part (P(m) + conj P(-m))/2 of the
-    zero-padded spectrum P = _embed_band(spec, shape), built from spec alone.
-
-    irfft2 of this half equals real(ifft2(P)) for any spec.  On the padded
-    grid the source Nyquist row and column lose their conjugate partners, so
-    their mass is split between -n/2 and +n/2."""
-    n1, n2 = spec.shape
-    h1, h2 = n1 // 2, n2 // 2
-    mirror = np.conj(negated_modes(spec))
-    out = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
-    out[:h1, :h2] = spec[:h1, :h2]
-    out[-h1:, :h2] = spec[-h1:, :h2]
-    # mirror row/column h (n-grid index of mode -n/2) lands on mode +n/2
-    out[:h1 + 1, :h2 + 1] += mirror[:h1 + 1, :h2 + 1]
-    out[-(h1 - 1):, :h2 + 1] += mirror[h1 + 1:, :h2 + 1]
-    out *= 0.5
+def _padded_half(spec: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The half spectrum on the finer `grid` of the field whose half spectrum
+    is `spec`: the Nyquist column split evenly between m2 = -n2/2 and +n2/2,
+    and the Nyquist row, an interior row on the finer grid, reduced to its
+    Hermitian part (as the coarse inverse transform reads it) and halved
+    between m1 = +n1/2 and its implied partner -n1/2."""
+    h1, h2 = spec.shape[0] - 1, spec.shape[1] // 2
+    out = np.zeros(grid.spectrum_shape, dtype=complex)
+    out[:h1 + 1, :h2 + 1] = spec[:, :h2 + 1]
+    out[:h1 + 1, -h2:] = spec[:, h2:]
+    out[:h1 + 1, [h2, -h2]] *= 0.5
+    row = out[h1]
+    out[h1] = 0.25 * (row + np.conj(np.roll(row[::-1], 1)))  # row(m2) + conj row(-m2)
     return out
 
 
 def _padded_product(fields: list[TorusField], factor: float) -> TorusField:
-    """Product of the factors on a zero-padded grid, truncated back, in real
-    transforms: one irfft2 per distinct factor, one rfft2 for the product."""
+    """Product of the factors on a zero-padded grid, truncated back by
+    `regrid`: one inverse real transform per distinct factor, one forward
+    transform for the product."""
     grid = fields[0].grid
-    shape = (_even(int(np.ceil(factor * grid.n1))), _even(int(np.ceil(factor * grid.n2))))
-    scale = shape[0] * shape[1]
+    fine = GridSpec(_even(int(np.ceil(factor * grid.n1))), _even(int(np.ceil(factor * grid.n2))))
     physical: dict[int, np.ndarray] = {}
-    prod = np.ones(shape)
+    prod = np.ones(fine.shape)
     for f in fields:
         if id(f) not in physical:
-            physical[id(f)] = np.fft.irfft2(_hermitian_half(f.spectrum, shape), s=shape) * scale
+            physical[id(f)] = TorusField.from_spectrum(fine, _padded_half(f.spectrum, fine)).samples
         prod = prod * physical[id(f)]
-    half = np.fft.rfft2(prod) / scale  # modes m2 = 0..S2/2
-    h2 = grid.n2 // 2
-    m1 = grid.modes1()[:, 0]
-    spec = np.empty(grid.shape, dtype=complex)
-    spec[:, :h2] = half[m1 % shape[0], :h2]
-    # m2 = -h2..-1 from the conjugate symmetry of a real product
-    spec[:, h2:] = np.conj(half[-m1 % shape[0], h2:0:-1])
-    return TorusField.from_spectrum(grid, spec)
+    return regrid(TorusField.from_samples(fine, prod), grid)
 
 
 def multiply_dealiased(f: TorusField, g: TorusField) -> TorusField:

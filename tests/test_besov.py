@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from smectic import besov
 from smectic.besov import (HGrid, besov_seminorm, gradient_check, hkm1_balance,
-                           hkm2_residual, records_to_csv, records_to_json,
+                           hkm2_residual, parseval, records_to_csv, records_to_json,
                            shift_group_law, tail_mass, verify_b2s, verify_l3, verify_lp,
                            verify_lp_eps)
 from smectic.errors import DegenerateEnergy, NonAdmissibleInput
@@ -220,6 +220,23 @@ class TestGradientCheck:
         v = TorusField.from_samples(g, np.ones(g.shape))
         with pytest.raises(NonAdmissibleInput):
             gradient_check(w, v, 0.0625)
+
+
+class TestParseval:
+    def test_tiny_field_is_judged_on_its_norms(self):
+        """Squares of a 1e-170 field underflow; a spectrum off by 1e-3 with
+        its samples unchanged must still fail."""
+        w = random_band_limited(GridSpec(16, 16), seed=1, kmax=2, amplitude=1e-170)
+        assert parseval(w, {}).passed
+        off = TorusField(w.grid, _samples=w.samples, _spectrum=w.spectrum * (1 + 1e-3))
+        rec = parseval(off, {"seed": 1})
+        assert not rec.passed
+        assert rec.ratio_or_residual == pytest.approx(1e-3, rel=1e-6)
+        assert rec.params == {"seed": 1}
+
+    def test_zero_field_passes(self):
+        rec = parseval(AdmissibleField.zero(GridSpec(16, 16)), {})
+        assert rec.passed and rec.ratio_or_residual == 0.0
 
 
 class TestShiftGroupLaw:

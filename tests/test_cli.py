@@ -12,9 +12,11 @@ import pytest
 from smectic import ansatz
 from smectic import minimize as minimize_module
 from smectic.cli import main
+from smectic.energy import gradient_eps
 from smectic.entropy import Interface, JumpProfile
-from smectic.fields import (GridSpec, TorusField, load_field, random_band_limited,
-                            save_field)
+from smectic.fields import (GridSpec, TorusField, inner, load_field,
+                            random_band_limited, save_field)
+from smectic.operators import d1
 
 
 def run(args):
@@ -188,6 +190,22 @@ class TestVerify:
         assert (tmp_path / "manifest.json").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "verify"
+
+    def test_single_field_pairs_with_the_next_seed(self, tmp_path):
+        """With --nfields 1 the field of seed s is paired with that of seed
+        s + 1 (not with itself), in the adjointness and gradient records."""
+        code = run(["verify", "--grid", "32x32", "--seed", "3", "--kmax", "4",
+                    "--nfields", "1", "--format", "json", "--out", str(tmp_path)])
+        assert code == 0
+        records = json.loads((tmp_path / "verify.json").read_text())
+        assert {r["params"].get("seed") for r in records} <= {3, None}
+        w, g = (random_band_limited(GridSpec(32, 32), seed=s, kmax=4, amplitude=0.5)
+                for s in (3, 4))
+        adjoint = next(r for r in records if r["name"] == "adjointness")
+        assert adjoint["lhs"] == inner(d1(w), g)
+        assert adjoint["rhs"] == -inner(w, d1(g))
+        check = next(r for r in records if r["name"] == "gradient_check")
+        assert check["rhs"] == inner(gradient_eps(w, 0.0625), g)
 
     def test_json_format(self, tmp_path):
         code = run(["verify", "--grid", "64x64", "--kmax", "8", "--nfields", "1",

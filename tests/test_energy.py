@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from smectic.besov import verify_b2s
 from smectic.energy import energy_eps, energy_indep, gradient_eps
 from smectic.fields import (AdmissibleField, GridSpec, as_admissible, inner,
                             random_band_limited)
@@ -89,3 +90,18 @@ class TestGradient:
     def test_zero_at_origin(self):
         g = gradient_eps(AdmissibleField.zero(GRID), 0.1)
         assert g.l2() == 0.0
+
+
+class TestRealTransformsOnly:
+    @pytest.mark.parametrize("from_samples", [False, True])
+    def test_no_complex_2d_transform(self, monkeypatch, from_samples):
+        """Spectra hold the Hermitian half, so a pass of energy_eps,
+        gradient_eps and verify_b2s needs no complex 2D or nD transform."""
+        w = random_band_limited(GridSpec(64, 48), seed=4, kmax=8, amplitude=0.5)
+        if from_samples:
+            w = AdmissibleField.from_samples(w.grid, w.samples)
+        calls = []
+        for name in ("fft2", "ifft2", "fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, lambda *a, _n=name, **k: calls.append(_n))
+        energy_eps(w, 0.1), gradient_eps(w, 0.1), verify_b2s(w)
+        assert calls == []

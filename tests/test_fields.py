@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smectic.besov import tail_mass
 from smectic.energy import energy_eps, gradient_eps
 from smectic.errors import NonAdmissibleInput
 from smectic.fields import (ADMISSIBLE_TOL, AdmissibleField, GridSpec,
                             TorusField, as_admissible, inner, k1zero_residual,
                             load_field, project_vanishing_x1_mean,
-                            random_band_limited, regrid, require_admissible,
-                            save_field)
+                            random_band_limited, regrid, relative_mass,
+                            require_admissible, save_field)
+from smectic.operators import outer_band
 
 
 def sine_field(grid, a=1.0, m=1):
@@ -27,9 +29,13 @@ class TestGridSpec:
 
     def test_mode_layout(self):
         g = GridSpec(8, 16)
-        assert g.modes1().ravel().tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
+        # the held half m1 = 0..n1/2; m2 in FFT ordering
+        assert g.modes1().ravel().tolist() == [0, 1, 2, 3, 4]
+        assert g.modes2().ravel().tolist() == [0, 1, 2, 3, 4, 5, 6, 7,
+                                               -8, -7, -6, -5, -4, -3, -2, -1]
         assert g.k1()[1, 0] == pytest.approx(2 * np.pi)
         assert g.shape == (8, 16)
+        assert g.spectrum_shape == (5, 16)
         assert g.npoints == 128
 
     def test_mode_arrays_built_once_per_axis_length(self, monkeypatch):
@@ -114,6 +120,37 @@ class TestTorusField:
             f.samples[0, 0] = 1.0
 
 
+class TestHalfLayout:
+    """The held half m1 = 0..n1/2 against the full fft2 spectrum of the same
+    samples: every weighted sum equals its full sum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(8, 8), (10, 12), (12, 10), (16, 40), (40, 16), (64, 64)]),
+           seed=st.integers(0, 2 ** 32 - 1), box=st.tuples(st.integers(0, 24), st.integers(0, 24)))
+    def test_weighted_sums_equal_full_sums(self, shape, seed, box):
+        grid = GridSpec(*shape)
+        rng = np.random.default_rng(seed)
+        f, g = (TorusField.from_samples(grid, rng.standard_normal(shape)) for _ in range(2))
+        assert f.spectrum.shape == grid.spectrum_shape
+        full_f, full_g = (np.fft.fft2(h.samples) / grid.npoints for h in (f, g))
+        m1 = np.fft.fftfreq(grid.n1, 1.0 / grid.n1)[:, None]
+        m2 = np.fft.fftfreq(grid.n2, 1.0 / grid.n2)[None, :]
+        mass = np.abs(full_f) ** 2
+        total = mass.sum()
+
+        spectral = TorusField.from_spectrum(grid, f.spectrum)
+        assert spectral.l2() == pytest.approx(np.sqrt(total), rel=1e-13, abs=0.0)
+        ref_inner = np.real(np.vdot(full_f, full_g))
+        assert abs(inner(f, g) - ref_inner) <= 1e-13 * spectral.l2() * g.l2()
+        full_outer = (np.abs(m1) > 7 * grid.n1 / 16) | (np.abs(m2) > 7 * grid.n2 / 16)
+        for part, full_part in ((0, m1 == 0), (outer_band(grid), full_outer)):
+            expected = np.sqrt(mass[np.broadcast_to(full_part, shape)].sum() / total)
+            assert relative_mass(f.spectrum, part) == pytest.approx(expected, abs=1e-13)
+        outside = (np.abs(m1) > box[0]) | (np.abs(m2) > box[1])
+        expected = mass[np.broadcast_to(outside, shape)].sum()
+        assert tail_mass(f, *box) == pytest.approx(expected, rel=0.0, abs=1e-13 * total)
+
+
 class TestAdmissibility:
     def test_gate(self):
         g = GridSpec(16, 16)
@@ -159,7 +196,7 @@ class TestRandomBandLimited:
         assert w1.linf() == pytest.approx(0.3, rel=1e-12)
         m1, m2 = g.modes1(), g.modes2()
         outside = (np.abs(m1) > 8) | (np.abs(m2) > 8) | (m1 == 0)
-        assert np.all(w1.spectrum[np.broadcast_to(outside, g.shape)] == 0.0)
+        assert np.all(w1.spectrum[np.broadcast_to(outside, g.spectrum_shape)] == 0.0)
 
     def test_headroom_guard(self):
         with pytest.raises(ValueError):
@@ -179,19 +216,19 @@ class TestRegrid:
     def test_drops_minus_half_row_and_column(self, target):
         # only modes |m| < min(n_src, n_dst)/2 are carried over
         g = GridSpec(16, 16)
-        spec = np.zeros(g.shape, complex)
-        spec[-8, :] = 1.0  # row m1 = -8
-        spec[:, -8] = 1.0  # column m2 = -8
+        spec = np.zeros(g.spectrum_shape, complex)
+        spec[8, :] = 1.0  # the Nyquist row m1 = 8 (its own partner -8)
+        spec[:, 8] = 1.0  # the Nyquist column m2 = -8
         out = regrid(TorusField.from_spectrum(g, spec), GridSpec(*target))
         assert np.all(out.spectrum == 0.0)
 
     def test_coarse_band_edge_dropped_on_refine(self):
         g = GridSpec(8, 8)
-        spec = np.zeros(g.shape, complex)
-        spec[4, 1] = spec[1, 4] = 1.0  # m1 = -4 and m2 = -4 on the coarse grid
+        spec = np.zeros(g.spectrum_shape, complex)
+        spec[4, 1] = spec[1, 4] = 1.0  # m1 = 4 and m2 = -4 on the coarse grid
         spec[1, 1] = 2.0
         fine = regrid(TorusField.from_spectrum(g, spec), GridSpec(16, 16))
-        expected = np.zeros((16, 16), complex)
+        expected = np.zeros((9, 16), complex)
         expected[1, 1] = 2.0
         assert np.array_equal(fine.spectrum, expected)
 

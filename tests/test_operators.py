@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from smectic import operators
 from smectic.energy import energy_eps, energy_indep, gradient_eps
 from smectic.errors import BandLimitExceeded, NonAdmissibleInput
+from smectic.besov import verify_b2s
 from smectic.fields import (ADMISSIBLE_TOL, AdmissibleField, GridSpec, TorusField,
-                            _embed_band, inner, k1zero_residual,
-                            random_band_limited, require_admissible)
+                            inner, k1zero_residual, random_band_limited,
+                            require_admissible)
 from smectic.operators import (_padded_product, band_headroom_residual,
                                cube_dealiased, d1, d2, diff1, eta, frac_abs_d1,
                                inv_abs_d1, multiply_dealiased, outer_band,
@@ -133,50 +134,77 @@ class TestDealiasedProducts:
                                                        product, inverse_ffts):
         f = random_band_limited(GRID, seed=8, kmax=8, amplitude=0.5)
         calls = []
-        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+        for name in ("fft2", "ifft2", "fftn", "ifftn", "rfftn", "irfftn"):
             real = getattr(np.fft, name)
             monkeypatch.setattr(np.fft, name, lambda *a, _f=real, _n=name, **kw:
                                 calls.append(_n) or _f(*a, **kw))
         product(f)
-        assert calls.count("irfft2") == inverse_ffts
-        assert calls.count("rfft2") == 1
-        assert calls.count("fft2") == calls.count("ifft2") == 0
+        assert calls.count("irfftn") == inverse_ffts
+        assert calls.count("rfftn") == 1
+        assert len(calls) == inverse_ffts + 1  # no complex 2D transform
 
     @staticmethod
-    def _complex_path(fields, factor):
-        """The product through complex transforms of the zero-padded
-        spectra: the reference for the real-transform kernel."""
+    def _pad(full, shape):
+        """Zero-pad a full FFT-ordered spectrum to `shape`, axis by axis,
+        its Nyquist row and column split evenly between -n/2 and +n/2: the
+        spectrum of the tensor-product trigonometric interpolant."""
+        for axis, n_new in enumerate(shape):
+            a = np.moveaxis(full, axis, 0)
+            h = a.shape[0] // 2
+            out = np.zeros((n_new,) + a.shape[1:], dtype=complex)
+            out[:h], out[-h:] = a[:h], a[-h:]
+            out[-h] *= 0.5
+            out[h] = out[-h]
+            full = np.moveaxis(out, 0, axis)
+        return full
+
+    @classmethod
+    def _complex_path(cls, fields, factor):
+        """The product through complex transforms of the factors' full
+        spectra (fft2 of their samples), zero-padded: the full spectrum of
+        the product on the padded grid, the reference for the real-transform
+        kernel."""
         grid = fields[0].grid
         shape = tuple(n + n % 2 for n in (int(np.ceil(factor * grid.n1)),
                                           int(np.ceil(factor * grid.n2))))
         scale = shape[0] * shape[1]
         prod = np.ones(shape)
         for f in fields:
-            prod = prod * np.real(np.fft.ifft2(_embed_band(f.spectrum, shape)) * scale)
-        return _embed_band(np.fft.fft2(prod) / scale, grid.shape)
+            full = np.fft.fft2(f.samples) / grid.npoints
+            prod = prod * np.real(np.fft.ifft2(cls._pad(full, shape)) * scale)
+        return np.fft.fft2(prod) / scale
 
     @settings(max_examples=40, deadline=None)
     @given(shape=st.sampled_from([(8, 8), (10, 12), (16, 40), (40, 16), (64, 64)]),
            seed=st.integers(0, 2 ** 32 - 1), hermitian=st.booleans(),
            arity=st.sampled_from(["square", "cube", "pair"]))
     def test_real_transforms_match_complex_path(self, shape, seed, hermitian, arity):
-        # full-band spectra: the Nyquist row and column carry mass
+        """Full-band real fields, or arbitrary complex half spectra (the
+        fields their samples are): on every retained mode |m| < n/2 the
+        kernel matches the complex path; its Nyquist row and column are
+        exactly zero."""
         grid = GridSpec(*shape)
         rng = np.random.default_rng(seed)
+        half = grid.spectrum_shape
 
         def draw():
             if hermitian:
                 return TorusField.from_samples(grid, rng.standard_normal(shape))
             return TorusField.from_spectrum(
-                grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                grid, rng.standard_normal(half) + 1j * rng.standard_normal(half))
 
         f, g = draw(), draw()
         assert np.abs(f.spectrum[grid.n1 // 2, :]).max() > 0.0
         assert np.abs(f.spectrum[:, grid.n2 // 2]).max() > 0.0
         fields, factor = {"square": ([f, f], 1.5), "cube": ([f, f, f], 2.0),
                           "pair": ([f, g], 1.5)}[arity]
-        expected = self._complex_path(fields, factor)
+        full = self._complex_path(fields, factor)
+        h1, h2 = grid.n1 // 2, grid.n2 // 2
+        expected = np.zeros(half, dtype=complex)  # the modes |m| < n/2
+        expected[:h1, :h2] = full[:h1, :h2]
+        expected[:h1, 1 - h2:] = full[:h1, 1 - h2:]
         got = _padded_product(fields, factor).spectrum
+        assert np.all(got[h1] == 0.0) and np.all(got[:, h2] == 0.0)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("shape", [(8, 8), (10, 12), (32, 32), (40, 16), (1024, 64)])
@@ -187,10 +215,8 @@ class TestDealiasedProducts:
 
     def test_headroom_guard(self):
         g = GridSpec(32, 32)
-        m1 = g.modes1()
-        spec = np.zeros(g.shape, complex)
-        spec[np.nonzero(m1.ravel() == 15)[0][0], 0] = 0.5
-        spec[np.nonzero(m1.ravel() == -15)[0][0], 0] = 0.5
+        spec = np.zeros(g.spectrum_shape, complex)
+        spec[15, 0] = 0.5  # and 0.5 at its partner m1 = -15: cos(30 pi x1)
         f = TorusField.from_spectrum(g, spec)
         assert band_headroom_residual(f) == pytest.approx(1.0)
         with pytest.raises(BandLimitExceeded):
@@ -202,11 +228,11 @@ class TestDealiasedProducts:
 #: values for a gated spectral region: signed zeros, subnormal, tiny, unit,
 #: large (squares overflow) and NaN
 GATE_VALUES = [0.0, -0.0, 5e-324, 1e-300, 1e-12, 1.0, 1e300, np.nan]
-#: each gate with its unchanged residual, error, gated region on 8x8 (the
-#: k1 = 0 row; the outer band) and tolerance
+#: each gate with its unchanged residual, error, gated region of the 8x8
+#: half spectrum (the k1 = 0 row; the outer band) and tolerance
 GATES = {
     "admissible": (require_admissible, k1zero_residual, NonAdmissibleInput,
-                   np.arange(8)[:, None] == 0, ADMISSIBLE_TOL),
+                   np.arange(5)[:, None] == 0, ADMISSIBLE_TOL),
     "headroom": (require_band_headroom, band_headroom_residual, BandLimitExceeded,
                  outer_band(GridSpec(8, 8)), operators.HEADROOM_TOL),
 }
@@ -223,14 +249,14 @@ class TestGateShortcuts:
         spectrum is zero, tiny, unit, overflowing or NaN."""
         require, residual, error, region, default_tol = GATES[gate]
         g = GridSpec(8, 8)
-        region = np.broadcast_to(region, g.shape)
+        region = np.broadcast_to(region, g.spectrum_shape)
         n = 2 * int(region.sum())  # real and imaginary parts
         pattern = data.draw(st.lists(st.sampled_from([0.0, -0.0, None]),
                                      min_size=n, max_size=n))
         mixed = data.draw(st.lists(st.sampled_from(GATE_VALUES), min_size=n, max_size=n))
         fills = [[v if p is None else p for p in pattern] for v in GATE_VALUES] + [mixed]
         rng = np.random.default_rng(seed)
-        rest = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        rest = rng.standard_normal(g.spectrum_shape) + 1j * rng.standard_normal(g.spectrum_shape)
         for fill, scale, tol in itertools.product(
                 fills, (0.0, 1e-300, 1.0, 1e300, np.nan), (0.0, default_tol, 1.0)):
             spec = scale * rest
@@ -257,7 +283,8 @@ class TestResidualScale:
         _, residual, _, region, _ = GATES[gate]
         g = GridSpec(8, 8)
         rng = np.random.default_rng(seed)
-        spec = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        spec = (rng.standard_normal(g.spectrum_shape)
+                + 1j * rng.standard_normal(g.spectrum_shape))
         spec = np.where(region, region_scale * spec, spec)
         scaled = TorusField.from_spectrum(g, 2.0 ** k * spec)
         assert residual(scaled) == residual(TorusField.from_spectrum(g, spec))
@@ -266,7 +293,7 @@ class TestResidualScale:
     def test_tiny_field_in_the_region_is_refused(self, gate):
         require, residual, error, region, tol = GATES[gate]
         g = GridSpec(8, 8)
-        f = TorusField.from_spectrum(g, np.where(region, 1e-170, np.zeros(g.shape)))
+        f = TorusField.from_spectrum(g, np.where(region, 1e-170, np.zeros(g.spectrum_shape)))
         assert residual(f) == pytest.approx(1.0)
         with pytest.raises(error):
             require(f, tol)
