@@ -288,17 +288,21 @@ def random_band_limited(grid: GridSpec, seed: int, kmax: int,
     return AdmissibleField.from_spectrum(grid, spec * (amplitude / peak))
 
 
+def _band(spec: np.ndarray, shape: tuple[int, int], c1: int, c2: int) -> np.ndarray:
+    """The half spectrum of `shape` holding spec's modes |m1| <= c1, |m2| <= c2."""
+    out = np.zeros(shape, dtype=complex)
+    out[:c1 + 1, :c2 + 1] = spec[:c1 + 1, :c2 + 1]
+    out[:c1 + 1, shape[1] - c2:] = spec[:c1 + 1, spec.shape[1] - c2:]
+    return out
+
+
 def regrid(f: TorusField, grid: GridSpec) -> TorusField:
     """Re-express f on another grid by spectral embedding/truncation; only
     modes |m| < min(n_src, n_dst) / 2 are carried over, so the Nyquist row
     and column of the coarser grid are dropped."""
-    h1 = min(f.grid.n1, grid.n1) // 2
-    h2 = min(f.grid.n2, grid.n2) // 2
-    out = np.zeros(grid.spectrum_shape, dtype=complex)
-    out[:h1, :h2] = f.spectrum[:h1, :h2]
-    out[:h1, 1 - h2:] = f.spectrum[:h1, 1 - h2:]
+    c1, c2 = (min(a, b) // 2 - 1 for a, b in zip(f.grid.shape, grid.shape))
     cls = AdmissibleField if isinstance(f, AdmissibleField) else TorusField
-    return cls.from_spectrum(grid, out)
+    return cls.from_spectrum(grid, _band(f.spectrum, grid.spectrum_shape, c1, c2))
 
 
 # -- field file format ------------------------------------------------------

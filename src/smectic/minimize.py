@@ -54,16 +54,12 @@ class MinimizeReport:
     energy_history: list[float]
     termination: str  # gradient, energy-stall, max-iters or line-search
     grid: GridSpec  # the grid the descent ran on
+    step_history: list[float]  # per iteration: the step taken, 0.0 if none
+    backtrack_history: list[int]  # per iteration: the Armijo halvings
 
     def to_json(self) -> str:
-        return json.dumps({
-            "iterations": self.iterations,
-            "final_energy": self.final_energy.__dict__,
-            "grad_norm_history": self.grad_norm_history,
-            "energy_history": self.energy_history,
-            "termination": self.termination,
-            "grid": [self.grid.n1, self.grid.n2],
-        }, indent=2)
+        return json.dumps(dict(self.__dict__, final_energy=self.final_energy.__dict__,
+                               grid=[self.grid.n1, self.grid.n2]), indent=2)
 
     def monotone_record(self, eps: float) -> VerificationRecord:
         """minimize_monotone: residual 0 if the energy history never rises,
@@ -120,20 +116,20 @@ def descent_step(w: AdmissibleField, g: AdmissibleField, step: float,
                  objective, f_w: float, direction: AdmissibleField):
     """One Armijo-gated step along -direction.
 
-    Returns (w_next, accepted, f_next).  A direction with no descent slope
-    (a zero gradient) is a fixed point and counts as accepted.
+    Returns (w_next, accepted, f_next, rejected trial steps).  A direction
+    with no descent slope (a zero gradient) is a fixed point, accepted.
     """
     slope = inner(g, direction)
     if slope <= 0.0:
-        return w, True, f_w
+        return w, True, f_w, 0
     alpha = step
-    for _ in range(MAX_BACKTRACKS):
+    for halvings in range(MAX_BACKTRACKS):
         cand = _admissible(w + (-alpha) * direction)
         f_cand = objective(cand)
         if f_cand <= f_w - ARMIJO_C * alpha * slope:
-            return cand, True, f_cand
+            return cand, True, f_cand, halvings
         alpha *= 0.5
-    return w, False, f_w
+    return w, False, f_w, MAX_BACKTRACKS
 
 
 def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
@@ -178,7 +174,7 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
         w0.grid, np.where(held, w0.spectrum, _admissible(w0).spectrum))
     f_w = objective(w)
     g = gradient(w)
-    energies, grad_norms = [f_w], [g.l2()]
+    energies, grad_norms, steps, backtracks = [f_w], [g.l2()], [], []
     step = INITIAL_STEP
     prev_w = prev_g = None
     iterations, termination = 0, "max-iters"
@@ -198,8 +194,10 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
         direction = AdmissibleField.from_spectrum(
             g.grid, g.spectrum / (1.0 + step * eps * g.grid.k1() ** 2))
         prev_w, prev_g = w, g
-        w_next, accepted, f_next = descent_step(w, g, step, objective, f_w, direction)
+        w_next, accepted, f_next, halvings = descent_step(w, g, step, objective, f_w, direction)
         iterations = it + 1
+        steps.append(0.0 if w_next is w else step * 0.5 ** halvings)
+        backtracks.append(halvings)
         if not accepted:
             termination = "line-search"
             break
@@ -214,7 +212,8 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
 
     report = MinimizeReport(iterations=iterations, final_energy=energy_eps(w, eps),
                             grad_norm_history=grad_norms, energy_history=energies,
-                            termination=termination, grid=w.grid)
+                            termination=termination, grid=w.grid,
+                            step_history=steps, backtrack_history=backtracks)
     if termination == "line-search":
         raise LineSearchFailure(
             f"no Armijo decrease after {MAX_BACKTRACKS} backtracks at "

@@ -1,11 +1,12 @@
 """Fourier-multiplier operators and dealiased nonlinearities.
 
 All derivative symbols zero the Nyquist mode so that derivatives of real
-fields stay real.  Products are evaluated on zero-padded grids (3/2 rule for
-quadratic, factor 2 for cubic terms), each factor with its Nyquist row and
-column split evenly between -n/2 and +n/2.  The product is truncated back by
-`regrid`'s rule: it keeps the modes |m| < n/2, alias-free regardless of the
-input band, and its Nyquist row and column are zero.
+fields stay real.  Per axis, a product keeps the band |m| <= R =
+min(S, n/2 - 1), S being the sum of its factors' supports (largest |m| of a
+nonzero coefficient, n/2 for a nonzero Nyquist mode), alias-free on N >=
+S + R + 1 points rounded up to an even 2,3,5-smooth size in [8, 3n/2] (two
+factors) or [8, 2n] (three).  Each factor's Nyquist row and column is split
+evenly between -n/2 and +n/2; the product is exactly zero beyond R.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import functools
 import numpy as np
 
 from .errors import BandLimitExceeded
-from .fields import (AdmissibleField, GridSpec, TorusField,
-                     k1zero_residual, project_vanishing_x1_mean, regrid,
+from .fields import (AdmissibleField, GridSpec, TorusField, _band, _freeze,
+                     k1zero_residual, project_vanishing_x1_mean,
                      relative_mass, require_admissible)
 
 #: Relative spectral mass allowed in the outer band (|m| > 7/16 * n) before a
@@ -30,25 +31,34 @@ def _nyquist(grid: GridSpec, axis: int) -> np.ndarray:
     return np.abs(m) == n // 2
 
 
+@functools.lru_cache(maxsize=None)
+def _derivative_symbol(grid: GridSpec, axis: int) -> np.ndarray:
+    """Read-only symbol i*k of d_axis with the Nyquist mode zeroed."""
+    k = grid.k1() if axis == 1 else grid.k2()
+    return _freeze(np.where(_nyquist(grid, axis), 0.0, 1j * k))
+
+
+@functools.lru_cache(maxsize=None)
+def _abs_d1_symbol(grid: GridSpec, s: float) -> np.ndarray:
+    """Read-only symbol |k1|^s, 0 at k1 = 0."""
+    k1 = np.abs(grid.k1())
+    return _freeze(np.power(k1, s, out=np.zeros_like(k1), where=k1 != 0.0))
+
+
 def d1(f: TorusField) -> TorusField:
     """Spectral x1-derivative (symbol i*k1, Nyquist zeroed)."""
-    sym = np.where(_nyquist(f.grid, 1), 0.0, 1j * f.grid.k1())
-    return type(f).from_spectrum(f.grid, f.spectrum * sym)
+    return type(f).from_spectrum(f.grid, f.spectrum * _derivative_symbol(f.grid, 1))
 
 
 def d2(f: TorusField) -> TorusField:
     """Spectral x2-derivative (symbol i*k2, Nyquist zeroed)."""
-    sym = np.where(_nyquist(f.grid, 2), 0.0, 1j * f.grid.k2())
-    return TorusField.from_spectrum(f.grid, f.spectrum * sym)
+    return TorusField.from_spectrum(f.grid, f.spectrum * _derivative_symbol(f.grid, 2))
 
 
 def inv_abs_d1(f: TorusField) -> AdmissibleField:
     """|d1|^-1: divide by |k1|, defined only on vanishing-x1-mean input."""
     require_admissible(f)
-    k1 = f.grid.k1()
-    with np.errstate(divide="ignore"):
-        sym = np.where(k1 == 0.0, 0.0, 1.0 / np.abs(k1))
-    return AdmissibleField.from_spectrum(f.grid, f.spectrum * sym)
+    return AdmissibleField.from_spectrum(f.grid, f.spectrum * _abs_d1_symbol(f.grid, -1.0))
 
 
 def frac_abs_d1(f: TorusField, s: float) -> AdmissibleField:
@@ -56,9 +66,7 @@ def frac_abs_d1(f: TorusField, s: float) -> AdmissibleField:
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
     require_admissible(f)
-    k1 = f.grid.k1()
-    sym = np.where(k1 == 0.0, 0.0, np.abs(k1) ** s)
-    return AdmissibleField.from_spectrum(f.grid, f.spectrum * sym)
+    return AdmissibleField.from_spectrum(f.grid, f.spectrum * _abs_d1_symbol(f.grid, s))
 
 
 def shift_symbol(grid: GridSpec, h: float, axis: int) -> np.ndarray:
@@ -99,10 +107,8 @@ def outer_band(grid: GridSpec) -> np.ndarray:
     """Read-only mask of the outer spectral band |m1| > 7 n1/16 or
     |m2| > 7 n2/16, which must stay empty for alias-controlled products;
     built once per grid."""
-    mask = (np.abs(grid.modes1()) > 7 * grid.n1 / 16) | \
-           (np.abs(grid.modes2()) > 7 * grid.n2 / 16)
-    mask.flags.writeable = False
-    return mask
+    return _freeze((np.abs(grid.modes1()) > 7 * grid.n1 / 16) |
+                   (np.abs(grid.modes2()) > 7 * grid.n2 / 16))
 
 
 def band_headroom_residual(f: TorusField) -> float:
@@ -120,57 +126,63 @@ def require_band_headroom(f: TorusField, tol: float = HEADROOM_TOL) -> None:
             "grid too coarse for alias-controlled products")
 
 
-def _even(n: int) -> int:
-    return n + (n % 2)
+def _fine_size(n: int, full: int) -> int:
+    """The smallest even 2,3,5-smooth integer >= max(n, 8) (an even m < 2**64
+    is one iff it divides 30**64), at most `full` rounded up to even."""
+    n = max(n + n % 2, 8)
+    while 30 ** 64 % n and n < full:
+        n += 2
+    return n
 
 
 def _padded_half(spec: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The half spectrum on the finer `grid` of the field whose half spectrum
-    is `spec`: the Nyquist column split evenly between m2 = -n2/2 and +n2/2,
-    and the Nyquist row, an interior row on the finer grid, reduced to its
-    Hermitian part (as the coarse inverse transform reads it) and halved
-    between m1 = +n1/2 and its implied partner -n1/2."""
+    """The half spectrum on `grid` of the field whose half spectrum is
+    `spec`, which has no mode |m| >= grid.n/2 but its Nyquist mode: split
+    evenly on a finer axis (the Nyquist row reduced to its Hermitian part, as
+    the inverse transform reads it), dropped on an axis no finer."""
     h1, h2 = spec.shape[0] - 1, spec.shape[1] // 2
-    out = np.zeros(grid.spectrum_shape, dtype=complex)
-    out[:h1 + 1, :h2 + 1] = spec[:, :h2 + 1]
-    out[:h1 + 1, -h2:] = spec[:, h2:]
-    out[:h1 + 1, [h2, -h2]] *= 0.5
-    row = out[h1]
-    out[h1] = 0.25 * (row + np.conj(np.roll(row[::-1], 1)))  # row(m2) + conj row(-m2)
+    out = _band(spec, grid.spectrum_shape, min(h1, grid.n1 // 2 - 1), min(h2, grid.n2 // 2 - 1))
+    if grid.n2 > 2 * h2:
+        out[:h1 + 1, [h2, -h2]] *= 0.5
+    if grid.n1 > 2 * h1:
+        row = out[h1]
+        out[h1] = 0.25 * (row + np.conj(np.roll(row[::-1], 1)))  # row(m2) + conj row(-m2)
     return out
 
 
-def _padded_product(fields: list[TorusField], factor: float) -> TorusField:
-    """Product of the factors on a zero-padded grid, truncated back by
-    `regrid`: one inverse real transform per distinct factor, one forward
-    transform for the product."""
-    grid = fields[0].grid
-    fine = GridSpec(_even(int(np.ceil(factor * grid.n1))), _even(int(np.ceil(factor * grid.n2))))
-    physical: dict[int, np.ndarray] = {}
-    prod = np.ones(fine.shape)
-    for f in fields:
-        if id(f) not in physical:
-            physical[id(f)] = TorusField.from_spectrum(fine, _padded_half(f.spectrum, fine)).samples
-        prod = prod * physical[id(f)]
-    return regrid(TorusField.from_samples(fine, prod), grid)
+def _padded_product(fields: list[TorusField]) -> TorusField:
+    """The factors' product on the grid their supports need, cut to |m| <= R:
+    one inverse real transform per distinct factor, one forward transform."""
+    grid, distinct = fields[0].grid, {id(f): f for f in fields}
+    held = {k: f.spectrum != 0 for k, f in distinct.items()}
+    sizes, band = [], []
+    for axis, m in enumerate((grid.modes1()[:, 0], np.abs(grid.modes2()[0]))):
+        s = sum(int(m[held[id(f)].any(axis=1 - axis)].max(initial=0)) for f in fields)
+        band.append(min(s, grid.shape[axis] // 2 - 1))
+        sizes.append(_fine_size(s + band[-1] + 1, (len(fields) + 1) * grid.shape[axis] // 2))
+    fine = GridSpec(*sizes)
+    physical = {k: TorusField.from_spectrum(fine, _padded_half(f.spectrum, fine)).samples
+                for k, f in distinct.items()}
+    prod = functools.reduce(np.multiply, [physical[id(f)] for f in fields])
+    spec = TorusField.from_samples(fine, prod).spectrum
+    return TorusField.from_spectrum(grid, _band(spec, grid.spectrum_shape, *band))
 
 
 def multiply_dealiased(f: TorusField, g: TorusField) -> TorusField:
-    """Pointwise product on a 3/2 zero-padded grid, truncated back; the
-    retained band is alias-free for any input."""
-    return _padded_product([f, g], 1.5)
+    """Alias-free f * g on the band |m| <= R, for any input."""
+    return _padded_product([f, g])
 
 
 def square_dealiased(f: TorusField) -> TorusField:
-    """Alias-free f^2 (3/2-rule zero padding)."""
+    """Alias-free f^2 on the band |m| <= R."""
     require_band_headroom(f)
-    return _padded_product([f, f], 1.5)
+    return _padded_product([f, f])
 
 
 def cube_dealiased(f: TorusField) -> TorusField:
-    """Alias-free f^3 (factor-2 zero padding)."""
+    """Alias-free f^3 on the band |m| <= R."""
     require_band_headroom(f)
-    return _padded_product([f, f, f], 2.0)
+    return _padded_product([f, f, f])
 
 
 def eta(w: AdmissibleField) -> AdmissibleField:

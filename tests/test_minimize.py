@@ -76,10 +76,10 @@ class TestDescentStep:
     def test_zero_gradient_is_fixed_point(self):
         w = random_band_limited(GRID, seed=1, kmax=8, amplitude=0.1)
         g = AdmissibleField.zero(GRID)
-        w2, accepted, f2 = descent_step(
+        w2, accepted, f2, halvings = descent_step(
             w, g, 1.0, lambda u: energy_eps(u, 0.1).energy_eps,
             energy_eps(w, 0.1).energy_eps, g)
-        assert accepted
+        assert accepted and halvings == 0
         assert w2 is w
 
     def test_never_increases_objective(self):
@@ -87,7 +87,7 @@ class TestDescentStep:
         eps = 0.0625
         f_w = energy_eps(w, eps).energy_eps
         g = gradient_eps(w, eps)
-        _, accepted, f2 = descent_step(
+        _, accepted, f2, _ = descent_step(
             w, g, 1.0, lambda u: energy_eps(u, eps).energy_eps, f_w, g)
         assert accepted
         assert f2 <= f_w
@@ -135,6 +135,23 @@ class TestMinimize:
         assert rep.iterations == 1
         assert len(rep.energy_history) == len(rep.grad_norm_history) == 1
         assert rep.final_energy.energy_eps == rep.energy_history[0]
+        assert rep.step_history == [0.0]
+        assert rep.backtrack_history == [minimize_module.MAX_BACKTRACKS]
+
+    @pytest.mark.parametrize("pins,max_iters", [(0, 5), (0, 60), (4, 30)])
+    def test_step_and_backtrack_per_iteration(self, pins, max_iters):
+        """One step taken and one halving count per iteration, carried into
+        minimize.json."""
+        w0 = random_band_limited(GRID, seed=15, kmax=8, amplitude=0.2)
+        _, rep = minimize(w0, 0.0625, MinimizeOptions(max_iters=max_iters, pins=pins))
+        assert len(rep.step_history) == len(rep.backtrack_history) == rep.iterations > 0
+        assert len(rep.energy_history) == rep.iterations + 1
+        assert all(a > 0.0 for a in rep.step_history)
+        assert all(0 <= k < minimize_module.MAX_BACKTRACKS for k in rep.backtrack_history)
+        assert any(k > 0 for k in rep.backtrack_history)
+        data = json.loads(rep.to_json())
+        assert data["step_history"] == rep.step_history
+        assert data["backtrack_history"] == rep.backtrack_history
 
     def test_report_json(self):
         w0 = random_band_limited(GRID, seed=13, kmax=8, amplitude=0.05)

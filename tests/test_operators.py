@@ -11,7 +11,7 @@ from smectic.errors import BandLimitExceeded, NonAdmissibleInput
 from smectic.besov import verify_b2s
 from smectic.fields import (ADMISSIBLE_TOL, AdmissibleField, GridSpec, TorusField,
                             inner, k1zero_residual, random_band_limited,
-                            require_admissible)
+                            regrid, require_admissible)
 from smectic.operators import (_padded_product, band_headroom_residual,
                                cube_dealiased, d1, d2, diff1, eta, frac_abs_d1,
                                inv_abs_d1, multiply_dealiased, outer_band,
@@ -203,9 +203,80 @@ class TestDealiasedProducts:
         expected = np.zeros(half, dtype=complex)  # the modes |m| < n/2
         expected[:h1, :h2] = full[:h1, :h2]
         expected[:h1, 1 - h2:] = full[:h1, 1 - h2:]
-        got = _padded_product(fields, factor).spectrum
+        got = _padded_product(fields).spectrum
         assert np.all(got[h1] == 0.0) and np.all(got[:, h2] == 0.0)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from([(8, 8), (10, 12), (16, 40), (40, 16), (64, 64)]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data(),
+           arity=st.sampled_from(["square", "cube", "pair"]))
+    def test_band_limited_factors_keep_their_support(self, shape, seed, data, arity):
+        """Factors supported on |m1| <= K1, |m2| <= K2, drawn per factor and
+        axis (0, full band with the Nyquist mode, or between): on the band
+        |m| <= R = min(K sum, n/2 - 1) the kernel matches the complex path,
+        and beyond it the product is exactly zero."""
+        grid = GridSpec(*shape)
+        rng = np.random.default_rng(seed)
+        half = grid.spectrum_shape
+
+        def support(n):
+            return data.draw(st.one_of(st.just(0), st.just(n // 2), st.integers(0, n // 2)))
+
+        def draw():
+            k = support(grid.n1), support(grid.n2)
+            keep = (grid.modes1() <= k[0]) & (np.abs(grid.modes2()) <= k[1])
+            spec = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+            return TorusField.from_spectrum(grid, np.where(keep, spec, 0.0)), k
+
+        (f, kf), (g, kg) = draw(), draw()
+        fields, supports, factor = {"square": ([f, f], [kf, kf], 1.5),
+                                    "cube": ([f, f, f], [kf, kf, kf], 2.0),
+                                    "pair": ([f, g], [kf, kg], 1.5)}[arity]
+        r1, r2 = (min(sum(k[a] for k in supports), n // 2 - 1)
+                  for a, n in enumerate(grid.shape))
+        full = self._complex_path(fields, factor)
+        m1, m2 = grid.modes1(), grid.modes2()
+        retained = (m1 <= r1) & (np.abs(m2) <= r2)
+        expected = np.where(retained, full[m1 % full.shape[0], m2 % full.shape[1]], 0.0)
+        got = _padded_product(fields).spectrum
+        assert np.all(got[~retained] == 0.0)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("shape", [(8, 8), (10, 12), (64, 64), (74, 22)])
+    @pytest.mark.parametrize("arity,pad", [(2, 1.5), (3, 2.0)])
+    def test_full_band_input_takes_the_full_band_grid(self, monkeypatch, shape, arity, pad):
+        """Full-band factors transform on the 3n/2 (two factors) or 2n
+        (three) grid, rounded up to even, even where that size is not
+        2,3,5-smooth (74 * 3/2 = 111 -> 112)."""
+        grid = GridSpec(*shape)
+        f = TorusField.from_samples(grid, np.random.default_rng(9).standard_normal(shape))
+        f.spectrum  # transformed before the count starts
+        assert self._forward_shapes(monkeypatch, _padded_product, [f] * arity) == [
+            tuple(int(np.ceil(pad * n)) + int(np.ceil(pad * n)) % 2 for n in shape)]
+
+    @pytest.mark.parametrize("x2_free,kmax,expected", [
+        (False, 8, (36, 36)), (False, 21, (80, 80)), (True, 21, (80, 8))])
+    def test_band_limited_square_takes_a_smooth_grid(self, monkeypatch, x2_free, kmax, expected):
+        """A square of a field with support K on an axis transforms on the
+        smallest even 2,3,5-smooth size >= S + R + 1 with S = 2K and
+        R = min(S, n/2 - 1): 36 for K = 8, 80 for K = 21; an x2-free field
+        (K2 = 0) on 8 columns."""
+        w = random_band_limited(GRID, seed=3, kmax=kmax, amplitude=0.5)
+        if x2_free:
+            column = AdmissibleField.from_spectrum(GRID, np.where(GRID.modes2() == 0, w.spectrum, 0.0))
+            w = regrid(column, GRID.x2_free())
+        assert self._forward_shapes(monkeypatch, square_dealiased, w) == [expected]
+
+    @staticmethod
+    def _forward_shapes(monkeypatch, product, *args):
+        """The shapes of the forward transforms `product(*args)` makes."""
+        shapes = []
+        real = np.fft.rfftn
+        monkeypatch.setattr(np.fft, "rfftn", lambda a, *rest, **kw:
+                            shapes.append(a.shape) or real(a, *rest, **kw))
+        product(*args)
+        return shapes
 
     @pytest.mark.parametrize("shape", [(8, 8), (10, 12), (32, 32), (40, 16), (1024, 64)])
     def test_outer_band_in_integer_arithmetic(self, shape):
@@ -317,9 +388,9 @@ class TestEta:
         w = random_band_limited(GRID, seed=8, kmax=8, amplitude=0.5)
         squares = []  # per product: is it a square (eta's only product)?
 
-        def counting(fields, factor):
+        def counting(fields):
             squares.append(fields[0] is fields[-1])
-            return _padded_product(fields, factor)
+            return _padded_product(fields)
 
         monkeypatch.setattr(operators, "_padded_product", counting)
         first = energy_eps(w, 0.1)
