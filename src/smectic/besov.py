@@ -12,30 +12,18 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import DegenerateEnergy
 from .energy import energy_eps, energy_indep, gradient_eps
 from .fields import AdmissibleField, TorusField, as_admissible, inner, mode_masses
-from .operators import d1, diff1, diff2, eta, shift1, shift_symbol
+from .operators import d1, eta, shift1, shift_symbol
 
 
+#: the h values of every difference-quotient check, in place of the sup over h in (0, 1]
 DEFAULT_HGRID = tuple(2.0 ** -j for j in range(1, 13))
-
-
-@dataclass(frozen=True)
-class HGrid:
-    """Finite geometric grid approximating the sup over h in (0, 1]."""
-
-    values: tuple[float, ...] = DEFAULT_HGRID
-
-    def __post_init__(self):
-        vals = tuple(sorted(self.values, reverse=True))
-        if not vals or vals[0] > 1.0 or vals[-1] <= 0.0:
-            raise ValueError("h values must lie in (0, 1]")
-        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
@@ -56,10 +44,8 @@ class VerificationRecord:
                    params=params, passed=bool(residual <= tol), tolerance=tol)
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "ratio_or_residual": self.ratio_or_residual,
-                "params": self.params, "passed": self.passed,
-                "tolerance": self.tolerance}
+        """The fields by name, in declaration order: both formats' column order."""
+        return asdict(self)
 
 
 def records_to_json(records: list[VerificationRecord]) -> str:
@@ -69,32 +55,13 @@ def records_to_json(records: list[VerificationRecord]) -> str:
 def records_to_csv(records: list[VerificationRecord]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["name", "lhs", "rhs", "ratio_or_residual", "params",
-                     "passed", "tolerance"])
+    writer.writerow(f.name for f in fields(VerificationRecord))
     for r in records:
-        writer.writerow([r.name, repr(r.lhs), repr(r.rhs),
-                         repr(r.ratio_or_residual),
-                         json.dumps(r.params, sort_keys=True),
-                         int(r.passed), repr(r.tolerance)])
+        # params as sorted JSON, passed as 0/1, numbers by repr (exact round trip)
+        row = {**r.to_dict(), "params": json.dumps(r.params, sort_keys=True),
+               "passed": int(r.passed)}
+        writer.writerow(v if isinstance(v, (str, int)) else repr(v) for v in row.values())
     return buf.getvalue()
-
-
-def besov_seminorm(f: TorusField, s: float, p: float, j: int,
-                   hs: HGrid | None = None) -> float:
-    """max over the h-grid of h^-s * ||diff_j(f, h)||_Lp.
-
-    A lower bound for the continuum sup over h in (0, 1]; refine the grid to
-    tighten it.
-    """
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must lie in (0, 1], got {s}")
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if j not in (1, 2):
-        raise ValueError(f"direction j must be 1 or 2, got {j}")
-    hs = hs or HGrid()
-    diff = diff1 if j == 1 else diff2
-    return max(diff(f, h).lp(p) / h ** s for h in hs.values)
 
 
 def _mean(samples: np.ndarray) -> float:
@@ -132,11 +99,11 @@ def hkm2_residual(w: AdmissibleField, h: float) -> VerificationRecord:
     -(1/6) d/dh int (diff1 w)^3 = int diff1(eta_w) * diff1(w), with the
     h-derivative evaluated exactly via d/dh diff1(w, h) = (d1 w)(. + h e1).
     """
-    dw = diff1(w, h)
-    # the shifted derivative dies with the lhs, before the rhs allocates:
-    # it lowers this function's (and `besov`'s) memory peak
-    lhs = -0.5 * _mean(dw.samples ** 2 * shift1(d1(w), h).samples)
-    rhs = _mean(diff1(eta(w), h).samples * dw.samples)
+    sym = shift_symbol(w.grid, h, axis=1)
+    dw = _x1_samples(_x1_coefficients(w), sym - 1.0)
+    # the shifted derivative dies with the lhs, before the rhs allocates (a lower peak)
+    lhs = -0.5 * _mean(dw ** 2 * _x1_samples(_x1_coefficients(d1(w)), sym))
+    rhs = _mean(_x1_samples(_x1_coefficients(eta(w)), sym - 1.0) * dw)
     return VerificationRecord.checked("hkm2_integrated", lhs, rhs, abs(lhs - rhs),
                                       1e-8 * (1.0 + w.l2() ** 3), {"h": h})
 
@@ -150,14 +117,14 @@ def hkm1_balance(w: AdmissibleField, h: float) -> VerificationRecord:
     """
     if h <= 0.0:
         raise ValueError(f"h must be positive, got {h}")
-    dh = h / 100.0
+    dh, c = h / 100.0, _x1_coefficients(w)
 
-    def cubed(hh: float) -> float:
-        return _mean(np.abs(diff1(w, hh).samples) ** 3)
+    def diff(coeffs: np.ndarray, hh: float) -> np.ndarray:
+        return _x1_samples(coeffs, shift_symbol(w.grid, hh, axis=1) - 1.0)
 
-    lhs = (cubed(h + dh) - cubed(h - dh)) / (2.0 * dh)
-    e = eta(w)
-    rhs = -6.0 * _mean(diff1(e, h).samples * np.abs(diff1(w, h).samples))
+    plus, minus = (_mean(np.abs(diff(c, hh)) ** 3) for hh in (h + dh, h - dh))
+    lhs = (plus - minus) / (2.0 * dh)
+    rhs = -6.0 * _mean(diff(_x1_coefficients(eta(w)), h) * np.abs(diff(c, h)))
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return VerificationRecord.checked("hkm1_balance", lhs, rhs, residual, 1e-4,
                                       {"h": h, "dh": dh})
@@ -180,29 +147,33 @@ def _ratio_record(name: str, lhs: float, rhs: float, e_val: float,
 
 
 def _x1_coefficients(w: TorusField) -> np.ndarray:
-    """x1-Fourier coefficients c(m1; x2) of every grid row x2, for
-    m1 = 0..n1/2 (the last row is the Nyquist mode): one 1D transform along
-    x2.  A real field has c(-m1; x2) = conj c(m1; x2)."""
+    """x1-Fourier coefficients c(m1; x2), m1 = 0..n1/2 (the last row is the Nyquist
+    mode), of every grid row x2: one 1D transform along x2; c(-m1; x2) = conj c(m1; x2)."""
     return np.fft.ifft(w.spectrum, axis=1) * w.grid.n2
 
 
-def verify_l3(w: AdmissibleField, hs: HGrid | None = None) -> list[VerificationRecord]:
+def _x1_samples(c: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """Samples of the field whose x1-coefficients are c * sym, sym a symbol of
+    m1 alone (one value per row; the shift1 symbol for a translate, less 1
+    for a difference): one 1D transform along x1."""
+    n1 = 2 * (c.shape[0] - 1)
+    return np.fft.irfft(c * sym, n=n1, axis=0) * n1
+
+
+def verify_l3(w: AdmissibleField,
+              hs: tuple[float, ...] = DEFAULT_HGRID) -> list[VerificationRecord]:
     """Cubed-difference estimate: int |diff1(w, h)|^3 <= C * h * E(w)."""
-    hs = hs or HGrid()
-    e_val = energy_indep(w)
-    n1 = w.grid.n1
-    c = _x1_coefficients(w)
+    e_val, c = energy_indep(w), _x1_coefficients(w)
     records = []
-    for h in hs.values:
-        # the samples of diff1(w, h), from the symbol of shift1 along x1 only
-        sym = shift_symbol(w.grid, h, axis=1) - 1.0
-        dw = np.fft.irfft(c * sym, n=n1, axis=0) * n1
+    for h in hs:
+        dw = _x1_samples(c, shift_symbol(w.grid, h, axis=1) - 1.0)
         records.append(_ratio_record("l3_estimate", _mean(np.abs(dw) ** 3),
                                      h * e_val, e_val, {"h": h}))
     return records
 
 
-def verify_b2s(w: AdmissibleField, hs: HGrid | None = None) -> list[VerificationRecord]:
+def verify_b2s(w: AdmissibleField,
+               hs: tuple[float, ...] = DEFAULT_HGRID) -> list[VerificationRecord]:
     """Layer estimate: sup over x2 of the (0, h] difference-mass is bounded by
     h E + h^(5/3) E^(2/3); also cross-checks the elementary averaging bound
     int |diff1(w,h)|^2 dx1 <= (4/h) * layer-integral, row by row.
@@ -216,12 +187,11 @@ def verify_b2s(w: AdmissibleField, hs: HGrid | None = None) -> list[Verification
     check leaves the Nyquist row out of both sides and keeps the stated
     relative slack 1e-3; the record's lhs and rhs are the full row maxima.
     """
-    hs = hs or HGrid()
     e_val = energy_indep(w)
     mass = mode_masses(_x1_coefficients(w))[1:]  # m1 = 1..n1/2, with -m1
     k = w.grid.k1()[1:, 0]
     records = []
-    for h in hs.values:
+    for h in hs:
         # |sigma - 1|^2 = 2(1 - cos kh), or (1 - cos kh)^2 at the Nyquist
         # mode, where sigma = cos kh; and their integrals over (0, h]
         sin_kh, cos_kh, kn = np.sin(k * h), np.cos(k * h), k[-1]

@@ -93,6 +93,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _held(a: np.ndarray, dtype) -> np.ndarray:
+    """The read-only array a field holds for `a`: a frozen copy of a writeable
+    `a` (the caller's array stays writeable), else `a` itself (another field's)."""
+    a = np.asarray(a, dtype=dtype)
+    return _freeze(a.copy() if a.flags.writeable else a)
+
+
 @dataclass(frozen=True)
 class TorusField:
     """Real scalar field on the torus, held as samples and/or coefficients.
@@ -122,11 +129,11 @@ class TorusField:
 
     @classmethod
     def from_samples(cls, grid: GridSpec, samples: np.ndarray) -> "TorusField":
-        return cls(grid, _samples=_freeze(np.asarray(samples, dtype=float)))
+        return cls(grid, _samples=_held(samples, float))
 
     @classmethod
     def from_spectrum(cls, grid: GridSpec, spectrum: np.ndarray) -> "TorusField":
-        return cls(grid, _spectrum=_freeze(np.asarray(spectrum, dtype=complex)))
+        return cls(grid, _spectrum=_held(spectrum, complex))
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "TorusField":
@@ -227,14 +234,13 @@ def mode_masses(spec: np.ndarray) -> np.ndarray:
 
 
 def relative_mass(spec: np.ndarray, part) -> float:
-    """Relative L^2 mass of spec[part] in the half spectrum spec, 0.0 for a
-    zero spectrum; summed from `_scaled_squares`, so a field whose squares
-    underflow reads its true ratio."""
-    sq, _ = _scaled_squares(spec, spectral=True)
-    norm = np.sqrt(np.sum(sq))
-    if norm == 0.0:
+    """Relative L^2 mass of spec[part] in the half spectrum spec: 0.0 at once when
+    spec[part] is exactly zero (the rest is not read), else summed from
+    `_scaled_squares`, so a field whose squares underflow reads its true ratio."""
+    if not spec[part].any():
         return 0.0
-    return float(np.sqrt(np.sum(sq[part])) / norm)
+    sq, _ = _scaled_squares(spec, spectral=True)
+    return float(np.sqrt(np.sum(sq[part])) / np.sqrt(np.sum(sq)))
 
 
 def k1zero_residual(f: TorusField) -> float:
@@ -243,8 +249,6 @@ def k1zero_residual(f: TorusField) -> float:
 
 
 def require_admissible(f: TorusField, tol: float = ADMISSIBLE_TOL) -> None:
-    if not f.spectrum[0].any():
-        return  # an empty k1 = 0 row: residual 0 (or NaN), never above tol
     res = k1zero_residual(f)
     if res > tol:
         raise NonAdmissibleInput(

@@ -117,8 +117,6 @@ def band_headroom_residual(f: TorusField) -> float:
 
 
 def require_band_headroom(f: TorusField, tol: float = HEADROOM_TOL) -> None:
-    if not f.spectrum[outer_band(f.grid)].any():
-        return  # an empty outer band: residual 0 (or NaN), never above tol
     res = band_headroom_residual(f)
     if res > tol:
         raise BandLimitExceeded(

@@ -8,14 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smectic import besov
-from smectic.besov import (HGrid, besov_seminorm, gradient_check, hkm1_balance,
-                           hkm2_residual, parseval, records_to_csv, records_to_json,
-                           shift_group_law, tail_mass, verify_b2s, verify_l3, verify_lp,
-                           verify_lp_eps)
+from smectic.besov import (gradient_check, hkm1_balance, hkm2_residual, parseval,
+                           records_to_csv, records_to_json, shift_group_law, tail_mass,
+                           verify_b2s, verify_l3, verify_lp, verify_lp_eps)
 from smectic.errors import DegenerateEnergy, NonAdmissibleInput
 from smectic.fields import (AdmissibleField, GridSpec, TorusField,
                             project_vanishing_x1_mean, random_band_limited)
-from smectic.operators import diff1, eta, shift1
+from smectic.operators import d1, diff1, eta, shift1
 
 GRID = GridSpec(256, 256)
 
@@ -23,36 +22,6 @@ GRID = GridSpec(256, 256)
 def sine1(grid, a=1.0):
     return AdmissibleField.from_samples(
         grid, np.repeat(a * np.sin(2 * np.pi * grid.x1()), grid.n2, axis=1))
-
-
-class TestHGrid:
-    def test_sorted_decreasing(self):
-        hs = HGrid((0.25, 0.5, 0.125))
-        assert hs.values == (0.5, 0.25, 0.125)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            HGrid((2.0, 0.5))
-        with pytest.raises(ValueError):
-            HGrid(())
-
-
-class TestBesovSeminorm:
-    def test_single_mode_value(self):
-        # ||diff1(w, h)||_2 = 2 |sin(pi h)| ||w||_2
-        w = sine1(GRID, a=1.0)
-        hs = HGrid((0.5,))
-        val = besov_seminorm(w, s=0.5, p=2.0, j=1, hs=hs)
-        assert val == pytest.approx(2.0 * (1.0 / math.sqrt(2.0)) / 0.5 ** 0.5, rel=1e-10)
-
-    def test_validation(self):
-        w = sine1(GRID)
-        with pytest.raises(ValueError):
-            besov_seminorm(w, s=1.5, p=2.0, j=1)
-        with pytest.raises(ValueError):
-            besov_seminorm(w, s=0.5, p=0.5, j=1)
-        with pytest.raises(ValueError):
-            besov_seminorm(w, s=0.5, p=2.0, j=3)
 
 
 class TestHKM2:
@@ -98,7 +67,7 @@ class TestL3:
     def test_closed_form_sine(self):
         a, h = 0.7, 0.125
         w = sine1(GRID, a)
-        recs = verify_l3(w, HGrid((h,)))
+        recs = verify_l3(w, (h,))
         lhs_expected = (2 * abs(math.sin(math.pi * h))) ** 3 * a ** 3 * 4 / (3 * math.pi)
         assert recs[0].lhs == pytest.approx(lhs_expected, rel=1e-7)
         assert recs[0].rhs == pytest.approx(h * math.pi * a ** 3 / 4, rel=1e-10)
@@ -117,7 +86,7 @@ class TestL3:
 class TestB2S:
     def test_ratios_finite_and_crosscheck(self):
         w = random_band_limited(GRID, seed=13, kmax=16, amplitude=0.5)
-        recs = verify_b2s(w, HGrid((0.5, 0.125, 1.0 / 32.0)))
+        recs = verify_b2s(w, (0.5, 0.125, 1.0 / 32.0))
         main = [r for r in recs if r.name == "b2s_estimate"]
         cross = [r for r in recs if r.name == "avebd_crosscheck"]
         assert main and cross
@@ -126,8 +95,9 @@ class TestB2S:
 
 
 class TestExactX1Path:
-    """The closed-form layer integral and the x1-only differences against the
-    definitions through diff1, on admissible fields drawn from random samples:
+    """The closed-form layer integral and the x1-only differences of
+    verify_l3 and the hkm checks against the definitions through diff1 and
+    shift1, on admissible fields drawn from random samples:
     full band, so the Nyquist row carries mass.  energy_indep refuses such
     fields (no dealiasing headroom); only the difference side is under test,
     so it is replaced by a constant."""
@@ -154,7 +124,7 @@ class TestExactX1Path:
                    for i in range(nodes)) * (h / nodes)
         row_l2 = np.mean(diff1(w, h).samples ** 2, axis=0)
         with mock.patch.object(besov, "energy_indep", return_value=1.0):
-            b2s, avebd = verify_b2s(w, HGrid((h,)))
+            b2s, avebd = verify_b2s(w, (h,))
         assert b2s.lhs == pytest.approx(rows.max(), rel=1e-6)
         assert avebd.rhs == pytest.approx(4.0 / h * rows.max(), rel=1e-6)
         assert avebd.lhs == pytest.approx(row_l2.max(), rel=1e-12)
@@ -166,10 +136,39 @@ class TestExactX1Path:
     def test_l3_differences_match_diff1(self, shape, seed, hs):
         w = self.full_band(shape, seed)
         with mock.patch.object(besov, "energy_indep", return_value=1.0):
-            recs = verify_l3(w, HGrid(tuple(hs)))
+            recs = verify_l3(w, tuple(hs))
         for rec in recs:
             expected = np.mean(np.abs(diff1(w, rec.params["h"]).samples) ** 3)
             assert rec.lhs == pytest.approx(expected, rel=1e-12)
+
+    @staticmethod
+    def assert_close(actual, expected, scale):
+        """Within 1e-12 of expected relative to the larger of |expected| and
+        `scale`, the size of the terms before they cancel: on random fields
+        a mean of signed terms (or a central difference) can cancel to far
+        below their size, and roundoff scales with the terms."""
+        assert abs(actual - expected) <= 1e-12 * max(abs(expected), scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=SHAPES, seed=st.integers(0, 2 ** 32 - 1), h=st.floats(2.0 ** -9, 0.5))
+    def test_hkm_terms_match_diff1_and_shift1(self, shape, seed, h):
+        """eta of a full-band field is refused (no dealiasing headroom), so a
+        second full-band field stands in for it."""
+        w, e = self.full_band(shape, seed), self.full_band(shape, seed + 1)
+        with mock.patch.object(besov, "eta", return_value=e):
+            hkm2, hkm1 = hkm2_residual(w, h), hkm1_balance(w, h)
+        dw, de = diff1(w, h).samples, diff1(e, h).samples
+        lhs2 = -0.5 * dw ** 2 * shift1(d1(w), h).samples
+        self.assert_close(hkm2.lhs, np.mean(lhs2), np.mean(np.abs(lhs2)))
+        self.assert_close(hkm2.rhs, np.mean(de * dw), np.mean(np.abs(de * dw)))
+        dh = h / 100.0
+        cubed = [np.mean(np.abs(diff1(w, hh).samples) ** 3) for hh in (h + dh, h - dh)]
+        self.assert_close(hkm1.lhs, (cubed[0] - cubed[1]) / (2.0 * dh),
+                          (cubed[0] + cubed[1]) / (2.0 * dh))
+        rhs1 = -6.0 * de * np.abs(dw)
+        self.assert_close(hkm1.rhs, np.mean(rhs1), np.mean(np.abs(rhs1)))
+        assert hkm2.params == {"h": h}
+        assert hkm1.params == {"h": h, "dh": h / 100.0}
 
 
 class TestLp:
@@ -253,7 +252,7 @@ class TestShiftGroupLaw:
 class TestSerialization:
     def test_csv_and_json(self):
         w = sine1(GRID)
-        recs = verify_l3(w, HGrid((0.5,)))
+        recs = verify_l3(w, (0.5,))
         text = records_to_csv(recs)
         assert text.splitlines()[0].startswith("name,lhs,rhs")
         assert "l3_estimate" in records_to_json(recs)
@@ -262,7 +261,7 @@ class TestSerialization:
         # the degenerate record of each ratio estimate, key order included
         # (--format json writes params as built); b2s then has no avebd record
         z = AdmissibleField.zero(GRID)
-        recs = (verify_l3(z, HGrid((0.5,))) + verify_b2s(z, HGrid((0.5,)))
+        recs = (verify_l3(z, (0.5,)) + verify_b2s(z, (0.5,))
                 + [verify_lp(z, 2.0), verify_lp_eps(z, 2.0, 0.1)])
         params = [{"h": 0.5}, {"h": 0.5}, {"p": 2.0}, {"p": 2.0, "eps": 0.1}]
         expected = [

@@ -249,11 +249,16 @@ class TestSweep:
             assert abs(jump - 1.0 / 6.0) <= 1e-10
 
     def test_reproducible_bytes(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert run(["sweep", "--c", "0.5", "--eps", "0.25",
-                        "--grid", "256x16", "--out", str(out)]) == 0
-        assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+        """The sweep table and the besov records file, rerun, are the same
+        bytes."""
+        for argv, name in ((["sweep", "--c", "0.5", "--eps", "0.25", "--grid", "256x16"],
+                            "sweep.csv"),
+                           (["besov", "--grid", "64x64", "--kmax", "8"],
+                            "besov.csv")):
+            a, b = tmp_path / name / "a", tmp_path / name / "b"
+            codes = [run([*argv, "--out", str(out)]) for out in (a, b)]
+            assert codes[0] == codes[1] and (a / name).exists()
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 class TestConfigFile:

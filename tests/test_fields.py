@@ -53,6 +53,18 @@ class TestGridSpec:
 
 
 class TestTorusField:
+    def test_constructors_leave_the_callers_array_writeable(self):
+        g = GridSpec(8, 8)
+        H = np.random.default_rng(0).standard_normal(g.spectrum_shape) + 0j
+        samples = np.random.default_rng(1).standard_normal(g.shape)
+        f, s = TorusField.from_spectrum(g, H), TorusField.from_samples(g, samples)
+        kept, kept_samples = H.copy(), samples.copy()
+        H[0] = 0
+        samples[0] = 0
+        assert np.array_equal(f.spectrum, kept)
+        assert np.array_equal(s.samples, kept_samples)
+        assert not f.spectrum.flags.writeable and not s.samples.flags.writeable
+
     def test_roundtrip(self):
         g = GridSpec(32, 16)
         rng = np.random.default_rng(0)
