@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 import math
 from unittest import mock
@@ -14,7 +17,7 @@ from smectic.besov import (gradient_check, hkm1_balance, hkm2_residual, parseval
 from smectic.errors import DegenerateEnergy, NonAdmissibleInput
 from smectic.fields import (AdmissibleField, GridSpec, TorusField,
                             project_vanishing_x1_mean, random_band_limited)
-from smectic.operators import d1, diff1, eta, shift1
+from smectic.operators import d1, diff1, eta, shift1, shift_symbol
 
 GRID = GridSpec(256, 256)
 
@@ -141,6 +144,15 @@ class TestExactX1Path:
             expected = np.mean(np.abs(diff1(w, rec.params["h"]).samples) ** 3)
             assert rec.lhs == pytest.approx(expected, rel=1e-12)
 
+    @settings(max_examples=10, deadline=None)
+    @given(shape=SHAPES, seed=st.integers(0, 2 ** 32 - 1), h=st.floats(2.0 ** -9, 0.5))
+    def test_x1_samples_reproduce_the_field_its_translate_and_difference(self, shape, seed, h):
+        w = self.full_band(shape, seed)
+        c, sym = besov._x1_coefficients(w), shift_symbol(w.grid, h, axis=1)
+        scale = np.abs(w.samples).max()
+        for s, expected in ((1.0, w), (sym, shift1(w, h)), (sym - 1.0, diff1(w, h))):
+            assert np.abs(besov._x1_samples(c, s) - expected.samples).max() <= 1e-12 * scale
+
     @staticmethod
     def assert_close(actual, expected, scale):
         """Within 1e-12 of expected relative to the larger of |expected| and
@@ -256,6 +268,19 @@ class TestSerialization:
         text = records_to_csv(recs)
         assert text.splitlines()[0].startswith("name,lhs,rhs")
         assert "l3_estimate" in records_to_json(recs)
+
+    def test_csv_columns_follow_the_record_and_round_trip(self):
+        recs = verify_l3(random_band_limited(GRID, seed=3, kmax=8, amplitude=0.5),
+                         (0.5, 0.125))
+        rows = list(csv.reader(io.StringIO(records_to_csv(recs))))
+        assert rows[0] == [f.name for f in dataclasses.fields(besov.VerificationRecord)]
+        for rec, row in zip(recs, rows[1:], strict=True):
+            cells = dict(zip(rows[0], row, strict=True))
+            assert cells["name"] == rec.name
+            for key in ("lhs", "rhs", "ratio_or_residual", "tolerance"):
+                assert float(cells[key]) == getattr(rec, key)
+            assert json.loads(cells["params"]) == rec.params
+            assert cells["passed"] == str(int(rec.passed))
 
     def test_zero_field_ratio_records(self):
         # the degenerate record of each ratio estimate, key order included

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smectic import fields
 from smectic.besov import tail_mass
 from smectic.energy import energy_eps, gradient_eps
 from smectic.errors import NonAdmissibleInput
@@ -162,6 +165,17 @@ class TestHalfLayout:
         expected = mass[np.broadcast_to(outside, shape)].sum()
         assert tail_mass(f, *box) == pytest.approx(expected, rel=0.0, abs=1e-13 * total)
 
+
+    def test_relative_mass_of_an_exactly_zero_part_reads_nothing_else(self):
+        """An exactly zero part is 0.0 at once, without squaring the spectrum."""
+        g = GridSpec(8, 8)
+        spec = np.fft.rfft2(np.random.default_rng(0).standard_normal(g.shape))
+        spec[0, :] = 0.0
+        with mock.patch.object(fields, "_scaled_squares") as squares:
+            assert relative_mass(spec, 0) == 0.0
+            squares.assert_not_called()
+        spec[0, 1] = 1e-12
+        assert 0.0 < relative_mass(spec, 0) < 1e-12
 
 class TestAdmissibility:
     def test_gate(self):
