@@ -88,15 +88,6 @@ class SweepRecord:
     bracketed: bool
     at_bound: bool
 
-    def csv_row(self) -> list[str]:
-        return [repr(self.eps), repr(self.delta_star), repr(self.energy_eps),
-                repr(self.jump_cost), repr(self.gap), repr(self.n_evals),
-                str(int(self.bracketed)), str(int(self.at_bound))]
-
-
-SWEEP_CSV_HEADER = ["eps", "delta_star", "energy_eps", "jump_cost", "gap",
-                    "n_evals", "bracketed", "at_bound"]
-
 
 def minimize_scalar(fun, **kwargs):
     """scipy.optimize.minimize_scalar, imported on first call so that no

@@ -8,11 +8,8 @@ and refinement stability by the caller.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,26 +39,6 @@ class VerificationRecord:
         """Record of an identity or a check: it passes iff residual <= tol."""
         return cls(name=name, lhs=lhs, rhs=rhs, ratio_or_residual=residual,
                    params=params, passed=bool(residual <= tol), tolerance=tol)
-
-    def to_dict(self) -> dict:
-        """The fields by name, in declaration order: both formats' column order."""
-        return asdict(self)
-
-
-def records_to_json(records: list[VerificationRecord]) -> str:
-    return json.dumps([r.to_dict() for r in records], indent=2)
-
-
-def records_to_csv(records: list[VerificationRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(f.name for f in fields(VerificationRecord))
-    for r in records:
-        # params as sorted JSON, passed as 0/1, numbers by repr (exact round trip)
-        row = {**r.to_dict(), "params": json.dumps(r.params, sort_keys=True),
-               "passed": int(r.passed)}
-        writer.writerow(v if isinstance(v, (str, int)) else repr(v) for v in row.values())
-    return buf.getvalue()
 
 
 def _mean(samples: np.ndarray) -> float:

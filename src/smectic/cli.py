@@ -1,5 +1,6 @@
 """Command-line front end: verification suites, energy evaluation, sweeps,
 minimization, and tail diagnostics, with CSV/JSON outputs and a run manifest.
+Every output file goes through `_encode`; the library modules return data.
 
 Exit codes: 0 all pass-gated records passed, 1 at least one record failed,
 2 usage or configuration error.  Outputs are written atomically (temp file +
@@ -10,7 +11,8 @@ data files are byte-identical across reruns of the same config.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import csv
+import io
 import json
 import os
 import sys
@@ -19,11 +21,10 @@ import time
 from importlib import metadata
 from pathlib import Path
 
-from .ansatz import SWEEP_CSV_HEADER, eps_sweep, vertical_two_shock
+from .ansatz import eps_sweep, vertical_two_shock
 from .besov import (VerificationRecord, adjointness, gradient_check,
-                    hkm1_balance, hkm2_residual, parseval, records_to_csv,
-                    records_to_json, shift_group_law, tail_decay, verify_b2s,
-                    verify_l3, verify_lp, verify_lp_eps)
+                    hkm1_balance, hkm2_residual, parseval, shift_group_law,
+                    tail_decay, verify_b2s, verify_l3, verify_lp, verify_lp_eps)
 from .energy import energy_eps
 from .entropy import (JumpProfile, div_sigma_identity, div_sigma_jump_measure,
                       field_records, jump_cost, rankine_hugoniot_check)
@@ -71,12 +72,40 @@ def _at_least(low: int):
     return parse
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _plain(obj):
+    """json.dumps default: a GridSpec as [n1, n2], a dataclass by its fields
+    (vars raises the TypeError json.dumps expects on an object with no __dict__)."""
+    return [obj.n1, obj.n2] if isinstance(obj, GridSpec) else vars(obj)
+
+
+def _cell(value):
+    """A CSV cell: a dict as sorted JSON, a bool as 0/1, a str or int as is, a float by repr."""
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    if isinstance(value, bool):
+        return int(value)
+    return value if isinstance(value, (str, int)) else repr(value)
+
+
+def _encode(name: str, data) -> str:
+    """The text of output file `name`: indented JSON for a .json name, else a CSV
+    table of the dict rows `data` under the first row's keys; LF ends every line."""
+    if name.endswith(".json"):
+        return json.dumps(data, indent=2, default=_plain) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(data[0])
+    writer.writerows([_cell(v) for v in row.values()] for row in data)
+    return buf.getvalue()
+
+
+def _write(path: Path, data) -> None:
+    """Write `_encode(path.name, data)` atomically: temp file, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(_encode(path.name, data))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -91,7 +120,7 @@ def _manifest(out: Path, args: argparse.Namespace, t0: float, exit_code: int,
     except metadata.PackageNotFoundError:
         version = "unknown"
     config = {k: (repr(v) if isinstance(v, GridSpec) else v) for k, v in vars(args).items()}
-    _atomic_write(out / "manifest.json", json.dumps({
+    _write(out / "manifest.json", {
         "command": args.command,
         "config": config,
         "version": version,
@@ -99,7 +128,7 @@ def _manifest(out: Path, args: argparse.Namespace, t0: float, exit_code: int,
         "error": error,
         "elapsed_seconds": time.time() - t0,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }, indent=2) + "\n")
+    })
 
 
 # -- commands ----------------------------------------------------------------
@@ -127,8 +156,7 @@ def _cmd_verify(args) -> tuple[list[VerificationRecord], dict]:
 
 def _cmd_energy(args) -> tuple[list[VerificationRecord], dict]:
     report = energy_eps(_input_field(args), args.eps[0])
-    reports = {repr(eps): dataclasses.asdict(report.at_eps(eps)) for eps in args.eps}
-    return [], {"energy.json": json.dumps(reports, indent=2) + "\n"}
+    return [], {"energy.json": {repr(eps): report.at_eps(eps) for eps in args.eps}}
 
 
 def _cmd_besov(args) -> tuple[list[VerificationRecord], dict]:
@@ -146,10 +174,10 @@ def _cmd_entropy(args) -> tuple[list[VerificationRecord], dict]:
     records = rankine_hugoniot_check(profile)
     extra = {}
     if all(r.passed for r in records):
-        extra["entropy.json"] = json.dumps({
+        extra["entropy.json"] = {
             "jump_cost": jump_cost(profile),
             "div_sigma_jump_measure": div_sigma_jump_measure(profile),
-        }, indent=2) + "\n"
+        }
     if args.field:
         records += field_records(_input_field(args), args.eps)
     return records, extra
@@ -157,8 +185,9 @@ def _cmd_entropy(args) -> tuple[list[VerificationRecord], dict]:
 
 def _cmd_sweep(args) -> tuple[list[VerificationRecord], dict]:
     recs = eps_sweep(vertical_two_shock(args.c), args.eps, args.grid)
-    lines = [",".join(SWEEP_CSV_HEADER)] + [",".join(r.csv_row()) for r in recs]
-    return [], {"sweep.csv": "\n".join(lines) + "\n"}
+    # the grid is the --grid flag's, the same on every row
+    return [], {"sweep.csv": [{k: v for k, v in vars(r).items() if k != "grid"}
+                              for r in recs]}
 
 
 def _cmd_minimize(args) -> tuple[list[VerificationRecord], dict]:
@@ -166,18 +195,16 @@ def _cmd_minimize(args) -> tuple[list[VerificationRecord], dict]:
     try:
         w, report = minimize(_input_field(args, amplitude=0.05), args.eps, opts)
     except LineSearchFailure as exc:
-        _atomic_write(Path(args.out) / "minimize.json", exc.report.to_json() + "\n")
+        _write(Path(args.out) / "minimize.json", exc.report)
         raise
     if args.save_final:
         save_field(w, Path(args.out) / "final")
-    return ([report.monotone_record(args.eps)],
-            {"minimize.json": report.to_json() + "\n"})
+    return [report.monotone_record(args.eps)], {"minimize.json": report}
 
 
 def _cmd_tail(args) -> tuple[list[VerificationRecord], dict]:
     masses, records = tail_decay(_input_field(args))
-    lines = ["m,tail_mass"] + [f"{m},{t!r}" for m, t in masses.items()]
-    return records, {"tail.csv": "\n".join(lines) + "\n"}
+    return records, {"tail.csv": [{"m": m, "tail_mass": t} for m, t in masses.items()]}
 
 
 #: the files the commands write themselves, whatever their verdict
@@ -288,10 +315,9 @@ def main(argv: list[str] | None = None) -> int:
         name = f"{args.command}.{args.format}"
         if name in _OWN_FILES:
             name = f"{args.command}_records.{args.format}"
-        to_text = records_to_csv if args.format == "csv" else records_to_json
-        _atomic_write(out / name, to_text(records))
-    for name, text in extra.items():
-        _atomic_write(out / name, text)
+        _write(out / name, [vars(r) for r in records])
+    for name, data in extra.items():
+        _write(out / name, data)
     n_fail = sum(not r.passed for r in records)
     code = EXIT_FAIL if n_fail else EXIT_PASS
     _manifest(out, args, t0, code)

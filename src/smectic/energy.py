@@ -11,8 +11,7 @@ energy_eps over eps > 0 (AM-GM).
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .fields import AdmissibleField, project_vanishing_x1_mean
 from .operators import d1, d2, eta_with_residual, inv_abs_d1, multiply_dealiased
@@ -47,9 +46,6 @@ class EnergyReport:
         compression and bending changes, so no field is evaluated."""
         return self.weighted(self.compression, self.bending, eps,
                              self.eta_k1zero_residual)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def energy_eps(w: AdmissibleField, eps: float) -> EnergyReport:

@@ -100,7 +100,7 @@ def _held(a: np.ndarray, dtype) -> np.ndarray:
     return _freeze(a.copy() if a.flags.writeable else a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusField:
     """Real scalar field on the torus, held as samples and/or coefficients.
 
@@ -108,14 +108,14 @@ class TorusField:
     first access and cached.  Instances are immutable; every operation in this
     package returns a new field.  The Burgers quantity is cached the same
     way: the first successful operators.eta_with_residual(w) stores it in
-    `_eta`, and since w never changes, it cannot go stale.
+    `_eta`, and since w never changes, it cannot go stale.  Fields compare
+    (and hash) by identity, as the dedupe of operators._padded_product does.
     """
 
     grid: GridSpec
     _samples: np.ndarray | None = field(default=None, repr=False)
     _spectrum: np.ndarray | None = field(default=None, repr=False)
-    _eta: tuple[AdmissibleField, float] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _eta: tuple[AdmissibleField, float] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self._samples is None and self._spectrum is None:

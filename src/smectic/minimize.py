@@ -8,7 +8,6 @@ perturb the energy landscape away from the pins).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +55,6 @@ class MinimizeReport:
     grid: GridSpec  # the grid the descent ran on
     step_history: list[float]  # per iteration: the step taken, 0.0 if none
     backtrack_history: list[int]  # per iteration: the Armijo halvings
-
-    def to_json(self) -> str:
-        return json.dumps(dict(self.__dict__, final_energy=self.final_energy.__dict__,
-                               grid=[self.grid.n1, self.grid.n2]), indent=2)
 
     def monotone_record(self, eps: float) -> VerificationRecord:
         """minimize_monotone: residual 0 if the energy history never rises,

@@ -89,15 +89,6 @@ class TestEpsSweep:
                     e = energy_eps(mollify(vertical_two_shock(0.5), d, g), r.eps).energy_eps
                     assert r.energy_eps <= e * (1 + 1e-9)
 
-    def test_csv_row(self):
-        g = GridSpec(256, 8)
-        rec = eps_sweep(vertical_two_shock(0.5), [0.25], g)[0]
-        row = rec.csv_row()
-        assert len(row) == 8
-        assert float(row[0]) == 0.25
-        assert row[5:] == [repr(rec.n_evals), str(int(rec.bracketed)),
-                           str(int(rec.at_bound))]
-
     def test_reports_how_each_optimum_was_found(self):
         # at 2^-6 and 2^-7 the best of the 16 probes is the 1/8 cap, so
         # neither runs golden section; at 2^-7 the probes also hold an

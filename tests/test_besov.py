@@ -1,7 +1,3 @@
-import csv
-import dataclasses
-import io
-import json
 import math
 from unittest import mock
 
@@ -12,8 +8,8 @@ from hypothesis import strategies as st
 
 from smectic import besov
 from smectic.besov import (gradient_check, hkm1_balance, hkm2_residual, parseval,
-                           records_to_csv, records_to_json, shift_group_law, tail_mass,
-                           verify_b2s, verify_l3, verify_lp, verify_lp_eps)
+                           shift_group_law, tail_mass, verify_b2s, verify_l3, verify_lp,
+                           verify_lp_eps)
 from smectic.errors import DegenerateEnergy, NonAdmissibleInput
 from smectic.fields import (AdmissibleField, GridSpec, TorusField,
                             project_vanishing_x1_mean, random_band_limited)
@@ -260,38 +256,3 @@ class TestShiftGroupLaw:
         if not w.spectrum.any():
             assert rec.ratio_or_residual == 0.0
 
-
-class TestSerialization:
-    def test_csv_and_json(self):
-        w = sine1(GRID)
-        recs = verify_l3(w, (0.5,))
-        text = records_to_csv(recs)
-        assert text.splitlines()[0].startswith("name,lhs,rhs")
-        assert "l3_estimate" in records_to_json(recs)
-
-    def test_csv_columns_follow_the_record_and_round_trip(self):
-        recs = verify_l3(random_band_limited(GRID, seed=3, kmax=8, amplitude=0.5),
-                         (0.5, 0.125))
-        rows = list(csv.reader(io.StringIO(records_to_csv(recs))))
-        assert rows[0] == [f.name for f in dataclasses.fields(besov.VerificationRecord)]
-        for rec, row in zip(recs, rows[1:], strict=True):
-            cells = dict(zip(rows[0], row, strict=True))
-            assert cells["name"] == rec.name
-            for key in ("lhs", "rhs", "ratio_or_residual", "tolerance"):
-                assert float(cells[key]) == getattr(rec, key)
-            assert json.loads(cells["params"]) == rec.params
-            assert cells["passed"] == str(int(rec.passed))
-
-    def test_zero_field_ratio_records(self):
-        # the degenerate record of each ratio estimate, key order included
-        # (--format json writes params as built); b2s then has no avebd record
-        z = AdmissibleField.zero(GRID)
-        recs = (verify_l3(z, (0.5,)) + verify_b2s(z, (0.5,))
-                + [verify_lp(z, 2.0), verify_lp_eps(z, 2.0, 0.1)])
-        params = [{"h": 0.5}, {"h": 0.5}, {"p": 2.0}, {"p": 2.0, "eps": 0.1}]
-        expected = [
-            {"name": name, "lhs": 0.0, "rhs": 0.0, "ratio_or_residual": 0.0,
-             "params": {**par, "degenerate": True}, "passed": True, "tolerance": 0.0}
-            for name, par in zip(("l3_estimate", "b2s_estimate", "lp_estimate",
-                                  "lp_eps_estimate"), params)]
-        assert records_to_json(recs) == json.dumps(expected, indent=2)

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -9,13 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smectic import ansatz
+from smectic import ansatz, cli
 from smectic import minimize as minimize_module
-from smectic.cli import main
-from smectic.energy import gradient_eps
+from smectic.besov import (VerificationRecord, verify_b2s, verify_l3, verify_lp,
+                           verify_lp_eps)
+from smectic.cli import _encode, main
+from smectic.energy import EnergyReport, energy_eps, gradient_eps
 from smectic.entropy import Interface, JumpProfile
-from smectic.fields import (GridSpec, TorusField, inner, load_field,
+from smectic.fields import (AdmissibleField, GridSpec, TorusField, inner, load_field,
                             random_band_limited, save_field)
+from smectic.minimize import MinimizeOptions, minimize
 from smectic.operators import d1
 
 
@@ -149,13 +154,12 @@ class TestRecordsFile:
     }
 
     # energy and sweep make no records and read no --format
-    @pytest.mark.parametrize("command,fmt", [
+    COMMANDS = pytest.mark.parametrize("command,fmt", [
         (c, f) for c in sorted(RECORD_NAMES) if RECORD_NAMES[c] for f in ("csv", "json")
     ] + [("energy", None), ("sweep", None)])
-    def test_records_file_holds_the_records(self, tmp_path, capsys, command, fmt):
-        """Records go to <command>.<format>, or to <command>_records.<format>
-        when the command writes <command>.<format> itself; no file is
-        overwritten."""
+
+    def run_command(self, tmp_path, command, fmt) -> Path:
+        """Run `command` on its small inputs; returns the --out directory."""
         save_field(random_band_limited(GridSpec(32, 32), seed=1, kmax=4, amplitude=0.5),
                    tmp_path / "w")
         out = tmp_path / "out"
@@ -163,6 +167,14 @@ class TestRecordsFile:
         if fmt is not None:
             argv += ["--format", fmt]
         run([command] + argv + ["--out", str(out)])
+        return out
+
+    @COMMANDS
+    def test_records_file_holds_the_records(self, tmp_path, capsys, command, fmt):
+        """Records go to <command>.<format>, or to <command>_records.<format>
+        when the command writes <command>.<format> itself; no file is
+        overwritten."""
+        out = self.run_command(tmp_path, command, fmt)
         summary = capsys.readouterr().out.split()
         written = {p.name for p in out.iterdir()} - {"manifest.json"}
         if fmt is None:
@@ -179,6 +191,83 @@ class TestRecordsFile:
             records = json.loads(text)
         assert len(records) == int(summary[1].split("/")[1])
         assert {r["name"] for r in records} == RECORD_NAMES[command]
+
+    @COMMANDS
+    def test_every_file_ends_its_lines_in_lf(self, tmp_path, command, fmt):
+        """Every CSV and JSON file, the manifest too, holds no CR and ends in
+        exactly one LF."""
+        for path in self.run_command(tmp_path, command, fmt).iterdir():
+            data = path.read_bytes()
+            assert b"\r" not in data, path.name
+            assert data.endswith(b"\n") and not data.endswith(b"\n\n"), path.name
+
+
+class TestEncode:
+    """The one encoder of every output file, on the data the commands hand it."""
+
+    def test_records_csv_columns_follow_the_record_and_round_trip(self):
+        recs = verify_l3(random_band_limited(GridSpec(256, 256), seed=3, kmax=8,
+                                             amplitude=0.5), (0.5, 0.125))
+        rows = list(csv.reader(io.StringIO(_encode("besov.csv", [vars(r) for r in recs]))))
+        assert rows[0] == [f.name for f in dataclasses.fields(VerificationRecord)]
+        for rec, row in zip(recs, rows[1:], strict=True):
+            cells = dict(zip(rows[0], row, strict=True))
+            assert cells["name"] == rec.name
+            for key in ("lhs", "rhs", "ratio_or_residual", "tolerance"):
+                assert float(cells[key]) == getattr(rec, key)
+            assert json.loads(cells["params"]) == rec.params
+            assert cells["passed"] == str(int(rec.passed))
+
+    def test_zero_field_ratio_records_json(self):
+        # the degenerate record of each ratio estimate, key order included
+        # (--format json writes params as built); b2s then has no avebd record
+        z = AdmissibleField.zero(GridSpec(256, 256))
+        recs = (verify_l3(z, (0.5,)) + verify_b2s(z, (0.5,))
+                + [verify_lp(z, 2.0), verify_lp_eps(z, 2.0, 0.1)])
+        params = [{"h": 0.5}, {"h": 0.5}, {"p": 2.0}, {"p": 2.0, "eps": 0.1}]
+        expected = [
+            {"name": name, "lhs": 0.0, "rhs": 0.0, "ratio_or_residual": 0.0,
+             "params": {**par, "degenerate": True}, "passed": True, "tolerance": 0.0}
+            for name, par in zip(("l3_estimate", "b2s_estimate", "lp_estimate",
+                                  "lp_eps_estimate"), params)]
+        assert (_encode("besov.json", [vars(r) for r in recs])
+                == json.dumps(expected, indent=2) + "\n")
+
+    def test_sweep_row_cells(self, monkeypatch):
+        """The sweep table leaves out the grid; counts are ints, flags 0/1."""
+        rec = ansatz.SweepRecord(eps=0.25, delta_star=0.1, energy_eps=0.2,
+                                 jump_cost=1.0 / 6.0, gap=0.2 - 1.0 / 6.0,
+                                 grid=GridSpec(256, 8), n_evals=19, bracketed=True,
+                                 at_bound=False)
+        monkeypatch.setattr(cli, "eps_sweep", lambda p, eps, grid: [rec])
+        _, files = cli._cmd_sweep(argparse.Namespace(c=0.5, eps=[0.25],
+                                                     grid=GridSpec(256, 8)))
+        assert _encode("sweep.csv", files["sweep.csv"]) == (
+            "eps,delta_star,energy_eps,jump_cost,gap,n_evals,bracketed,at_bound\n"
+            f"0.25,0.1,0.2,{1.0 / 6.0!r},{0.2 - 1.0 / 6.0!r},19,1,0\n")
+
+    @pytest.mark.parametrize("pins,max_iters", [(0, 5), (4, 30)])
+    def test_minimize_report_json(self, pins, max_iters):
+        grid = GridSpec(64, 64)
+        w0 = random_band_limited(grid, seed=15, kmax=8, amplitude=0.2)
+        _, rep = minimize(w0, 0.0625, MinimizeOptions(max_iters=max_iters, pins=pins))
+        data = json.loads(_encode("minimize.json", rep))
+        assert list(data) == [f.name for f in dataclasses.fields(rep)]
+        assert data["grid"] == [64, 64]
+        assert data["step_history"] == rep.step_history
+        assert data["backtrack_history"] == rep.backtrack_history
+        assert data["termination"] == rep.termination
+        assert data["final_energy"] == dataclasses.asdict(rep.final_energy)
+
+    def test_energy_json_fields(self):
+        report = energy_eps(random_band_limited(GridSpec(32, 32), seed=1, kmax=4,
+                                                amplitude=0.5), 0.25)
+        data = json.loads(_encode("energy.json", {"0.25": report, "0.5": report.at_eps(0.5)}))
+        assert list(data) == ["0.25", "0.5"]
+        assert list(data["0.25"]) == [f.name for f in dataclasses.fields(EnergyReport)]
+        assert data["0.25"] == dataclasses.asdict(report)
+        assert data["0.5"]["eps"] == 0.5
+        assert data["0.25"]["eta_k1zero_residual"] <= 1e-12
 
 
 class TestVerify:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -54,12 +52,6 @@ class TestClosedForms:
             energy_eps(sine1(GRID), 0.0)
         with pytest.raises(ValueError):
             gradient_eps(sine1(GRID), -1.0)
-
-    def test_report_json(self):
-        rep = energy_eps(sine1(GRID), 0.25)
-        data = json.loads(rep.to_json())
-        assert data["eps"] == 0.25
-        assert data["eta_k1zero_residual"] <= 1e-12
 
 
 class TestGradient:

@@ -68,6 +68,14 @@ class TestTorusField:
         assert np.array_equal(s.samples, kept_samples)
         assert not f.spectrum.flags.writeable and not s.samples.flags.writeable
 
+    def test_equal_arrays_make_distinct_fields(self):
+        """Fields compare by identity: two fields of equal but distinct
+        arrays are unequal, and == compares no arrays (which would raise)."""
+        g = GridSpec(8, 8)
+        samples = np.random.default_rng(2).standard_normal(g.shape)
+        f, twin = (TorusField.from_samples(g, samples.copy()) for _ in range(2))
+        assert f == f and f != twin and not f == twin
+
     def test_roundtrip(self):
         g = GridSpec(32, 16)
         rng = np.random.default_rng(0)

