@@ -16,23 +16,22 @@ from .energy import EnergyReport, energy_eps, energy_indep, gradient_eps
 from .errors import (BandLimitExceeded, DegenerateEnergy, IncompatibleProfile,
                      LineSearchFailure, NonAdmissibleInput, SmecticError,
                      WidthOutOfRange)
-from .fields import (AdmissibleField, GridSpec, TorusField, as_admissible,
-                     inner, load_field, project_vanishing_x1_mean,
-                     random_band_limited, regrid, require_admissible,
-                     save_field)
+from .fields import (GridSpec, TorusField, as_admissible, inner, load_field,
+                     project_vanishing_x1_mean, random_band_limited, regrid,
+                     require_admissible, save_field)
 from .operators import (cube_dealiased, d1, d2, diff1, diff2, eta,
                         frac_abs_d1, inv_abs_d1, multiply_dealiased, shift1,
                         shift2, square_dealiased)
 
 __all__ = [
-    "AdmissibleField", "BandLimitExceeded", "DegenerateEnergy", "EnergyReport",
-    "GridSpec", "IncompatibleProfile", "LineSearchFailure", "NonAdmissibleInput", "SmecticError", "TorusField",
-    "WidthOutOfRange", "as_admissible", "cube_dealiased", "d1", "d2", "diff1",
-    "diff2", "energy_eps", "energy_indep", "eta", "frac_abs_d1",
-    "gradient_eps", "inner", "inv_abs_d1", "load_field",
-    "multiply_dealiased", "project_vanishing_x1_mean", "random_band_limited",
-    "regrid", "require_admissible", "save_field", "shift1", "shift2",
-    "square_dealiased",
+    "BandLimitExceeded", "DegenerateEnergy", "EnergyReport", "GridSpec",
+    "IncompatibleProfile", "LineSearchFailure", "NonAdmissibleInput",
+    "SmecticError", "TorusField", "WidthOutOfRange", "as_admissible",
+    "cube_dealiased", "d1", "d2", "diff1", "diff2", "energy_eps",
+    "energy_indep", "eta", "frac_abs_d1", "gradient_eps", "inner",
+    "inv_abs_d1", "load_field", "multiply_dealiased",
+    "project_vanishing_x1_mean", "random_band_limited", "regrid",
+    "require_admissible", "save_field", "shift1", "shift2", "square_dealiased",
 ]
 
 __version__ = "0.1.0"

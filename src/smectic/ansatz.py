@@ -12,7 +12,7 @@ import numpy as np
 from .energy import energy_eps
 from .entropy import Interface, JumpProfile, jump_cost
 from .errors import WidthOutOfRange
-from .fields import AdmissibleField, GridSpec
+from .fields import GridSpec, TorusField
 
 #: log-spaced widths probed before golden section refines the best of them
 N_BRACKET_PROBE = 16
@@ -44,7 +44,7 @@ def _vertical_jumps(p: JumpProfile) -> list[tuple[float, float]]:
     return sorted(jumps)
 
 
-def mollify(p: JumpProfile, delta: float, grid: GridSpec) -> AdmissibleField:
+def mollify(p: JumpProfile, delta: float, grid: GridSpec) -> TorusField:
     """Gaussian mollification (width delta) of an x2-independent profile.
 
     The smoothed profile is evaluated in closed form as a superposition of
@@ -66,7 +66,7 @@ def mollify(p: JumpProfile, delta: float, grid: GridSpec) -> AdmissibleField:
         for image in (-2, -1, 0, 1, 2):
             w += 0.5 * j * erf((x - a - image) * scale)
     w -= np.mean(w)
-    return AdmissibleField.from_samples(grid, np.repeat(w[:, None], grid.n2, axis=1))
+    return TorusField.from_samples(grid, np.repeat(w[:, None], grid.n2, axis=1))
 
 
 @dataclass(frozen=True)

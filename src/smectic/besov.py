@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateEnergy
 from .energy import energy_eps, energy_indep, gradient_eps
-from .fields import AdmissibleField, TorusField, as_admissible, inner, mode_masses
+from .fields import TorusField, as_admissible, inner, mode_masses
 from .operators import d1, eta, shift1, shift_symbol
 
 
@@ -70,7 +70,7 @@ def shift_group_law(w: TorusField, params: dict) -> VerificationRecord:
     return VerificationRecord.checked("shift_group_law", res, 0.0, res, 1e-12, params)
 
 
-def hkm2_residual(w: AdmissibleField, h: float) -> VerificationRecord:
+def hkm2_residual(w: TorusField, h: float) -> VerificationRecord:
     """x2-integrated cubic balance law: exact identity for smooth fields.
 
     -(1/6) d/dh int (diff1 w)^3 = int diff1(eta_w) * diff1(w), with the
@@ -85,7 +85,7 @@ def hkm2_residual(w: AdmissibleField, h: float) -> VerificationRecord:
                                       1e-8 * (1.0 + w.l2() ** 3), {"h": h})
 
 
-def hkm1_balance(w: AdmissibleField, h: float) -> VerificationRecord:
+def hkm1_balance(w: TorusField, h: float) -> VerificationRecord:
     """Absolute-value cubic balance law, h-derivative by central differences.
 
     d/dh int |diff1 w|^3 = -6 int diff1(eta_w) * |diff1 w|; the |.| term
@@ -137,7 +137,7 @@ def _x1_samples(c: np.ndarray, sym: np.ndarray) -> np.ndarray:
     return np.fft.irfft(c * sym, n=n1, axis=0) * n1
 
 
-def verify_l3(w: AdmissibleField,
+def verify_l3(w: TorusField,
               hs: tuple[float, ...] = DEFAULT_HGRID) -> list[VerificationRecord]:
     """Cubed-difference estimate: int |diff1(w, h)|^3 <= C * h * E(w)."""
     e_val, c = energy_indep(w), _x1_coefficients(w)
@@ -149,7 +149,7 @@ def verify_l3(w: AdmissibleField,
     return records
 
 
-def verify_b2s(w: AdmissibleField,
+def verify_b2s(w: TorusField,
                hs: tuple[float, ...] = DEFAULT_HGRID) -> list[VerificationRecord]:
     """Layer estimate: sup over x2 of the (0, h] difference-mass is bounded by
     h E + h^(5/3) E^(2/3); also cross-checks the elementary averaging bound
@@ -197,7 +197,7 @@ def verify_b2s(w: AdmissibleField,
     return records
 
 
-def verify_lp(w: AdmissibleField, p: float) -> VerificationRecord:
+def verify_lp(w: TorusField, p: float) -> VerificationRecord:
     """||w||_Lp against the eps-independent energy; the measured ratio plays
     the role of the unknown constant C(p)."""
     if not 1.0 <= p < 10.0 / 3.0:
@@ -208,7 +208,7 @@ def verify_lp(w: AdmissibleField, p: float) -> VerificationRecord:
     return _ratio_record("lp_estimate", w.lp(p), rhs, e_val, {"p": p})
 
 
-def verify_lp_eps(w: AdmissibleField, p: float, eps: float) -> VerificationRecord:
+def verify_lp_eps(w: TorusField, p: float, eps: float) -> VerificationRecord:
     """||w||_Lp against the eps-energy (valid for the wider range p < 6)."""
     if not 1.0 <= p < 6.0:
         raise ValueError(f"p must lie in [1, 6), got {p}")
@@ -218,7 +218,7 @@ def verify_lp_eps(w: AdmissibleField, p: float, eps: float) -> VerificationRecor
     return _ratio_record("lp_eps_estimate", w.lp(p), rhs, e_val, {"p": p, "eps": eps})
 
 
-def gradient_check(w: AdmissibleField, v: AdmissibleField, eps: float,
+def gradient_check(w: TorusField, v: TorusField, eps: float,
                    params: dict | None = None) -> VerificationRecord:
     """Central finite difference (step 1e-5) of energy_eps along v against the
     analytic pairing <gradient_eps(w), v>, at relative tolerance 1e-5; the

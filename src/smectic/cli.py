@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -29,7 +30,7 @@ from .energy import energy_eps
 from .entropy import (JumpProfile, div_sigma_identity, div_sigma_jump_measure,
                       field_records, jump_cost, rankine_hugoniot_check)
 from .errors import LineSearchFailure, SmecticError
-from .fields import (AdmissibleField, GridSpec, as_admissible, load_field,
+from .fields import (GridSpec, TorusField, as_admissible, load_field,
                      random_band_limited, save_field)
 from .minimize import MinimizeOptions, minimize
 
@@ -46,19 +47,33 @@ def _parse_grid(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError(f"expected N1xN2, got {text!r}: {exc}") from exc
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float; nan, inf and a literal beyond the float
+    range (1e400) are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+_finite.__name__ = "float"  # argparse names the type in its error messages
+
+
 def _parse_eps_list(text: str) -> list[float]:
-    """Either a single float or a dyadic range `2^-a..2^-b`."""
+    """Either a single value or a dyadic range `2^-a..2^-b`, every value finite."""
     try:
         if ".." not in text:
-            return [float(text)]
+            return [_finite(text)]
         lo, hi = text.split("..")
         if not (lo.startswith("2^") and hi.startswith("2^")):
             raise ValueError("range endpoints must be dyadic 2^-k")
         a, b = int(lo[2:]), int(hi[2:])
+        step = -1 if a > b else 1
+        return [2.0 ** e for e in range(a, b + step, step)]
+    except OverflowError as exc:  # 2.0 ** e beyond the float range
+        raise argparse.ArgumentTypeError(f"{text!r}: must be finite, a power overflows") from exc
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
-    step = -1 if a > b else 1
-    return [2.0 ** e for e in range(a, b + step, step)]
 
 
 def _at_least(low: int):
@@ -133,7 +148,7 @@ def _manifest(out: Path, args: argparse.Namespace, t0: float, exit_code: int,
 
 # -- commands ----------------------------------------------------------------
 
-def _input_field(args, seed: int = 0, amplitude: float = 0.5) -> AdmissibleField:
+def _input_field(args, seed: int = 0, amplitude: float = 0.5) -> TorusField:
     """The --field file when given, else a random band-limited field drawn
     with --seed plus `seed`."""
     if getattr(args, "field", None):
@@ -217,8 +232,8 @@ _FLAGS = {
     "seed": {"type": int, "default": 0},
     "eps": {"type": _parse_eps_list, "default": "0.0625",
             "help": "single value or dyadic range 2^-a..2^-b"},
-    "p": {"type": float, "default": 2.0},
-    "c": {"type": float, "default": 0.5},
+    "p": {"type": _finite, "default": 2.0},
+    "c": {"type": _finite, "default": 0.5},
     "kmax": {"type": _at_least(1), "default": 16},
     "nfields": {"type": _at_least(1), "default": 5},
     "max-iters": {"type": _at_least(0), "default": 500},
@@ -232,7 +247,7 @@ _FLAGS = {
     "config": {"default": None, "help": "JSON config file; flags override"},
 }
 #: minimize descends at a single eps
-_MINIMIZE_EPS = {"type": float, "default": 0.0625}
+_MINIMIZE_EPS = {"type": _finite, "default": 0.0625}
 
 #: command -> (handler, the flags it reads besides --out and --config)
 _COMMANDS = {

@@ -11,9 +11,10 @@ energy_eps over eps > 0 (AM-GM).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .fields import AdmissibleField, project_vanishing_x1_mean
+from .fields import TorusField, project_vanishing_x1_mean
 from .operators import d1, d2, eta_with_residual, inv_abs_d1, multiply_dealiased
 
 
@@ -30,8 +31,8 @@ class EnergyReport:
     def weighted(cls, compression: float, bending: float, eps: float,
                  eta_k1zero_residual: float) -> EnergyReport:
         """The report of a field with this compression and bending at eps."""
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {eps}")
         return cls(
             compression=compression,
             bending=bending,
@@ -48,18 +49,18 @@ class EnergyReport:
                              self.eta_k1zero_residual)
 
 
-def energy_eps(w: AdmissibleField, eps: float) -> EnergyReport:
+def energy_eps(w: TorusField, eps: float) -> EnergyReport:
     """Evaluate the eps-energy of w with all diagnostics."""
     e, residual = eta_with_residual(w)
     return EnergyReport.weighted(inv_abs_d1(e).l2() ** 2, d1(w).l2() ** 2, eps, residual)
 
 
-def energy_indep(w: AdmissibleField) -> float:
+def energy_indep(w: TorusField) -> float:
     """sqrt(compression * bending) = min over eps > 0 of energy_eps."""
     return energy_eps(w, 1.0).energy_indep
 
 
-def gradient_eps(w: AdmissibleField, eps: float) -> AdmissibleField:
+def gradient_eps(w: TorusField, eps: float) -> TorusField:
     """L^2 gradient of energy_eps at w, projected onto the admissible subspace.
 
     Derived from the adjoint of the linearization
@@ -70,8 +71,8 @@ def gradient_eps(w: AdmissibleField, eps: float) -> AdmissibleField:
     Validated against central finite differences of energy_eps (see the test
     suite); do not modify one without the other.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     e, _ = eta_with_residual(w)
     big_g = inv_abs_d1(inv_abs_d1(e))
     compression_part = multiply_dealiased(w, d1(big_g)) - d2(big_g)

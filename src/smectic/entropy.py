@@ -19,7 +19,7 @@ import numpy as np
 from .besov import VerificationRecord
 from .energy import energy_eps
 from .errors import IncompatibleProfile
-from .fields import AdmissibleField, TorusField
+from .fields import TorusField
 from .operators import cube_dealiased, d1, d2, eta, multiply_dealiased, square_dealiased
 
 RH_TOL = 1e-12
@@ -48,6 +48,13 @@ class Interface:
     end: tuple[float, float]
     w_minus: float
     w_plus: float
+
+    def __post_init__(self):
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(f"interface from {self.start} to {self.end} has no finite "
+                             "nonzero length")
+        if not (math.isfinite(self.w_minus) and math.isfinite(self.w_plus)):
+            raise ValueError(f"interface traces must be finite, got {self.w_minus}, {self.w_plus}")
 
     @property
     def length(self) -> float:
@@ -79,10 +86,15 @@ class JumpProfile:
     @classmethod
     def from_json(cls, text: str) -> "JumpProfile":
         data = json.loads(text)
-        return cls(tuple(
-            Interface(start=tuple(e["start"]), end=tuple(e["end"]),
-                      w_minus=float(e["w_minus"]), w_plus=float(e["w_plus"]))
-            for e in data["interfaces"]))
+        try:
+            return cls(tuple(
+                Interface(start=tuple(e["start"]), end=tuple(e["end"]),
+                          w_minus=float(e["w_minus"]), w_plus=float(e["w_plus"]))
+                for e in data["interfaces"]))
+        except KeyError as exc:
+            raise ValueError(f"jump profile: missing key {exc}") from exc
+        except (TypeError, IndexError) as exc:  # e.g. a list for an object, one coordinate
+            raise ValueError(f"jump profile: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps({"interfaces": [
@@ -133,12 +145,12 @@ def div_sigma_jump_measure(p: JumpProfile) -> float:
     return total
 
 
-def div_sigma(w: AdmissibleField) -> TorusField:
+def div_sigma(w: TorusField) -> TorusField:
     """div Sigma(w) = d1(-w^3/3) + d2(w^2/2) with dealiased powers."""
     return (-1.0 / 3.0) * d1(cube_dealiased(w)) + 0.5 * d2(square_dealiased(w))
 
 
-def div_sigma_identity(w: AdmissibleField) -> VerificationRecord:
+def div_sigma_identity(w: TorusField) -> VerificationRecord:
     """Residual of div Sigma(w) = w * eta_w for smooth (band-limited) fields."""
     lhs_field = div_sigma(w)
     rhs_field = multiply_dealiased(w, eta(w))
@@ -147,12 +159,12 @@ def div_sigma_identity(w: AdmissibleField) -> VerificationRecord:
         (lhs_field - rhs_field).l2(), 1e-10 * (1.0 + w.l2() ** 3), {})
 
 
-def entropy_production(w: AdmissibleField) -> float:
+def entropy_production(w: TorusField) -> float:
     """L^1 grid norm of div Sigma(w) - the discrete entropy production."""
     return float(np.mean(np.abs(div_sigma(w).samples)))
 
 
-def duality_gap(w: AdmissibleField, phi: TorusField,
+def duality_gap(w: TorusField, phi: TorusField,
                 eps_values: list[float]) -> list[VerificationRecord]:
     """Pairing bound |int Sigma(w) . grad phi| against the energy, one record
     per eps; the field is evaluated once, only the eps weighting changes.
@@ -178,7 +190,7 @@ def duality_gap(w: AdmissibleField, phi: TorusField,
     return records
 
 
-def field_records(w: AdmissibleField, eps_values: list[float]) -> list[VerificationRecord]:
+def field_records(w: TorusField, eps_values: list[float]) -> list[VerificationRecord]:
     """The entropy checks of a smooth field: the div Sigma identity, the
     entropy production (a diagnostic that always passes) and the duality
     bound per eps against the test function phi = sin(2 pi x1) / (2 pi)."""

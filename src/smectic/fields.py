@@ -115,7 +115,7 @@ class TorusField:
     grid: GridSpec
     _samples: np.ndarray | None = field(default=None, repr=False)
     _spectrum: np.ndarray | None = field(default=None, repr=False)
-    _eta: tuple[AdmissibleField, float] | None = field(default=None, init=False, repr=False)
+    _eta: tuple[TorusField, float] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self._samples is None and self._spectrum is None:
@@ -133,6 +133,10 @@ class TorusField:
 
     @classmethod
     def from_spectrum(cls, grid: GridSpec, spectrum: np.ndarray) -> "TorusField":
+        """The field of a half spectrum.  Precondition, not checked (a check
+        would cost every construction): rows m1 = 0 and n1/2 are Hermitian in
+        m2, row(-m2) = conj row(m2).  `samples` reads only their Hermitian
+        part, while `l2` and `inner` count all of it."""
         return cls(grid, _spectrum=_held(spectrum, complex))
 
     @classmethod
@@ -194,10 +198,6 @@ class TorusField:
     __rmul__ = __mul__
 
 
-class AdmissibleField(TorusField):
-    """TorusField whose k1 = 0 spectral column vanishes (vanishing x1-mean)."""
-
-
 def inner(f: TorusField, g: TorusField) -> float:
     """L^2 inner product <f, g> on the torus: each row 0 < m1 < n1/2 counts
     for its partner -m1 too."""
@@ -255,7 +255,7 @@ def require_admissible(f: TorusField, tol: float = ADMISSIBLE_TOL) -> None:
             f"k1=0 spectral content at relative level {res:.3e} exceeds {tol:.1e}")
 
 
-def project_vanishing_x1_mean(f: TorusField) -> AdmissibleField:
+def project_vanishing_x1_mean(f: TorusField) -> TorusField:
     """Zero every coefficient with k1 = 0 (orthogonal projection onto the
     admissible subspace); idempotent.  A field held as samples keeps them,
     less the x1-mean of each column, so a column equality survives."""
@@ -264,18 +264,18 @@ def project_vanishing_x1_mean(f: TorusField) -> AdmissibleField:
     samples = None
     if f.has_samples:
         samples = _freeze(f.samples - np.mean(f.samples, axis=0))
-    return AdmissibleField(f.grid, _samples=samples, _spectrum=_freeze(spec))
+    return TorusField(f.grid, _samples=samples, _spectrum=_freeze(spec))
 
 
-def as_admissible(f: TorusField, tol: float = ADMISSIBLE_TOL) -> AdmissibleField:
-    """Validate the admissibility gate and retag; roundoff in the k1 = 0
-    column is cleaned, genuine content raises NonAdmissibleInput."""
+def as_admissible(f: TorusField, tol: float = ADMISSIBLE_TOL) -> TorusField:
+    """Validate the admissibility gate and project; roundoff in the k1 = 0
+    row is cleaned, genuine content raises NonAdmissibleInput."""
     require_admissible(f, tol)
     return project_vanishing_x1_mean(f)
 
 
 def random_band_limited(grid: GridSpec, seed: int, kmax: int,
-                        amplitude: float = 1.0) -> AdmissibleField:
+                        amplitude: float = 1.0) -> TorusField:
     """Deterministic random admissible field supported on 0 < |m1| <= kmax,
     |m2| <= kmax, rescaled to the requested max-norm amplitude."""
     if kmax >= min(grid.n1, grid.n2) / 3:
@@ -288,8 +288,8 @@ def random_band_limited(grid: GridSpec, seed: int, kmax: int,
     f = TorusField.from_spectrum(grid, spec)
     peak = f.linf()
     if amplitude == 0.0 or peak == 0.0:
-        return AdmissibleField.from_samples(grid, np.zeros(grid.shape))
-    return AdmissibleField.from_spectrum(grid, spec * (amplitude / peak))
+        return TorusField.zero(grid)
+    return TorusField.from_spectrum(grid, spec * (amplitude / peak))
 
 
 def _band(spec: np.ndarray, shape: tuple[int, int], c1: int, c2: int) -> np.ndarray:
@@ -305,8 +305,7 @@ def regrid(f: TorusField, grid: GridSpec) -> TorusField:
     modes |m| < min(n_src, n_dst) / 2 are carried over, so the Nyquist row
     and column of the coarser grid are dropped."""
     c1, c2 = (min(a, b) // 2 - 1 for a, b in zip(f.grid.shape, grid.shape))
-    cls = AdmissibleField if isinstance(f, AdmissibleField) else TorusField
-    return cls.from_spectrum(grid, _band(f.spectrum, grid.spectrum_shape, c1, c2))
+    return TorusField.from_spectrum(grid, _band(f.spectrum, grid.spectrum_shape, c1, c2))
 
 
 # -- field file format ------------------------------------------------------
@@ -337,9 +336,11 @@ def save_field(f: TorusField, path: str | Path) -> None:
 def load_field(path: str | Path) -> TorusField:
     header_path, data_path = _field_paths(path)
     header = json.loads(header_path.read_text())
+    if not (isinstance(header, dict) and all(type(header.get(n)) is int for n in ("n1", "n2"))):
+        raise ValueError(f"{header_path}: header must be a JSON object with integer n1 and n2")
     if header.get("layout") != _LAYOUT or header.get("dtype") != _DTYPE:
         raise ValueError(f"unsupported field file layout/dtype in {header_path}")
-    grid = GridSpec(int(header["n1"]), int(header["n2"]))
+    grid = GridSpec(header["n1"], header["n2"])
     raw = np.fromfile(data_path, dtype="<f8")
     if raw.size != grid.npoints:
         raise ValueError(f"{data_path}: expected {grid.npoints} samples, got {raw.size}")

@@ -15,8 +15,7 @@ import numpy as np
 from .besov import VerificationRecord, gradient_check
 from .energy import energy_eps, gradient_eps
 from .errors import LineSearchFailure
-from .fields import (AdmissibleField, GridSpec, TorusField, inner,
-                     project_vanishing_x1_mean, random_band_limited, regrid)
+from .fields import GridSpec, TorusField, inner, random_band_limited, regrid
 from .operators import outer_band
 
 ARMIJO_C = 1e-4
@@ -82,16 +81,16 @@ def gradient_certificate(grid: GridSpec) -> bool:
     return _GRADIENT_CERTIFICATES[key]
 
 
-def _admissible(f: TorusField) -> AdmissibleField:
-    """Project onto the admissible subspace and filter the outer spectral band
-    so iterates keep dealiasing headroom."""
-    spec = np.where(outer_band(f.grid), 0.0, f.spectrum)
-    return project_vanishing_x1_mean(TorusField.from_spectrum(f.grid, spec))
+def _admissible(f: TorusField) -> TorusField:
+    """Project onto the admissible subspace (zero the m1 = 0 row) and filter
+    the outer spectral band so iterates keep dealiasing headroom."""
+    drop = (f.grid.modes1() == 0) | outer_band(f.grid)
+    return TorusField.from_spectrum(f.grid, np.where(drop, 0.0, f.spectrum))
 
 
 # -- anchoring helpers -------------------------------------------------------
 
-def lowest_mode_pins(w: AdmissibleField, count: int) -> np.ndarray:
+def lowest_mode_pins(w: TorusField, count: int) -> np.ndarray:
     """Mask of the `count` admissible held modes of smallest |k|, among the
     rows 0 < m1 < n1/2 (each stands for its partner -m).  Ties in |m|^2 are
     broken by (m1, m2)."""
@@ -107,8 +106,8 @@ def lowest_mode_pins(w: AdmissibleField, count: int) -> np.ndarray:
 
 # -- descent -----------------------------------------------------------------
 
-def descent_step(w: AdmissibleField, g: AdmissibleField, step: float,
-                 objective, f_w: float, direction: AdmissibleField):
+def descent_step(w: TorusField, g: TorusField, step: float,
+                 objective, f_w: float, direction: TorusField):
     """One Armijo-gated step along -direction.
 
     Returns (w_next, accepted, f_next, rejected trial steps).  A direction
@@ -127,8 +126,8 @@ def descent_step(w: AdmissibleField, g: AdmissibleField, step: float,
     return w, False, f_w, MAX_BACKTRACKS
 
 
-def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
-             ) -> tuple[AdmissibleField, MinimizeReport]:
+def minimize(w0: TorusField, eps: float, opts: MinimizeOptions
+             ) -> tuple[TorusField, MinimizeReport]:
     """Descent on energy_eps from w0, holding its `opts.pins` lowest modes.
 
     Every accepted step decreases the objective; the iterate stays admissible
@@ -149,7 +148,7 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
     held = lowest_mode_pins(w0, opts.pins)
     column = w0.samples[:, :1] if w0.has_samples else None
     if column is not None and np.all(w0.samples == column):
-        w0 = AdmissibleField.from_samples(lean, np.repeat(column, lean.n2, axis=1))
+        w0 = TorusField.from_samples(lean, np.repeat(column, lean.n2, axis=1))
     elif not w0.spectrum[:, 1:].any():
         w0 = regrid(w0, lean)
     if w0.grid != requested:
@@ -158,14 +157,14 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
         raise RuntimeError("gradient finite-difference certificate failed for "
                            f"grid {w0.grid.n1}x{w0.grid.n2}; refusing to run")
 
-    def objective(w: AdmissibleField) -> float:
+    def objective(w: TorusField) -> float:
         return energy_eps(w, eps).energy_eps
 
-    def gradient(w: AdmissibleField) -> AdmissibleField:
+    def gradient(w: TorusField) -> TorusField:
         g = gradient_eps(w, eps).spectrum
-        return AdmissibleField.from_spectrum(w.grid, np.where(held, 0.0, g))
+        return TorusField.from_spectrum(w.grid, np.where(held, 0.0, g))
 
-    w = AdmissibleField.from_spectrum(
+    w = TorusField.from_spectrum(
         w0.grid, np.where(held, w0.spectrum, _admissible(w0).spectrum))
     f_w = objective(w)
     g = gradient(w)
@@ -186,7 +185,7 @@ def minimize(w0: AdmissibleField, eps: float, opts: MinimizeOptions
                 step = float(np.clip(inner(s, s) / sy, *BB_CLIP))
 
         # semi-implicit damping of the stiff bending modes
-        direction = AdmissibleField.from_spectrum(
+        direction = TorusField.from_spectrum(
             g.grid, g.spectrum / (1.0 + step * eps * g.grid.k1() ** 2))
         prev_w, prev_g = w, g
         w_next, accepted, f_next, halvings = descent_step(w, g, step, objective, f_w, direction)

@@ -16,9 +16,9 @@ import functools
 import numpy as np
 
 from .errors import BandLimitExceeded
-from .fields import (AdmissibleField, GridSpec, TorusField, _band, _freeze,
-                     k1zero_residual, project_vanishing_x1_mean,
-                     relative_mass, require_admissible)
+from .fields import (GridSpec, TorusField, _band, _freeze, k1zero_residual,
+                     project_vanishing_x1_mean, relative_mass,
+                     require_admissible)
 
 #: Relative spectral mass allowed in the outer band (|m| > 7/16 * n) before a
 #: nonlinear evaluation is refused as under-resolved.
@@ -47,7 +47,7 @@ def _abs_d1_symbol(grid: GridSpec, s: float) -> np.ndarray:
 
 def d1(f: TorusField) -> TorusField:
     """Spectral x1-derivative (symbol i*k1, Nyquist zeroed)."""
-    return type(f).from_spectrum(f.grid, f.spectrum * _derivative_symbol(f.grid, 1))
+    return TorusField.from_spectrum(f.grid, f.spectrum * _derivative_symbol(f.grid, 1))
 
 
 def d2(f: TorusField) -> TorusField:
@@ -55,18 +55,18 @@ def d2(f: TorusField) -> TorusField:
     return TorusField.from_spectrum(f.grid, f.spectrum * _derivative_symbol(f.grid, 2))
 
 
-def inv_abs_d1(f: TorusField) -> AdmissibleField:
+def inv_abs_d1(f: TorusField) -> TorusField:
     """|d1|^-1: divide by |k1|, defined only on vanishing-x1-mean input."""
     require_admissible(f)
-    return AdmissibleField.from_spectrum(f.grid, f.spectrum * _abs_d1_symbol(f.grid, -1.0))
+    return TorusField.from_spectrum(f.grid, f.spectrum * _abs_d1_symbol(f.grid, -1.0))
 
 
-def frac_abs_d1(f: TorusField, s: float) -> AdmissibleField:
+def frac_abs_d1(f: TorusField, s: float) -> TorusField:
     """|d1|^s for s in (0, 1]: multiply by |k1|^s on the admissible subspace."""
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
     require_admissible(f)
-    return AdmissibleField.from_spectrum(f.grid, f.spectrum * _abs_d1_symbol(f.grid, s))
+    return TorusField.from_spectrum(f.grid, f.spectrum * _abs_d1_symbol(f.grid, s))
 
 
 def shift_symbol(grid: GridSpec, h: float, axis: int) -> np.ndarray:
@@ -78,7 +78,7 @@ def shift_symbol(grid: GridSpec, h: float, axis: int) -> np.ndarray:
 
 
 def _shift(f: TorusField, h: float, axis: int) -> TorusField:
-    return type(f).from_spectrum(f.grid, f.spectrum * shift_symbol(f.grid, h, axis))
+    return TorusField.from_spectrum(f.grid, f.spectrum * shift_symbol(f.grid, h, axis))
 
 
 def shift1(f: TorusField, h: float) -> TorusField:
@@ -183,7 +183,7 @@ def cube_dealiased(f: TorusField) -> TorusField:
     return _padded_product([f, f, f])
 
 
-def eta(w: AdmissibleField) -> AdmissibleField:
+def eta(w: TorusField) -> TorusField:
     """Burgers quantity eta_w = d2 w - d1(w^2/2).
 
     Analytically the result has no k1 = 0 content; roundoff there is removed
@@ -192,7 +192,7 @@ def eta(w: AdmissibleField) -> AdmissibleField:
     return eta_with_residual(w)[0]
 
 
-def eta_with_residual(w: AdmissibleField) -> tuple[AdmissibleField, float]:
+def eta_with_residual(w: TorusField) -> tuple[TorusField, float]:
     """eta_w together with the relative k1 = 0 residual before projection.
 
     Computed once per field instance: a successful evaluation is stored on w

@@ -21,8 +21,8 @@ from smectic.energy import energy_eps, gradient_eps
 from smectic.entropy import (Interface, JumpProfile, div_sigma_identity,
                              div_sigma_jump_measure, duality_gap, jump_cost,
                              rankine_hugoniot_check)
-from smectic.fields import (AdmissibleField, GridSpec, TorusField,
-                            as_admissible, inner, random_band_limited, regrid)
+from smectic.fields import (GridSpec, TorusField, as_admissible, inner,
+                            random_band_limited, regrid)
 from smectic.minimize import MinimizeOptions, minimize
 from smectic.operators import d1, shift1
 
@@ -32,7 +32,7 @@ SWEEP_EPS = [2.0 ** -a for a in range(4, 10)]
 
 
 def sine1(grid, a=1.0):
-    return AdmissibleField.from_samples(
+    return TorusField.from_samples(
         grid, np.repeat(a * np.sin(2 * np.pi * grid.x1()), grid.n2, axis=1))
 
 
@@ -170,9 +170,9 @@ def test_criterion_8_tail_decay():
         eps = eps_cycle[i % 5]
         w = random_band_limited(GRID256, seed=100 + i, kmax=48, amplitude=0.5)
         scale = brentq(
-            lambda c: energy_eps(AdmissibleField.from_spectrum(
+            lambda c: energy_eps(TorusField.from_spectrum(
                 w.grid, c * w.spectrum), eps).energy_eps - 1.0, 1e-6, 10.0)
-        ws = AdmissibleField.from_spectrum(w.grid, scale * w.spectrum)
+        ws = TorusField.from_spectrum(w.grid, scale * w.spectrum)
         assert energy_eps(ws, eps).energy_eps == pytest.approx(1.0, rel=1e-9)
         tails = [tail_mass(ws, m, m ** 4) for m in (4, 8, 16, 32)]
         assert all(tails[j + 1] < tails[j] for j in range(3)), (i, tails)

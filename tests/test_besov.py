@@ -11,15 +11,15 @@ from smectic.besov import (gradient_check, hkm1_balance, hkm2_residual, parseval
                            shift_group_law, tail_mass, verify_b2s, verify_l3, verify_lp,
                            verify_lp_eps)
 from smectic.errors import DegenerateEnergy, NonAdmissibleInput
-from smectic.fields import (AdmissibleField, GridSpec, TorusField,
-                            project_vanishing_x1_mean, random_band_limited)
+from smectic.fields import (GridSpec, TorusField, project_vanishing_x1_mean,
+                            random_band_limited)
 from smectic.operators import d1, diff1, eta, shift1, shift_symbol
 
 GRID = GridSpec(256, 256)
 
 
 def sine1(grid, a=1.0):
-    return AdmissibleField.from_samples(
+    return TorusField.from_samples(
         grid, np.repeat(a * np.sin(2 * np.pi * grid.x1()), grid.n2, axis=1))
 
 
@@ -32,7 +32,7 @@ class TestHKM2:
         assert rec.ratio_or_residual <= rec.tolerance
 
     def test_zero_field(self):
-        rec = hkm2_residual(AdmissibleField.zero(GRID), 0.1)
+        rec = hkm2_residual(TorusField.zero(GRID), 0.1)
         assert rec.passed and rec.lhs == 0.0
 
 
@@ -73,7 +73,7 @@ class TestL3:
         assert recs[0].passed
 
     def test_zero_field_degenerate_flag(self):
-        recs = verify_l3(AdmissibleField.zero(GRID))
+        recs = verify_l3(TorusField.zero(GRID))
         assert all(r.passed and r.params.get("degenerate") for r in recs)
 
     def test_ratios_finite(self):
@@ -194,7 +194,7 @@ class TestLp:
             verify_lp_eps(w, 6.0, 0.1)
 
     def test_degenerate(self):
-        rec = verify_lp(AdmissibleField.zero(GRID), 2.0)
+        rec = verify_lp(TorusField.zero(GRID), 2.0)
         assert rec.params["degenerate"]
 
     def test_eps_variant_finite(self):
@@ -242,14 +242,14 @@ class TestParseval:
         assert rec.params == {"seed": 1}
 
     def test_zero_field_passes(self):
-        rec = parseval(AdmissibleField.zero(GridSpec(16, 16)), {})
+        rec = parseval(TorusField.zero(GridSpec(16, 16)), {})
         assert rec.passed and rec.ratio_or_residual == 0.0
 
 
 class TestShiftGroupLaw:
     @pytest.mark.parametrize("w", [
         random_band_limited(GridSpec(16, 16), seed=1, kmax=2, amplitude=1e-170),
-        AdmissibleField.zero(GridSpec(16, 16))], ids=["squares-underflow", "zero"])
+        TorusField.zero(GridSpec(16, 16))], ids=["squares-underflow", "zero"])
     def test_tiny_and_zero_fields_give_passing_records(self, w):
         rec = shift_group_law(w, {})
         assert rec.passed and rec.ratio_or_residual <= 1e-12

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import importlib.util
 import inspect
 import io
 import json
@@ -18,7 +19,7 @@ from smectic.besov import (VerificationRecord, verify_b2s, verify_l3, verify_lp,
 from smectic.cli import _encode, main
 from smectic.energy import EnergyReport, energy_eps, gradient_eps
 from smectic.entropy import Interface, JumpProfile
-from smectic.fields import (AdmissibleField, GridSpec, TorusField, inner, load_field,
+from smectic.fields import (GridSpec, TorusField, inner, load_field,
                             random_band_limited, save_field)
 from smectic.minimize import MinimizeOptions, minimize
 from smectic.operators import d1
@@ -29,6 +30,13 @@ def run(args):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def one_error_line(capsys) -> bool:
+    """Whether stderr holds exactly one `error:` line and no traceback."""
+    err = capsys.readouterr().err
+    return "Traceback" not in err and sum("error:" in line for line in err.splitlines()) == 1
 
 
 class TestImportContract:
@@ -62,6 +70,31 @@ class TestImportContract:
         assert d_star == pytest.approx(0.03, rel=1e-4)
 
 
+class TestTracerContract:
+    """perfbench's tracer wraps `smectic` by name from the outside, so a
+    deleted or renamed traced name would fail only in a traced replay."""
+
+    def test_every_traced_function_exists(self):
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        missing = [f"{module}.{name}" for module, targets in tracer.SPAN_TARGETS.items()
+                   for name in targets
+                   if not callable(getattr(importlib.import_module(module), name, None))]
+        assert missing == []
+
+    def test_representation_getters_are_properties(self):
+        """The tracer rewraps `samples` and `spectrum` from the class dict and
+        reads `has_samples`/`has_spectrum` as booleans on an instance."""
+        for name in ("samples", "spectrum", "has_samples", "has_spectrum"):
+            assert isinstance(vars(TorusField)[name], property), name
+
+    def test_every_exported_name_resolves_once(self):
+        import smectic
+        assert len(set(smectic.__all__)) == len(smectic.__all__)
+        assert [n for n in smectic.__all__ if not hasattr(smectic, n)] == []
+
+
 class TestParsing:
     def test_unknown_command_is_usage_error(self, capsys):
         assert run(["bogus"]) == 2
@@ -78,6 +111,29 @@ class TestParsing:
     def test_flag_the_command_does_not_read(self, tmp_path, argv):
         assert run(argv + ["--out", str(tmp_path)]) == 2
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--eps", "nan"], ["energy", "--eps", "1e400"], ["energy", "--eps", "inf"],
+        ["energy", "--eps", "2^2000..2^2001"], ["sweep", "--eps", "nan"],
+        ["sweep", "--eps", "2^-1..2^1024"], ["sweep", "--c", "nan"],
+        ["minimize", "--eps", "nan"], ["besov", "--eps", "nan"], ["besov", "--p", "inf"],
+        ["entropy", "--c", "inf"]], ids=lambda argv: "-".join(a.strip("-") for a in argv))
+    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, argv):
+        small = [] if argv[0] == "entropy" else ["--grid", "32x32"]
+        assert run(argv + small + ["--out", str(tmp_path)]) == 2
+        assert one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,config", [
+        ("energy", '{"eps": NaN}'), ("sweep", '{"eps": "inf"}'), ("entropy", '{"c": Infinity}'),
+        ("minimize", '{"eps": -Infinity}')], ids=["energy", "sweep", "entropy", "minimize"])
+    def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert one_error_line(capsys)
+        assert not out.exists()
 
     def test_minimize_takes_one_eps(self, tmp_path):
         argv = ["minimize", "--grid", "32x32", "--kmax", "4", "--max-iters", "5",
@@ -221,7 +277,7 @@ class TestEncode:
     def test_zero_field_ratio_records_json(self):
         # the degenerate record of each ratio estimate, key order included
         # (--format json writes params as built); b2s then has no avebd record
-        z = AdmissibleField.zero(GridSpec(256, 256))
+        z = TorusField.zero(GridSpec(256, 256))
         recs = (verify_l3(z, (0.5,)) + verify_b2s(z, (0.5,))
                 + [verify_lp(z, 2.0), verify_lp_eps(z, 2.0, 0.1)])
         params = [{"h": 0.5}, {"h": 0.5}, {"p": 2.0}, {"p": 2.0, "eps": 0.1}]
@@ -314,6 +370,19 @@ class TestEnergy:
         report = json.loads((tmp_path / "energy.json").read_text())["0.1"]
         assert report["energy_eps"] == 0.0
         assert report["energy_indep"] == 0.0
+
+    @pytest.mark.parametrize("header", [{"n2": 32}, [32, 32], {"n1": 32.7, "n2": 32}],
+                             ids=["no-n1", "list", "float-n1"])
+    def test_malformed_header_is_usage_error(self, tmp_path, capsys, header):
+        save_field(TorusField.zero(GridSpec(32, 32)), tmp_path / "w")
+        if isinstance(header, dict):
+            header = {"layout": "row-major-x1-fastest", "dtype": "f64-le", **header}
+        (tmp_path / "w.json").write_text(json.dumps(header))
+        out = tmp_path / "out"
+        assert run(["energy", "--field", str(tmp_path / "w"), "--out", str(out)]) == 2
+        assert one_error_line(capsys)
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
+        assert not (out / "energy.json").exists()
 
     def test_nan_field_is_usage_error(self, tmp_path):
         samples = np.zeros((32, 32))
@@ -416,6 +485,19 @@ class TestEntropyAndTail:
         records = json.loads((out / "entropy_records.json").read_text())
         assert [r["passed"] for r in records] == [True, False]
         assert capsys.readouterr().out.split() == ["entropy:", "1/2", "records", "passed"]
+
+    @pytest.mark.parametrize("interface", [
+        {"start": [0, 0], "w_minus": -0.5, "w_plus": 0.5},
+        {"start": [0, 0], "end": [0, 0], "w_minus": -0.5, "w_plus": 0.5},
+        {"start": [0, 0], "end": [0, 1], "w_minus": -0.5, "w_plus": "nan"}],
+        ids=["no-end", "zero-length", "nan-trace"])
+    def test_malformed_profile_is_usage_error(self, tmp_path, capsys, interface):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"interfaces": [interface]}))
+        out = tmp_path / "out"
+        assert run(["entropy", "--profile", str(profile), "--out", str(out)]) == 2
+        assert one_error_line(capsys)
+        assert {p.name for p in out.iterdir()} == {"manifest.json"}
 
     def test_tail(self, tmp_path):
         code = run(["tail", "--grid", "128x128", "--seed", "3", "--kmax", "40",

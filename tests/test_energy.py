@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from smectic.besov import verify_b2s
-from smectic.energy import energy_eps, energy_indep, gradient_eps
-from smectic.fields import (AdmissibleField, GridSpec, as_admissible, inner,
+from smectic.energy import EnergyReport, energy_eps, energy_indep, gradient_eps
+from smectic.fields import (GridSpec, TorusField, as_admissible, inner,
                             random_band_limited)
 
 GRID = GridSpec(128, 128)
 
 
 def sine1(grid, a=1.0):
-    return AdmissibleField.from_samples(
+    return TorusField.from_samples(
         grid, np.repeat(a * np.sin(2 * np.pi * grid.x1()), grid.n2, axis=1))
 
 
@@ -26,7 +26,7 @@ class TestClosedForms:
         assert rep.energy_indep == pytest.approx(np.pi * a ** 3 / 4.0, rel=1e-10)
 
     def test_zero_field(self):
-        rep = energy_eps(AdmissibleField.zero(GRID), 0.1)
+        rep = energy_eps(TorusField.zero(GRID), 0.1)
         assert rep.energy_eps == 0.0
         assert rep.energy_indep == 0.0
 
@@ -52,6 +52,13 @@ class TestClosedForms:
             energy_eps(sine1(GRID), 0.0)
         with pytest.raises(ValueError):
             gradient_eps(sine1(GRID), -1.0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            EnergyReport.weighted(1.0, 1.0, eps, 0.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            gradient_eps(sine1(GRID), eps)
 
 
 class TestGradient:
@@ -80,7 +87,7 @@ class TestGradient:
         assert np.all(g.spectrum[0, :] == 0.0)
 
     def test_zero_at_origin(self):
-        g = gradient_eps(AdmissibleField.zero(GRID), 0.1)
+        g = gradient_eps(TorusField.zero(GRID), 0.1)
         assert g.l2() == 0.0
 
 
@@ -91,7 +98,7 @@ class TestRealTransformsOnly:
         gradient_eps and verify_b2s needs no complex 2D or nD transform."""
         w = random_band_limited(GridSpec(64, 48), seed=4, kmax=8, amplitude=0.5)
         if from_samples:
-            w = AdmissibleField.from_samples(w.grid, w.samples)
+            w = TorusField.from_samples(w.grid, w.samples)
         calls = []
         for name in ("fft2", "ifft2", "fftn", "ifftn"):
             monkeypatch.setattr(np.fft, name, lambda *a, _n=name, **k: calls.append(_n))

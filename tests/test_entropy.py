@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -70,8 +71,7 @@ class TestDivSigma:
             assert rec.passed, rec.ratio_or_residual
 
     def test_entropy_production_nonnegative_and_zero_at_zero(self):
-        from smectic.fields import AdmissibleField
-        assert entropy_production(AdmissibleField.zero(GRID)) == 0.0
+        assert entropy_production(TorusField.zero(GRID)) == 0.0
         w = random_band_limited(GRID, seed=4, kmax=16, amplitude=0.5)
         assert entropy_production(w) > 0.0
         assert entropy_production(w) == pytest.approx(
@@ -93,3 +93,36 @@ class TestProfileSerialization:
         p = JumpProfile(interfaces=(compatible_interface(-0.3, 0.7),))
         back = JumpProfile.from_json(p.to_json())
         assert back == p
+
+    @pytest.mark.parametrize("key", ["interfaces", "start", "end", "w_minus", "w_plus"])
+    def test_missing_key_is_named(self, key):
+        data = json.loads(JumpProfile(interfaces=(compatible_interface(-0.3, 0.7),)).to_json())
+        if key == "interfaces":
+            del data[key]
+        else:
+            del data["interfaces"][0][key]
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            JumpProfile.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("text", [
+        "[]", '{"interfaces": [[0, 0, 0, 1]]}',
+        '{"interfaces": [{"start": [0], "end": [0, 1], "w_minus": 0, "w_plus": 1}]}'],
+        ids=["list", "interface-list", "one-coordinate"])
+    def test_malformed_profile_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="jump profile"):
+            JumpProfile.from_json(text)
+
+
+class TestInterfaceValidation:
+    @pytest.mark.parametrize("end", [(0.2, 0.3), (0.2, math.inf), (math.nan, 0.3)],
+                             ids=["zero-length", "infinite", "nan-end"])
+    def test_segment_needs_a_finite_nonzero_length(self, end):
+        with pytest.raises(ValueError, match="length"):
+            Interface(start=(0.2, 0.3), end=end, w_minus=-1.0, w_plus=1.0)
+
+    @pytest.mark.parametrize("trace", [math.nan, math.inf, -math.inf])
+    def test_traces_must_be_finite(self, trace):
+        with pytest.raises(ValueError, match="finite"):
+            Interface(start=(0.0, 0.0), end=(0.0, 1.0), w_minus=trace, w_plus=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            Interface(start=(0.0, 0.0), end=(0.0, 1.0), w_minus=-1.0, w_plus=trace)

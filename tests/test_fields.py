@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -9,8 +10,8 @@ from smectic import fields
 from smectic.besov import tail_mass
 from smectic.energy import energy_eps, gradient_eps
 from smectic.errors import NonAdmissibleInput
-from smectic.fields import (ADMISSIBLE_TOL, AdmissibleField, GridSpec,
-                            TorusField, as_admissible, inner, k1zero_residual,
+from smectic.fields import (ADMISSIBLE_TOL, GridSpec, TorusField,
+                            as_admissible, inner, k1zero_residual,
                             load_field, project_vanishing_x1_mean,
                             random_band_limited, regrid, relative_mass,
                             require_admissible, save_field)
@@ -19,7 +20,7 @@ from smectic.operators import outer_band
 
 def sine_field(grid, a=1.0, m=1):
     x = grid.x1()
-    return AdmissibleField.from_samples(
+    return TorusField.from_samples(
         grid, np.repeat(a * np.sin(2 * np.pi * m * x), grid.n2, axis=1))
 
 
@@ -217,7 +218,7 @@ class TestAdmissibility:
         spec = f.spectrum.copy()
         spec[0, 3] = 1e-14
         w = as_admissible(TorusField.from_spectrum(g, spec))
-        assert isinstance(w, AdmissibleField)
+        assert k1zero_residual(w) == 0.0
         assert w.spectrum[0, 3] == 0.0
 
 
@@ -244,7 +245,7 @@ class TestRegrid:
         assert fine.l2() == pytest.approx(w.l2(), rel=1e-13)
         back = regrid(fine, GridSpec(32, 32))
         assert np.allclose(back.spectrum, w.spectrum, atol=1e-15)
-        assert isinstance(fine, AdmissibleField)
+        assert k1zero_residual(fine) == 0.0
 
     @pytest.mark.parametrize("target", [(16, 16), (8, 16), (16, 8), (8, 8)])
     def test_drops_minus_half_row_and_column(self, target):
@@ -289,6 +290,17 @@ class TestFieldFiles:
         hdr = (tmp_path / "w.json")
         hdr.write_text(hdr.read_text().replace("f64-le", "f32-be"))
         with pytest.raises(ValueError):
+            load_field(tmp_path / "w")
+
+    @pytest.mark.parametrize("header", [
+        {"n2": 16}, {"n1": 16.7, "n2": 16}, {"n1": 16, "n2": "16"}, {"n1": True, "n2": 16},
+        [16, 16]], ids=["no-n1", "float-n1", "str-n2", "bool-n1", "list"])
+    def test_malformed_header_is_a_value_error(self, tmp_path, header):
+        save_field(TorusField.zero(GridSpec(16, 16)), tmp_path / "w")
+        if isinstance(header, dict):
+            header = {"layout": "row-major-x1-fastest", "dtype": "f64-le", **header}
+        (tmp_path / "w.json").write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="integer n1 and n2"):
             load_field(tmp_path / "w")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -10,7 +10,7 @@ from smectic.ansatz import mollify, vertical_two_shock
 from smectic.cli import main
 from smectic.energy import energy_eps, gradient_eps
 from smectic.errors import LineSearchFailure
-from smectic.fields import (AdmissibleField, GridSpec, TorusField, as_admissible,
+from smectic.fields import (GridSpec, TorusField, as_admissible,
                             load_field, random_band_limited, save_field)
 from smectic.minimize import (MinimizeOptions, descent_step, gradient_certificate,
                               lowest_mode_pins, minimize)
@@ -75,7 +75,7 @@ class TestLowestModePins:
 class TestDescentStep:
     def test_zero_gradient_is_fixed_point(self):
         w = random_band_limited(GRID, seed=1, kmax=8, amplitude=0.1)
-        g = AdmissibleField.zero(GRID)
+        g = TorusField.zero(GRID)
         w2, accepted, f2, halvings = descent_step(
             w, g, 1.0, lambda u: energy_eps(u, 0.1).energy_eps,
             energy_eps(w, 0.1).energy_eps, g)
@@ -121,7 +121,7 @@ class TestMinimize:
         w0 = random_band_limited(GRID, seed=12, kmax=8, amplitude=0.05)
         _, rep = minimize(w0, 0.0625, MinimizeOptions(max_iters=3))
         assert rep.termination in ("max-iters", "gradient", "energy-stall")
-        _, rep = minimize(AdmissibleField.zero(GRID), 0.0625,
+        _, rep = minimize(TorusField.zero(GRID), 0.0625,
                           MinimizeOptions(max_iters=10))
         assert rep.termination == "gradient"
 
@@ -182,7 +182,7 @@ class TestLeanGrid:
         grid = GridSpec(32, 16)
         spec = x1_profile(grid, seed=3).spectrum.copy()
         spec[1, 1] = spec[-1, -1] = 1e-300
-        _, rep = minimize(AdmissibleField.from_spectrum(grid, spec), 0.0625,
+        _, rep = minimize(TorusField.from_spectrum(grid, spec), 0.0625,
                           MinimizeOptions(max_iters=5, pins=8))
         assert rep.grid == grid
 

@@ -6,21 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smectic import operators
+from smectic.ansatz import mollify, vertical_two_shock
 from smectic.energy import energy_eps, energy_indep, gradient_eps
 from smectic.errors import BandLimitExceeded, NonAdmissibleInput
 from smectic.besov import verify_b2s
-from smectic.fields import (ADMISSIBLE_TOL, AdmissibleField, GridSpec, TorusField,
-                            inner, k1zero_residual, random_band_limited,
-                            regrid, require_admissible)
+from smectic.fields import (ADMISSIBLE_TOL, GridSpec, TorusField, as_admissible,
+                            inner, k1zero_residual, project_vanishing_x1_mean,
+                            random_band_limited, regrid, require_admissible)
+from smectic.minimize import MinimizeOptions, minimize
 from smectic.operators import (_padded_product, band_headroom_residual,
-                               cube_dealiased, d1, d2, diff1, eta, frac_abs_d1,
-                               inv_abs_d1, multiply_dealiased, outer_band,
-                               require_band_headroom, shift1, shift2,
-                               square_dealiased)
+                               cube_dealiased, d1, d2, diff1, diff2, eta,
+                               frac_abs_d1, inv_abs_d1, multiply_dealiased,
+                               outer_band, require_band_headroom, shift1,
+                               shift2, square_dealiased)
 
 
 def sine1(grid, a=1.0, m=1):
-    return AdmissibleField.from_samples(
+    return TorusField.from_samples(
         grid, np.repeat(a * np.sin(2 * np.pi * m * grid.x1()), grid.n2, axis=1))
 
 
@@ -264,7 +266,7 @@ class TestDealiasedProducts:
         (K2 = 0) on 8 columns."""
         w = random_band_limited(GRID, seed=3, kmax=kmax, amplitude=0.5)
         if x2_free:
-            column = AdmissibleField.from_spectrum(GRID, np.where(GRID.modes2() == 0, w.spectrum, 0.0))
+            column = TorusField.from_spectrum(GRID, np.where(GRID.modes2() == 0, w.spectrum, 0.0))
             w = regrid(column, GRID.x2_free())
         assert self._forward_shapes(monkeypatch, square_dealiased, w) == [expected]
 
@@ -414,9 +416,23 @@ class TestEta:
 
     def test_stored_eta_not_compared_or_shown(self):
         w = random_band_limited(GRID, seed=8, kmax=8, amplitude=0.5)
-        twin = AdmissibleField.from_spectrum(GRID, w.spectrum)
+        twin = TorusField.from_spectrum(GRID, w.spectrum)
         shown = repr(w)
         eta(w)
         assert w._eta is not None and twin._eta is None
         assert w != twin  # fields compare by identity
         assert repr(w) == shown == repr(twin)
+
+
+class TestOneFieldType:
+    def test_every_constructor_and_operator_returns_a_torus_field(self):
+        """Admissibility is a value check (require_admissible), not a type:
+        every field the package makes is a plain TorusField."""
+        w = random_band_limited(GRID, seed=8, kmax=8, amplitude=0.5)
+        made = [w, TorusField.zero(GRID), as_admissible(w), project_vanishing_x1_mean(w),
+                regrid(w, GridSpec(32, 32)), d1(w), d2(w), shift1(w, 0.1), shift2(w, 0.1),
+                diff1(w, 0.1), diff2(w, 0.1), inv_abs_d1(w), frac_abs_d1(w, 0.5), eta(w),
+                square_dealiased(w), cube_dealiased(w), multiply_dealiased(w, w),
+                gradient_eps(w, 0.1), mollify(vertical_two_shock(0.5), 0.05, GridSpec(64, 8)),
+                minimize(w, 0.0625, MinimizeOptions(max_iters=1))[0]]
+        assert [type(f).__name__ for f in made] == ["TorusField"] * len(made)
