@@ -122,8 +122,10 @@ def eps_sweep(p: JumpProfile, eps_list: list[float], grid: GridSpec) -> list[Swe
     The mollified profile does not depend on x2, so its energy is evaluated
     on `grid.x2_free()`; only n1 of `grid` matters (it also sets the
     smallest width 2/n1).  The records report `grid`."""
-    jc = jump_cost(p)
     lo, hi = 2.0 / grid.n1, 0.125
+    if lo > hi:
+        raise ValueError(f"width range [2/n1, 1/8] = [{lo}, {hi}] is empty: sweep needs n1 >= 16")
+    jc = jump_cost(p)
     lean = grid.x2_free()
 
     def run_one(eps: float) -> SweepRecord:

@@ -134,10 +134,9 @@ def _manifest(out: Path, args: argparse.Namespace, t0: float, exit_code: int,
         version = metadata.version("smectic")
     except metadata.PackageNotFoundError:
         version = "unknown"
-    config = {k: (repr(v) if isinstance(v, GridSpec) else v) for k, v in vars(args).items()}
     _write(out / "manifest.json", {
         "command": args.command,
-        "config": config,
+        "config": vars(args),
         "version": version,
         "exit_code": exit_code,
         "error": error,

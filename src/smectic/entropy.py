@@ -19,7 +19,7 @@ import numpy as np
 from .besov import VerificationRecord
 from .energy import energy_eps
 from .errors import IncompatibleProfile
-from .fields import TorusField
+from .fields import TorusField, inner
 from .operators import cube_dealiased, d1, d2, eta, multiply_dealiased, square_dealiased
 
 RH_TOL = 1e-12
@@ -50,11 +50,18 @@ class Interface:
     w_plus: float
 
     def __post_init__(self):
+        values = (*self.start, *self.end, self.w_minus, self.w_plus)
+        if not (len(self.start) == len(self.end) == 2  # a bool is an int, not a number
+                and all(isinstance(v, float) or type(v) is int for v in values)):
+            raise ValueError(f"interface needs two numbers per endpoint and number traces, "
+                             f"got {self!r}")
         if not 0.0 < self.length < math.inf:
             raise ValueError(f"interface from {self.start} to {self.end} has no finite "
                              "nonzero length")
         if not (math.isfinite(self.w_minus) and math.isfinite(self.w_plus)):
             raise ValueError(f"interface traces must be finite, got {self.w_minus}, {self.w_plus}")
+        object.__setattr__(self, "w_minus", float(self.w_minus))
+        object.__setattr__(self, "w_plus", float(self.w_plus))
 
     @property
     def length(self) -> float:
@@ -70,11 +77,14 @@ class Interface:
     def jump(self) -> float:
         return self.w_plus - self.w_minus
 
+    def normal_jump(self, pair) -> float:
+        """|(F(w+) - F(w-)) . nu| for a flux pair F, such as sigma_pair or entropy_pair."""
+        (a1, a2), (b1, b2), (nu1, nu2) = pair(self.w_plus), pair(self.w_minus), self.normal
+        return abs((a1 - b1) * nu1 + (a2 - b2) * nu2)
+
     def rh_residual(self) -> float:
         """|(sigma(w+) - sigma(w-)) . nu| -- zero iff the shock slope law holds."""
-        sp, sm = sigma_pair(self.w_plus), sigma_pair(self.w_minus)
-        nu = self.normal
-        return abs((sp[0] - sm[0]) * nu[0] + (sp[1] - sm[1]) * nu[1])
+        return self.normal_jump(sigma_pair)
 
 
 @dataclass(frozen=True)
@@ -89,11 +99,11 @@ class JumpProfile:
         try:
             return cls(tuple(
                 Interface(start=tuple(e["start"]), end=tuple(e["end"]),
-                          w_minus=float(e["w_minus"]), w_plus=float(e["w_plus"]))
+                          w_minus=e["w_minus"], w_plus=e["w_plus"])
                 for e in data["interfaces"]))
         except KeyError as exc:
             raise ValueError(f"jump profile: missing key {exc}") from exc
-        except (TypeError, IndexError) as exc:  # e.g. a list for an object, one coordinate
+        except (TypeError, ValueError) as exc:  # e.g. a list for an object, one coordinate
             raise ValueError(f"jump profile: {exc}") from exc
 
     def to_json(self) -> str:
@@ -105,14 +115,11 @@ class JumpProfile:
 
 def rankine_hugoniot_check(p: JumpProfile) -> list[VerificationRecord]:
     """Per-interface compatibility residual |(sigma(w+) - sigma(w-)) . nu|."""
-    records = []
-    for idx, itf in enumerate(p.interfaces):
-        res = itf.rh_residual()
-        records.append(VerificationRecord.checked(
-            "rankine_hugoniot", res, 0.0, res, RH_TOL,
-            {"interface": idx, "w_minus": itf.w_minus, "w_plus": itf.w_plus,
-             "normal": list(itf.normal)}))
-    return records
+    return [VerificationRecord.checked(
+        "rankine_hugoniot", res, 0.0, res, RH_TOL,
+        {"interface": idx, "w_minus": itf.w_minus, "w_plus": itf.w_plus,
+         "normal": list(itf.normal)})
+        for idx, itf in enumerate(p.interfaces) for res in [itf.rh_residual()]]
 
 
 def jump_cost(p: JumpProfile) -> float:
@@ -137,12 +144,7 @@ def div_sigma_jump_measure(p: JumpProfile) -> float:
     """Total variation of div Sigma for the piecewise-constant field:
     sum of length * |(Sigma(w+) - Sigma(w-)) . nu|.  Well defined even for
     incompatible profiles; equals jump_cost on the compatible class."""
-    total = 0.0
-    for itf in p.interfaces:
-        sp, sm = entropy_pair(itf.w_plus), entropy_pair(itf.w_minus)
-        nu = itf.normal
-        total += itf.length * abs((sp[0] - sm[0]) * nu[0] + (sp[1] - sm[1]) * nu[1])
-    return total
+    return sum(itf.length * itf.normal_jump(entropy_pair) for itf in p.interfaces)
 
 
 def div_sigma(w: TorusField) -> TorusField:
@@ -166,27 +168,24 @@ def entropy_production(w: TorusField) -> float:
 
 def duality_gap(w: TorusField, phi: TorusField,
                 eps_values: list[float]) -> list[VerificationRecord]:
-    """Pairing bound |int Sigma(w) . grad phi| against the energy, one record
-    per eps; the field is evaluated once, only the eps weighting changes.
+    """Pairing bound |int Sigma(w) . grad phi| = |<div Sigma(w), phi>| (by parts:
+    d1, d2 are skew-adjoint) against the energy, one record per eps, passed iff
+    lhs / rhs <= 1 + 1e-8; the field is evaluated once, only eps weighting changes.
 
     The implementation constant is taken as 1; the proven bound only asserts
     existence of some C, so the record's ratio (not its pass flag) is the
     quantity of interest for boundedness sweeps.
     """
-    sigma1 = -1.0 / 3.0 * cube_dealiased(w).samples
-    sigma2 = 0.5 * square_dealiased(w).samples
-    d1_phi = d1(phi)
-    lhs = abs(float(np.mean(sigma1 * d1_phi.samples + sigma2 * d2(phi).samples)))
+    lhs, d1_phi_linf = abs(inner(div_sigma(w), phi)), d1(phi).linf()
     report = energy_eps(w, 1.0)
     records = []
     for eps in eps_values:
         rep = report.at_eps(eps)
         rhs = rep.energy_eps * phi.linf() + \
-            math.sqrt(eps) * math.sqrt(rep.energy_eps) * w.l2() * d1_phi.linf()
+            math.sqrt(eps) * math.sqrt(rep.energy_eps) * w.l2() * d1_phi_linf
         ratio = lhs / rhs if rhs > 0.0 else 0.0
-        records.append(VerificationRecord(
-            name="duality_bound", lhs=lhs, rhs=rhs, ratio_or_residual=ratio,
-            params={"eps": eps}, passed=lhs <= rhs * (1.0 + 1e-8), tolerance=1e-8))
+        records.append(VerificationRecord.checked(
+            "duality_bound", lhs, rhs, ratio, 1.0 + 1e-8, {"eps": eps}))
     return records
 
 

@@ -109,6 +109,12 @@ class TestEpsSweep:
             assert r.n_evals == N_BRACKET_PROBE and not r.bracketed
             assert r.delta_star == 0.125 and r.at_bound
 
+    @pytest.mark.parametrize("n1", [8, 14])
+    def test_empty_width_range_refused_before_any_evaluation(self, n1):
+        with mock.patch.object(ansatz, "mollify", side_effect=AssertionError("evaluated")):
+            with pytest.raises(ValueError, match=r"\[2/n1, 1/8\].*empty"):
+                eps_sweep(vertical_two_shock(0.5), [0.25], GridSpec(n1, 8))
+
 
 class TestOptimizeDelta:
     """The width rule on hand-made objectives: the best of the

@@ -489,8 +489,13 @@ class TestEntropyAndTail:
     @pytest.mark.parametrize("interface", [
         {"start": [0, 0], "w_minus": -0.5, "w_plus": 0.5},
         {"start": [0, 0], "end": [0, 0], "w_minus": -0.5, "w_plus": 0.5},
-        {"start": [0, 0], "end": [0, 1], "w_minus": -0.5, "w_plus": "nan"}],
-        ids=["no-end", "zero-length", "nan-trace"])
+        {"start": [0, 0], "end": [0, 1], "w_minus": -0.5, "w_plus": "nan"},
+        {"start": [0, 0, 7], "end": [0, 1, "x"], "w_minus": -0.5, "w_plus": 0.5},
+        {"start": [0, 0], "end": [0, 1], "w_minus": "-0.5", "w_plus": "0.5"},
+        {"start": [0, 0], "end": [0, 1], "w_minus": True, "w_plus": 0.5},
+        {"start": [True, 0], "end": [0, 1], "w_minus": -0.5, "w_plus": 0.5}],
+        ids=["no-end", "zero-length", "nan-trace", "three-coordinates", "string-traces",
+             "bool-trace", "bool-coordinate"])
     def test_malformed_profile_is_usage_error(self, tmp_path, capsys, interface):
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps({"interfaces": [interface]}))
@@ -498,6 +503,19 @@ class TestEntropyAndTail:
         assert run(["entropy", "--profile", str(profile), "--out", str(out)]) == 2
         assert one_error_line(capsys)
         assert {p.name for p in out.iterdir()} == {"manifest.json"}
+
+    @pytest.mark.parametrize("grid", ["8x8", "14x8"])
+    def test_sweep_with_no_width_to_search_is_usage_error(self, tmp_path, capsys, grid):
+        """For n1 < 16 the width range [2/n1, 1/8] is empty."""
+        assert run(["sweep", "--grid", grid, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "[2/n1, 1/8]" in err and "Traceback" not in err
+        assert {p.name for p in tmp_path.iterdir()} == {"manifest.json"}
+
+    def test_sweep_at_the_smallest_width_range(self, tmp_path):
+        assert run(["sweep", "--grid", "16x8", "--eps", "0.25", "--out", str(tmp_path)]) == 0
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "sweep.csv").read_text())))
+        assert [float(r["delta_star"]) for r in rows] == [0.125]
 
     def test_tail(self, tmp_path):
         code = run(["tail", "--grid", "128x128", "--seed", "3", "--kmax", "40",
@@ -565,6 +583,12 @@ class TestManifest:
                     "--out", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["exit_code"] == 0 and manifest["error"] is None
+
+    def test_grid_is_n1_n2(self, tmp_path):
+        """The manifest writes a GridSpec as every output file does: [n1, n2]."""
+        assert run(["tail", "--grid", "32x16", "--kmax", "4", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["grid"] == [32, 16]
 
     def test_failed_record_manifest_has_exit_code(self, tmp_path):
         # hkm1_balance at h = 1/8 fails on this field (a known record failure)
