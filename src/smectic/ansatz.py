@@ -73,10 +73,11 @@ def mollify(p: JumpProfile, delta: float, grid: GridSpec) -> TorusField:
 class SweepRecord:
     """The optimized ansatz at one eps, and how its optimum was found:
     `n_evals` objective evaluations (N_BRACKET_PROBE when no golden section
-    ran), whether golden section refined the best probe between its two
-    higher neighbours (`bracketed`) or the best probe itself is returned,
-    and whether delta_star sits on an end of the width range (`at_bound`),
-    a box value, not an optimum."""
+    ran, 1 when the range is the one width 2/n1 = 1/8), whether golden
+    section refined the best probe between its two higher neighbours
+    (`bracketed`) or the best probe itself is returned, and whether
+    delta_star sits on an end of the width range (`at_bound`), a box value,
+    not an optimum."""
 
     eps: float
     delta_star: float
@@ -99,16 +100,17 @@ def minimize_scalar(fun, **kwargs):
 
 
 def _optimize_delta(objective, lo: float, hi: float) -> tuple[float, float, bool]:
-    """Minimize over [lo, hi]: the best of N_BRACKET_PROBE log-spaced probes,
-    refined by golden section when both its neighbours are strictly higher.
+    """Minimize over [lo, hi]: the best of N_BRACKET_PROBE log-spaced probes
+    (each distinct width once, so one when lo == hi), refined by golden
+    section when both its neighbours are strictly higher.
     Golden section keeps the best point it evaluates, the probe among them,
     so refining never returns more than the probe's value; on a tie with a
     neighbour there is no bracket and the probe is returned as it is.
     Returns (argmin, min, whether golden section produced it)."""
-    probes = np.geomspace(lo, hi, N_BRACKET_PROBE)
+    probes = np.unique(np.geomspace(lo, hi, N_BRACKET_PROBE))  # one when lo == hi
     values = [objective(d) for d in probes]
     i = int(np.argmin(values))
-    if 0 < i < N_BRACKET_PROBE - 1 and values[i - 1] > values[i] < values[i + 1]:
+    if 0 < i < len(probes) - 1 and values[i - 1] > values[i] < values[i + 1]:
         res = minimize_scalar(objective, bracket=tuple(probes[i - 1:i + 2]),
                               method="golden", options={"xtol": 1e-6})
         return float(res.x), float(res.fun), True

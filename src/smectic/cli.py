@@ -169,8 +169,8 @@ def _cmd_verify(args) -> tuple[list[VerificationRecord], dict]:
 
 
 def _cmd_energy(args) -> tuple[list[VerificationRecord], dict]:
-    report = energy_eps(_input_field(args), args.eps[0])
-    return [], {"energy.json": {repr(eps): report.at_eps(eps) for eps in args.eps}}
+    w = _input_field(args)
+    return [], {"energy.json": {repr(eps): energy_eps(w, eps) for eps in args.eps}}
 
 
 def _cmd_besov(args) -> tuple[list[VerificationRecord], dict]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fields import TorusField, project_vanishing_x1_mean
+from .fields import TorusField, derived, project_vanishing_x1_mean
 from .operators import d1, d2, eta_with_residual, inv_abs_d1, multiply_dealiased
 
 
@@ -49,10 +49,17 @@ class EnergyReport:
                              self.eta_k1zero_residual)
 
 
-def energy_eps(w: TorusField, eps: float) -> EnergyReport:
-    """Evaluate the eps-energy of w with all diagnostics."""
+@derived
+def _energy(w: TorusField) -> EnergyReport:
+    """w's report at eps = 1, built once per field instance."""
     e, residual = eta_with_residual(w)
-    return EnergyReport.weighted(inv_abs_d1(e).l2() ** 2, d1(w).l2() ** 2, eps, residual)
+    return EnergyReport.weighted(inv_abs_d1(e).l2() ** 2, d1(w).l2() ** 2, 1.0, residual)
+
+
+def energy_eps(w: TorusField, eps: float) -> EnergyReport:
+    """The eps-energy of w with all diagnostics: w is evaluated once per
+    instance (`_energy`); another eps only reweights (`EnergyReport.at_eps`)."""
+    return _energy(w).at_eps(eps)
 
 
 def energy_indep(w: TorusField) -> float:

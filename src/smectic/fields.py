@@ -106,16 +106,15 @@ class TorusField:
 
     At least one representation is present; the missing one is computed on
     first access and cached.  Instances are immutable; every operation in this
-    package returns a new field.  The Burgers quantity is cached the same
-    way: the first successful operators.eta_with_residual(w) stores it in
-    `_eta`, and since w never changes, it cannot go stale.  Fields compare
-    (and hash) by identity, as the dedupe of operators._padded_product does.
+    package returns a new field.  Values derived from it (see `derived`) are
+    kept in `_derived`, not shown.  Fields compare (and hash) by identity, as
+    the dedupe of operators._padded_product does.
     """
 
     grid: GridSpec
     _samples: np.ndarray | None = field(default=None, repr=False)
     _spectrum: np.ndarray | None = field(default=None, repr=False)
-    _eta: tuple[TorusField, float] | None = field(default=None, init=False, repr=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self._samples is None and self._spectrum is None:
@@ -196,6 +195,19 @@ class TorusField:
         return TorusField.from_spectrum(self.grid, c * self.spectrum)
 
     __rmul__ = __mul__
+
+
+def derived(build):
+    """Decorator: `build(f)` runs once per field instance f and its value is
+    kept on f, so a later call returns the same object.  Fields never change,
+    so a kept value cannot go stale; a build that raises keeps nothing and
+    raises again on the next call."""
+    @functools.wraps(build)
+    def get(f: TorusField):
+        if build not in f._derived:
+            f._derived[build] = build(f)
+        return f._derived[build]
+    return get
 
 
 def inner(f: TorusField, g: TorusField) -> float:

@@ -16,9 +16,9 @@ import functools
 import numpy as np
 
 from .errors import BandLimitExceeded
-from .fields import (GridSpec, TorusField, _band, _freeze, k1zero_residual,
-                     project_vanishing_x1_mean, relative_mass,
-                     require_admissible)
+from .fields import (GridSpec, TorusField, _band, _freeze, derived,
+                     k1zero_residual, project_vanishing_x1_mean,
+                     relative_mass, require_admissible)
 
 #: Relative spectral mass allowed in the outer band (|m| > 7/16 * n) before a
 #: nonlinear evaluation is refused as under-resolved.
@@ -192,14 +192,10 @@ def eta(w: TorusField) -> TorusField:
     return eta_with_residual(w)[0]
 
 
+@derived
 def eta_with_residual(w: TorusField) -> tuple[TorusField, float]:
-    """eta_w together with the relative k1 = 0 residual before projection.
-
-    Computed once per field instance: a successful evaluation is stored on w
-    (fields are immutable), so a failing one raises again on every call.
-    """
-    if w._eta is None:
-        require_admissible(w)
-        raw = d2(w) - 0.5 * d1(square_dealiased(w))
-        object.__setattr__(w, "_eta", (project_vanishing_x1_mean(raw), k1zero_residual(raw)))
-    return w._eta
+    """eta_w together with the relative k1 = 0 residual before projection,
+    built once per field instance."""
+    require_admissible(w)
+    raw = d2(w) - 0.5 * d1(square_dealiased(w))
+    return project_vanishing_x1_mean(raw), k1zero_residual(raw)

@@ -407,12 +407,17 @@ class TestSweep:
             assert abs(jump - 1.0 / 6.0) <= 1e-10
 
     def test_reproducible_bytes(self, tmp_path):
-        """The sweep table and the besov records file, rerun, are the same
-        bytes."""
+        """The sweep table, the besov records file and the energy and entropy
+        files of a field file, rerun, are the same bytes."""
+        field = tmp_path / "w"
+        save_field(random_band_limited(GridSpec(64, 64), seed=5, kmax=8, amplitude=0.5), field)
+        on_field = ["--field", str(field), "--eps", "2^-2..2^-4"]
         for argv, name in ((["sweep", "--c", "0.5", "--eps", "0.25", "--grid", "256x16"],
                             "sweep.csv"),
                            (["besov", "--grid", "64x64", "--kmax", "8"],
-                            "besov.csv")):
+                            "besov.csv"),
+                           (["energy", *on_field], "energy.json"),
+                           (["entropy", *on_field], "entropy.csv")):
             a, b = tmp_path / name / "a", tmp_path / name / "b"
             codes = [run([*argv, "--out", str(out)]) for out in (a, b)]
             assert codes[0] == codes[1] and (a / name).exists()
@@ -516,6 +521,7 @@ class TestEntropyAndTail:
         assert run(["sweep", "--grid", "16x8", "--eps", "0.25", "--out", str(tmp_path)]) == 0
         rows = list(csv.DictReader(io.StringIO((tmp_path / "sweep.csv").read_text())))
         assert [float(r["delta_star"]) for r in rows] == [0.125]
+        assert [int(r["n_evals"]) for r in rows] == [1]  # the one width, probed once
 
     def test_tail(self, tmp_path):
         code = run(["tail", "--grid", "128x128", "--seed", "3", "--kmax", "40",

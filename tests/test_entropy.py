@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smectic import operators
+from smectic.besov import VerificationRecord
 from smectic.entropy import (Interface, JumpProfile, div_sigma,
                              div_sigma_identity, div_sigma_jump_measure,
                              duality_gap, entropy_pair, entropy_production,
-                             jump_cost, rankine_hugoniot_check, sigma_pair)
+                             field_records, jump_cost, rankine_hugoniot_check,
+                             sigma_pair)
 from smectic.errors import IncompatibleProfile
-from smectic.fields import GridSpec, TorusField, random_band_limited
-from smectic.operators import cube_dealiased, d1, d2, square_dealiased
+from smectic.fields import (GridSpec, TorusField, as_admissible, load_field,
+                            random_band_limited, save_field)
+from smectic.operators import (_padded_product, cube_dealiased, d1, d2,
+                               square_dealiased)
 
 GRID = GridSpec(128, 128)
 
@@ -145,6 +150,48 @@ class TestDuality:
         assert rec.tolerance == 1.0 + 1e-8
         assert rec.ratio_or_residual == rec.lhs / rec.rhs
         assert rec.passed == (rec.ratio_or_residual <= 1.0 + 1e-8)
+
+
+class TestFieldRecords:
+    EPS = [0.25, 0.125, 0.0625]
+
+    @staticmethod
+    def file_field(tmp_path):
+        """A field as `entropy --field` reads it: saved, loaded and projected."""
+        w = random_band_limited(GridSpec(64, 64), seed=6, kmax=8, amplitude=0.5)
+        save_field(w, tmp_path / "w")
+        return as_admissible(load_field(tmp_path / "w"))
+
+    def test_four_products_one_cube(self, tmp_path, monkeypatch):
+        w = self.file_field(tmp_path)
+        factors = []  # per product: its number of factors
+
+        def counting(fields):
+            factors.append(len(fields))
+            return _padded_product(fields)
+
+        monkeypatch.setattr(operators, "_padded_product", counting)
+        field_records(w, self.EPS)
+        # w^2 of eta, w^3 and w^2 of div Sigma (built once), w * eta
+        assert sorted(factors) == [2, 2, 2, 3]
+
+    def test_records_match_each_check_on_fresh_twins(self, tmp_path):
+        """The stored eta, div Sigma and energy give the bits that each check
+        computes afresh on a field with no stored value."""
+        w = self.file_field(tmp_path)
+        records = field_records(w, self.EPS)
+
+        def twin():
+            return TorusField.from_spectrum(w.grid, w.spectrum)
+
+        phi = TorusField.from_samples(w.grid, np.sin(
+            2 * np.pi * np.repeat(w.grid.x1(), w.grid.n2, axis=1)) / (2 * np.pi))
+        production = entropy_production(twin())
+        assert records == [
+            div_sigma_identity(twin()),
+            VerificationRecord(name="entropy_production", lhs=production, rhs=0.0,
+                               ratio_or_residual=production, params={}),
+            *duality_gap(twin(), phi, self.EPS)]
 
 
 class TestProfileSerialization:

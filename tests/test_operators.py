@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smectic import operators
+from smectic import energy, operators
 from smectic.ansatz import mollify, vertical_two_shock
 from smectic.energy import energy_eps, energy_indep, gradient_eps
 from smectic.errors import BandLimitExceeded, NonAdmissibleInput
@@ -407,19 +407,39 @@ class TestEta:
         assert energy_eps(w + 0 * w, 0.1) == first
         assert squares == [True]
 
+    def test_energy_at_five_eps_runs_one_square(self, monkeypatch):
+        """One square and one compression norm: another eps only reweights."""
+        w = random_band_limited(GRID, seed=9, kmax=8, amplitude=0.5)
+        squares, inverses = [], []
+
+        def counting(fields):
+            squares.append(fields[0] is fields[-1])
+            return _padded_product(fields)
+
+        def counting_inverse(f):
+            inverses.append(f)
+            return inv_abs_d1(f)
+
+        monkeypatch.setattr(operators, "_padded_product", counting)
+        monkeypatch.setattr(energy, "inv_abs_d1", counting_inverse)
+        reports = [energy_eps(w, eps) for eps in (0.03, 0.1, 0.5, 1.0, 4.0)]
+        assert squares == [True] and len(inverses) == 1
+        assert [r.eps for r in reports] == [0.03, 0.1, 0.5, 1.0, 4.0]
+        assert len({(r.compression, r.bending) for r in reports}) == 1
+
     def test_failed_evaluation_raises_every_time(self):
         f = TorusField.from_samples(GRID, np.ones(GRID.shape))
         for _ in range(2):
             with pytest.raises(NonAdmissibleInput):
                 eta(f)
-        assert f._eta is None
+        assert f._derived == {}  # the failed build stored nothing
 
     def test_stored_eta_not_compared_or_shown(self):
         w = random_band_limited(GRID, seed=8, kmax=8, amplitude=0.5)
         twin = TorusField.from_spectrum(GRID, w.spectrum)
         shown = repr(w)
         eta(w)
-        assert w._eta is not None and twin._eta is None
+        assert w._derived and twin._derived == {}
         assert w != twin  # fields compare by identity
         assert repr(w) == shown == repr(twin)
 
