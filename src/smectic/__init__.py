@@ -12,7 +12,7 @@ controls, entropy/jump-cost machinery for shock profiles, a mollified
 two-shock ansatz with eps-sweeps, a first-order minimizer, and a CLI.
 """
 
-from .energy import EnergyReport, energy_eps, energy_indep, gradient_eps
+from .energy import EnergyLine, EnergyReport, energy_eps, energy_indep, gradient_eps
 from .errors import (BandLimitExceeded, DegenerateEnergy, IncompatibleProfile,
                      LineSearchFailure, NonAdmissibleInput, SmecticError,
                      WidthOutOfRange)
@@ -24,7 +24,7 @@ from .operators import (cube_dealiased, d1, d2, diff1, diff2, eta,
                         shift2, square_dealiased)
 
 __all__ = [
-    "BandLimitExceeded", "DegenerateEnergy", "EnergyReport", "GridSpec",
+    "BandLimitExceeded", "DegenerateEnergy", "EnergyLine", "EnergyReport", "GridSpec",
     "IncompatibleProfile", "LineSearchFailure", "NonAdmissibleInput",
     "SmecticError", "TorusField", "WidthOutOfRange", "as_admissible",
     "cube_dealiased", "d1", "d2", "diff1", "diff2", "energy_eps",

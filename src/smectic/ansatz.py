@@ -12,7 +12,7 @@ import numpy as np
 from .energy import energy_eps
 from .entropy import Interface, JumpProfile, jump_cost
 from .errors import WidthOutOfRange
-from .fields import GridSpec, TorusField
+from .fields import GridSpec, TorusField, _made
 
 #: log-spaced widths probed before golden section refines the best of them
 N_BRACKET_PROBE = 16
@@ -66,7 +66,7 @@ def mollify(p: JumpProfile, delta: float, grid: GridSpec) -> TorusField:
         for image in (-2, -1, 0, 1, 2):
             w += 0.5 * j * erf((x - a - image) * scale)
     w -= np.mean(w)
-    return TorusField.from_samples(grid, np.repeat(w[:, None], grid.n2, axis=1))
+    return _made(grid, samples=np.repeat(w[:, None], grid.n2, axis=1))
 
 
 @dataclass(frozen=True)

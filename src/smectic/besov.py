@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateEnergy
 from .energy import energy_eps, energy_indep, gradient_eps
-from .fields import TorusField, as_admissible, inner, mode_masses
+from .fields import TorusField, _made, as_admissible, inner, mode_masses
 from .operators import d1, eta, shift1, shift_symbol
 
 
@@ -48,8 +48,8 @@ def _mean(samples: np.ndarray) -> float:
 def parseval(w: TorusField, params: dict) -> VerificationRecord:
     """Spectral against grid L2 norm (both through TorusField.l2, so squares
     that underflow do not hide a difference), at relative tolerance 1e-12."""
-    spec_norm = TorusField.from_spectrum(w.grid, w.spectrum).l2()
-    grid_norm = TorusField.from_samples(w.grid, w.samples).l2()
+    spec_norm = _made(w.grid, w.spectrum).l2()
+    grid_norm = _made(w.grid, samples=w.samples).l2()
     res = abs(spec_norm - grid_norm) / grid_norm if grid_norm else float(spec_norm > 0.0)
     return VerificationRecord.checked("parseval", spec_norm, grid_norm, res, 1e-12, params)
 

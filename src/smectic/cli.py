@@ -206,6 +206,8 @@ def _cmd_sweep(args) -> tuple[list[VerificationRecord], dict]:
 
 def _cmd_minimize(args) -> tuple[list[VerificationRecord], dict]:
     opts = MinimizeOptions(max_iters=args.max_iters, pins=args.pins)
+    if args.save_final:  # before the descent: a bad --out fails at once
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     try:
         w, report = minimize(_input_field(args, amplitude=0.05), args.eps, opts)
     except LineSearchFailure as exc:

@@ -6,7 +6,9 @@ For an admissible field w the energy at layer-scale eps is
 
 with compression = || |d1|^-1 (d2 w - d1 w^2/2) ||^2 and bending = ||d1 w||^2.
 The eps-independent value sqrt(compression * bending) is the minimum of
-energy_eps over eps > 0 (AM-GM).
+energy_eps over eps > 0 (AM-GM).  eta is quadratic in w, so along a line
+w - a d the energy is a quartic in a, read off with no transform
+(`EnergyLine`).
 """
 
 from __future__ import annotations
@@ -14,8 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fields import TorusField, derived, project_vanishing_x1_mean
-from .operators import d1, d2, eta_with_residual, inv_abs_d1, multiply_dealiased
+from .errors import NonAdmissibleInput
+from .fields import (TorusField, _freeze, _made, derived, keep, kept,
+                     k1zero_residual, project_vanishing_x1_mean, spectral_inner)
+from .operators import (d1, d2, eta_with_residual, inv_abs_d1, multiply_dealiased,
+                        padded_samples, product_plan, require_band_headroom, support)
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
 
 
 @dataclass(frozen=True)
@@ -31,8 +41,7 @@ class EnergyReport:
     def weighted(cls, compression: float, bending: float, eps: float,
                  eta_k1zero_residual: float) -> EnergyReport:
         """The report of a field with this compression and bending at eps."""
-        if not 0.0 < eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {eps}")
+        _check_eps(eps)
         return cls(
             compression=compression,
             bending=bending,
@@ -78,10 +87,71 @@ def gradient_eps(w: TorusField, eps: float) -> TorusField:
     Validated against central finite differences of energy_eps (see the test
     suite); do not modify one without the other.
     """
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    _check_eps(eps)
     e, _ = eta_with_residual(w)
     big_g = inv_abs_d1(inv_abs_d1(e))
     compression_part = multiply_dealiased(w, d1(big_g)) - d2(big_g)
     g = (1.0 / eps) * compression_part - eps * d1(d1(w))
     return project_vanishing_x1_mean(g)
+
+
+class EnergyLine:
+    """energy_eps(w - a d, eps) at every step a, with no transform.
+
+    eta is quadratic in the field, so along the line
+
+        eta(a) = eta_w + a (d1(w d) - d2 d) - (a^2 / 2) d1(d^2)
+
+    and the energy is a quartic in a.  Each dealiased product is the exact
+    product cut to one band (see operators), so the identity holds for them
+    too, up to roundoff.  The line is built from w's kept eta and two
+    products, w d and d^2; after that, the energy at a is two norms of
+    spectra quadratic in a, and a point's eta a sum of three spectra.
+
+    The products run on `fine`, the grid of the product w * d1 G that
+    gradient_eps makes at a point of the line.  w's and d's samples there
+    are kept on them, and `point` keeps the point's, so that product reads
+    them in place of a transform (and a line from the point reads them for
+    its w).  w and d must hold exactly zero k1 = 0 rows, as the minimizer's
+    iterates and directions do.
+    """
+
+    def __init__(self, w: TorusField, d: TorusField, eps: float):
+        _check_eps(eps)
+        if w.spectrum[0].any() or d.spectrum[0].any():
+            raise NonAdmissibleInput("a line needs w and d with exactly zero k1 = 0 rows")
+        require_band_headroom(d)
+        self.w, self.d, self.eps = w, d, eps
+        # a point's support is generically the larger of w's and d's, and its
+        # eta reaches min(2 s, n/2 - 1) on each axis
+        s = [max(a, b) for a, b in zip(support(w), support(d))]
+        self.fine = product_plan(w.grid, 2, *(si + min(2 * si, n // 2 - 1)
+                                              for si, n in zip(s, w.grid.shape)))[0]
+        for f in (w, d):
+            keep(f, self.fine, _freeze(padded_samples(f, self.fine)))
+        self._etas = (eta_with_residual(w)[0],
+                      d1(multiply_dealiased(w, d, self.fine)) - d2(d),
+                      -0.5 * d1(multiply_dealiased(d, d, self.fine)))
+        # the spectra of |d1|^-1 eta(a) and d1(w - a d) are quadratic in a
+        self._compression = [inv_abs_d1(e).spectrum for e in self._etas]
+        self._bending = [d1(w).spectrum, d1(d).spectrum]
+
+    def energy(self, a: float) -> float:
+        """energy_eps(w - a d): the squared norms of the spectra of
+        |d1|^-1 eta(a) and d1(w - a d), weighted as energy_eps weights them."""
+        c0, c1, c2 = self._compression
+        b0, b1 = self._bending
+        q, b = c0 + a * (c1 + a * c2), b0 - a * b1
+        return 0.5 * (spectral_inner(q, q) / self.eps + self.eps * spectral_inner(b, b))
+
+    def point(self, a: float) -> TorusField:
+        """The field w - a d, with its eta (and k1 = 0 residual) and its
+        samples on `fine` kept: its energy needs no transform, and its
+        gradient only the inverse transform of d1 G and the forward one of
+        the product."""
+        e0, e1, e2 = (e.spectrum for e in self._etas)
+        p = _made(self.w.grid, self.w.spectrum - a * self.d.spectrum)
+        e = _made(p.grid, e0 + a * (e1 + a * e2))
+        keep(p, eta_with_residual.key, (e, k1zero_residual(e)))
+        keep(p, self.fine, _freeze(kept(self.w, self.fine) - a * kept(self.d, self.fine)))
+        return p

@@ -19,7 +19,7 @@ import numpy as np
 from .besov import VerificationRecord
 from .energy import energy_eps
 from .errors import IncompatibleProfile
-from .fields import TorusField, derived, inner
+from .fields import TorusField, _made, derived, inner
 from .operators import cube_dealiased, d1, d2, eta, multiply_dealiased, square_dealiased
 
 RH_TOL = 1e-12
@@ -194,7 +194,7 @@ def field_records(w: TorusField, eps_values: list[float]) -> list[VerificationRe
     bound per eps against the test function phi = sin(2 pi x1) / (2 pi)."""
     identity = div_sigma_identity(w)
     production = entropy_production(w)
-    phi = TorusField.from_samples(w.grid, np.sin(
+    phi = _made(w.grid, samples=np.sin(
         2 * np.pi * np.repeat(w.grid.x1(), w.grid.n2, axis=1)) / (2 * np.pi))
     return [identity,
             VerificationRecord(name="entropy_production", lhs=production, rhs=0.0,

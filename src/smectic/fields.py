@@ -94,10 +94,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _held(a: np.ndarray, dtype) -> np.ndarray:
-    """The read-only array a field holds for `a`: a frozen copy of a writeable
-    `a` (the caller's array stays writeable), else `a` itself (another field's)."""
+    """The read-only array a field holds for a caller's `a`: a frozen copy of a
+    writeable `a` (the caller's array stays writeable), else `a` itself
+    (another field's)."""
     a = np.asarray(a, dtype=dtype)
     return _freeze(a.copy() if a.flags.writeable else a)
+
+
+def _made(grid: "GridSpec", spectrum: np.ndarray | None = None,
+          samples: np.ndarray | None = None) -> "TorusField":
+    """The field of arrays the package has just made and hands over: frozen in
+    place, not copied as `from_samples` and `from_spectrum` copy a caller's."""
+    return TorusField(
+        grid, _samples=None if samples is None else _freeze(np.asarray(samples, float)),
+        _spectrum=None if spectrum is None else _freeze(np.asarray(spectrum, complex)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +150,7 @@ class TorusField:
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "TorusField":
-        return cls.from_samples(grid, np.zeros(grid.shape))
+        return _made(grid, samples=np.zeros(grid.shape))
 
     # -- representations ----------------------------------------------------
 
@@ -174,7 +184,7 @@ class TorusField:
         from `_scaled_squares`: a nonzero field has a nonzero norm."""
         if self.has_spectrum:
             sq, e = _scaled_squares(self._spectrum, spectral=True)
-            return float(np.ldexp(np.sqrt(np.sum(sq)), e))
+            return float(np.ldexp(np.sqrt(sq.sum()), e))
         sq, e = _scaled_squares(self._samples)
         return float(np.ldexp(np.sqrt(np.mean(sq)), e))
 
@@ -186,36 +196,58 @@ class TorusField:
         return float(np.max(np.abs(self.samples)))
 
     def __add__(self, other: "TorusField") -> "TorusField":
-        return TorusField.from_spectrum(self.grid, self.spectrum + other.spectrum)
+        return _made(self.grid, self.spectrum + other.spectrum)
 
     def __sub__(self, other: "TorusField") -> "TorusField":
-        return TorusField.from_spectrum(self.grid, self.spectrum - other.spectrum)
+        return _made(self.grid, self.spectrum - other.spectrum)
 
     def __mul__(self, c: float) -> "TorusField":
-        return TorusField.from_spectrum(self.grid, c * self.spectrum)
+        return _made(self.grid, c * self.spectrum)
 
     __rmul__ = __mul__
 
 
 def derived(build):
     """Decorator: `build(f)` runs once per field instance f and its value is
-    kept on f, so a later call returns the same object.  Fields never change,
-    so a kept value cannot go stale; a build that raises keeps nothing and
-    raises again on the next call."""
+    kept on f under `get.key`, so a later call returns the same object.
+    Fields never change, so a kept value cannot go stale; a build that raises
+    keeps nothing and raises again on the next call.  The key rides along
+    when a wrapper copies the getter's attributes (functools.wraps does)."""
     @functools.wraps(build)
     def get(f: TorusField):
         if build not in f._derived:
-            f._derived[build] = build(f)
+            keep(f, build, build(f))
         return f._derived[build]
+    get.key = build
     return get
+
+
+def keep(f: TorusField, key, value) -> None:
+    """Keep `value` on f under `key`: a `derived` getter's `key` for the value
+    it would build, or a GridSpec for f's samples on that (finer) grid.  The
+    one writer of `_derived`: a value kept here must be the one its key
+    names, as a field never changes."""
+    f._derived[key] = value
+
+
+def kept(f: TorusField, key):
+    """The value kept on f under `key` (see `keep`), else None."""
+    return f._derived.get(key)
 
 
 def inner(f: TorusField, g: TorusField) -> float:
     """L^2 inner product <f, g> on the torus: each row 0 < m1 < n1/2 counts
     for its partner -m1 too."""
-    a, b = f.spectrum, g.spectrum
-    return float(np.real(2.0 * np.vdot(a[1:-1], b[1:-1])
-                         + np.vdot(a[0], b[0]) + np.vdot(a[-1], b[-1])))
+    return spectral_inner(f.spectrum, g.spectrum)
+
+
+def spectral_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """<f, g> of the fields whose half spectra are the C-contiguous a and b
+    (see `inner`).  Summed by numpy's own (pairwise) reduction, not BLAS, so
+    its bits do not depend on the BLAS thread count."""
+    # Re(conj(a) b) summed over the real and imaginary parts side by side
+    re = a.view(float) * b.view(float)
+    return float(2.0 * re[1:-1].sum() + re[0].sum() + re[-1].sum())
 
 
 def _scaled_squares(values: np.ndarray, spectral: bool = False) -> tuple[np.ndarray, int]:
@@ -230,7 +262,7 @@ def _scaled_squares(values: np.ndarray, spectral: bool = False) -> tuple[np.ndar
     or its square root scaled back keeps its bits wherever the unscaled
     squares did not underflow or overflow."""
     a = np.abs(values)
-    e = int(np.frexp(np.max(a))[1])
+    e = int(np.frexp(a.max())[1])
     np.ldexp(a, -e, out=a)
     np.square(a, out=a)
     if spectral:
@@ -293,15 +325,14 @@ def random_band_limited(grid: GridSpec, seed: int, kmax: int,
     if kmax >= min(grid.n1, grid.n2) / 3:
         raise ValueError(f"kmax {kmax} leaves no dealiasing headroom on {grid.n1}x{grid.n2}")
     rng = np.random.default_rng(seed)
-    spec = TorusField.from_samples(grid, rng.standard_normal(grid.shape)).spectrum
+    spec = _made(grid, samples=rng.standard_normal(grid.shape)).spectrum
     m1, m2 = grid.modes1(), grid.modes2()
-    keep = (0 < m1) & (m1 <= kmax) & (np.abs(m2) <= kmax)
-    spec = np.where(keep, spec, 0.0)
-    f = TorusField.from_spectrum(grid, spec)
-    peak = f.linf()
+    band = (0 < m1) & (m1 <= kmax) & (np.abs(m2) <= kmax)
+    spec = np.where(band, spec, 0.0)
+    peak = _made(grid, spec).linf()
     if amplitude == 0.0 or peak == 0.0:
         return TorusField.zero(grid)
-    return TorusField.from_spectrum(grid, spec * (amplitude / peak))
+    return _made(grid, spec * (amplitude / peak))
 
 
 def _band(spec: np.ndarray, shape: tuple[int, int], c1: int, c2: int) -> np.ndarray:
@@ -317,7 +348,7 @@ def regrid(f: TorusField, grid: GridSpec) -> TorusField:
     modes |m| < min(n_src, n_dst) / 2 are carried over, so the Nyquist row
     and column of the coarser grid are dropped."""
     c1, c2 = (min(a, b) // 2 - 1 for a, b in zip(f.grid.shape, grid.shape))
-    return TorusField.from_spectrum(grid, _band(f.spectrum, grid.spectrum_shape, c1, c2))
+    return _made(grid, _band(f.spectrum, grid.spectrum_shape, c1, c2))
 
 
 # -- field file format ------------------------------------------------------
@@ -358,4 +389,4 @@ def load_field(path: str | Path) -> TorusField:
         raise ValueError(f"{data_path}: expected {grid.npoints} samples, got {raw.size}")
     if not np.all(np.isfinite(raw)):
         raise ValueError(f"{data_path}: non-finite samples")
-    return TorusField.from_samples(grid, raw.reshape(grid.n2, grid.n1).T)
+    return _made(grid, samples=raw.reshape(grid.n2, grid.n1).T)

@@ -4,18 +4,26 @@ Safeguarded Barzilai-Borwein steps, gated by an Armijo backtracking line
 search.  The zero field is the global minimizer, so meaningful experiments
 anchor the iterate by freezing a set of spectral modes (mode pinning does not
 perturb the energy landscape away from the pins).
+
+The energy along a step is an exact quartic in the step length
+(energy.EnergyLine), so the Armijo trials read their energies off the line
+and make no transform; the accepted point arrives with its eta and its
+padded samples kept.  An iteration makes five transforms: d, w d and d^2
+for the line, d1 G and w d1 G for the gradient at the new point.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .besov import VerificationRecord, gradient_check
-from .energy import energy_eps, gradient_eps
+from .energy import EnergyLine, energy_eps, gradient_eps
 from .errors import LineSearchFailure
-from .fields import GridSpec, TorusField, inner, random_band_limited, regrid
+from .fields import (GridSpec, TorusField, _freeze, _made, inner, random_band_limited,
+                     regrid)
 from .operators import outer_band
 
 ARMIJO_C = 1e-4
@@ -81,11 +89,17 @@ def gradient_certificate(grid: GridSpec) -> bool:
     return _GRADIENT_CERTIFICATES[key]
 
 
+@functools.lru_cache(maxsize=None)
+def _dropped(grid: GridSpec) -> np.ndarray:
+    """Read-only mask of the modes no iterate holds: the m1 = 0 row and the
+    outer band; built once per grid."""
+    return _freeze((grid.modes1() == 0) | outer_band(grid))
+
+
 def _admissible(f: TorusField) -> TorusField:
     """Project onto the admissible subspace (zero the m1 = 0 row) and filter
     the outer spectral band so iterates keep dealiasing headroom."""
-    drop = (f.grid.modes1() == 0) | outer_band(f.grid)
-    return TorusField.from_spectrum(f.grid, np.where(drop, 0.0, f.spectrum))
+    return _made(f.grid, np.where(_dropped(f.grid), 0.0, f.spectrum))
 
 
 # -- anchoring helpers -------------------------------------------------------
@@ -106,24 +120,26 @@ def lowest_mode_pins(w: TorusField, count: int) -> np.ndarray:
 
 # -- descent -----------------------------------------------------------------
 
-def descent_step(w: TorusField, g: TorusField, step: float,
-                 objective, f_w: float, direction: TorusField):
-    """One Armijo-gated step along -direction.
+def descent_step(line: EnergyLine, g: TorusField, step: float, f_w: float,
+                 direction: TorusField):
+    """One Armijo-gated step from line.w along the line, whose d is
+    `direction` less its k1 = 0 row and outer band.  The slope is
+    <g, direction>, and every trial reads its energy off the line, with no
+    transform.
 
     Returns (w_next, accepted, f_next, rejected trial steps).  A direction
     with no descent slope (a zero gradient) is a fixed point, accepted.
     """
     slope = inner(g, direction)
     if slope <= 0.0:
-        return w, True, f_w, 0
+        return line.w, True, f_w, 0
     alpha = step
     for halvings in range(MAX_BACKTRACKS):
-        cand = _admissible(w + (-alpha) * direction)
-        f_cand = objective(cand)
+        f_cand = line.energy(alpha)
         if f_cand <= f_w - ARMIJO_C * alpha * slope:
-            return cand, True, f_cand, halvings
+            return line.point(alpha), True, f_cand, halvings
         alpha *= 0.5
-    return w, False, f_w, MAX_BACKTRACKS
+    return line.w, False, f_w, MAX_BACKTRACKS
 
 
 def minimize(w0: TorusField, eps: float, opts: MinimizeOptions
@@ -132,7 +148,8 @@ def minimize(w0: TorusField, eps: float, opts: MinimizeOptions
 
     Every accepted step decreases the objective; the iterate stays admissible
     and keeps the pinned coefficients bit-fixed, as the gradient and so the
-    direction are zero on them.  A failed line search raises
+    direction are zero on them.  Every iterate, the first included, is cut to
+    the band below `outer_band`, pins too.  A failed line search raises
     LineSearchFailure carrying the report up to the last accepted iterate.
 
     A w0 that does not depend on x2 keeps that independence, as do eta,
@@ -148,7 +165,7 @@ def minimize(w0: TorusField, eps: float, opts: MinimizeOptions
     held = lowest_mode_pins(w0, opts.pins)
     column = w0.samples[:, :1] if w0.has_samples else None
     if column is not None and np.all(w0.samples == column):
-        w0 = TorusField.from_samples(lean, np.repeat(column, lean.n2, axis=1))
+        w0 = _made(lean, samples=np.repeat(column, lean.n2, axis=1))
     elif not w0.spectrum[:, 1:].any():
         w0 = regrid(w0, lean)
     if w0.grid != requested:
@@ -157,16 +174,11 @@ def minimize(w0: TorusField, eps: float, opts: MinimizeOptions
         raise RuntimeError("gradient finite-difference certificate failed for "
                            f"grid {w0.grid.n1}x{w0.grid.n2}; refusing to run")
 
-    def objective(w: TorusField) -> float:
-        return energy_eps(w, eps).energy_eps
-
     def gradient(w: TorusField) -> TorusField:
-        g = gradient_eps(w, eps).spectrum
-        return TorusField.from_spectrum(w.grid, np.where(held, 0.0, g))
+        return _made(w.grid, np.where(held, 0.0, gradient_eps(w, eps).spectrum))
 
-    w = TorusField.from_spectrum(
-        w0.grid, np.where(held, w0.spectrum, _admissible(w0).spectrum))
-    f_w = objective(w)
+    w = _admissible(w0)
+    f_w = energy_eps(w, eps).energy_eps
     g = gradient(w)
     energies, grad_norms, steps, backtracks = [f_w], [g.l2()], [], []
     step = INITIAL_STEP
@@ -182,13 +194,13 @@ def minimize(w0: TorusField, eps: float, opts: MinimizeOptions
             s = w - prev_w
             sy = inner(s, g - prev_g)
             if sy > 0.0:
-                step = float(np.clip(inner(s, s) / sy, *BB_CLIP))
+                step = min(max(inner(s, s) / sy, BB_CLIP[0]), BB_CLIP[1])
 
         # semi-implicit damping of the stiff bending modes
-        direction = TorusField.from_spectrum(
-            g.grid, g.spectrum / (1.0 + step * eps * g.grid.k1() ** 2))
+        direction = _made(g.grid, g.spectrum / (1.0 + step * eps * g.grid.k1() ** 2))
+        line = EnergyLine(w, _admissible(direction), eps)
         prev_w, prev_g = w, g
-        w_next, accepted, f_next, halvings = descent_step(w, g, step, objective, f_w, direction)
+        w_next, accepted, f_next, halvings = descent_step(line, g, step, f_w, direction)
         iterations = it + 1
         steps.append(0.0 if w_next is w else step * 0.5 ** halvings)
         backtracks.append(halvings)

@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .errors import BandLimitExceeded
-from .fields import (GridSpec, TorusField, _band, _freeze, derived,
+from .fields import (GridSpec, TorusField, _band, _freeze, _made, derived, kept,
                      k1zero_residual, project_vanishing_x1_mean,
                      relative_mass, require_admissible)
 
@@ -47,18 +47,18 @@ def _abs_d1_symbol(grid: GridSpec, s: float) -> np.ndarray:
 
 def d1(f: TorusField) -> TorusField:
     """Spectral x1-derivative (symbol i*k1, Nyquist zeroed)."""
-    return TorusField.from_spectrum(f.grid, f.spectrum * _derivative_symbol(f.grid, 1))
+    return _made(f.grid, f.spectrum * _derivative_symbol(f.grid, 1))
 
 
 def d2(f: TorusField) -> TorusField:
     """Spectral x2-derivative (symbol i*k2, Nyquist zeroed)."""
-    return TorusField.from_spectrum(f.grid, f.spectrum * _derivative_symbol(f.grid, 2))
+    return _made(f.grid, f.spectrum * _derivative_symbol(f.grid, 2))
 
 
 def inv_abs_d1(f: TorusField) -> TorusField:
     """|d1|^-1: divide by |k1|, defined only on vanishing-x1-mean input."""
     require_admissible(f)
-    return TorusField.from_spectrum(f.grid, f.spectrum * _abs_d1_symbol(f.grid, -1.0))
+    return _made(f.grid, f.spectrum * _abs_d1_symbol(f.grid, -1.0))
 
 
 def frac_abs_d1(f: TorusField, s: float) -> TorusField:
@@ -66,7 +66,7 @@ def frac_abs_d1(f: TorusField, s: float) -> TorusField:
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
     require_admissible(f)
-    return TorusField.from_spectrum(f.grid, f.spectrum * _abs_d1_symbol(f.grid, s))
+    return _made(f.grid, f.spectrum * _abs_d1_symbol(f.grid, s))
 
 
 def shift_symbol(grid: GridSpec, h: float, axis: int) -> np.ndarray:
@@ -78,7 +78,7 @@ def shift_symbol(grid: GridSpec, h: float, axis: int) -> np.ndarray:
 
 
 def _shift(f: TorusField, h: float, axis: int) -> TorusField:
-    return TorusField.from_spectrum(f.grid, f.spectrum * shift_symbol(f.grid, h, axis))
+    return _made(f.grid, f.spectrum * shift_symbol(f.grid, h, axis))
 
 
 def shift1(f: TorusField, h: float) -> TorusField:
@@ -133,42 +133,72 @@ def _fine_size(n: int, full: int) -> int:
     return n
 
 
-def _padded_half(spec: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The half spectrum on `grid` of the field whose half spectrum is
-    `spec`, which has no mode |m| >= grid.n/2 but its Nyquist mode: split
-    evenly on a finer axis (the Nyquist row reduced to its Hermitian part, as
-    the inverse transform reads it), dropped on an axis no finer."""
+@derived
+def support(f: TorusField) -> tuple[int, int]:
+    """Per axis, the largest |m| of f's nonzero coefficients (n/2 for a
+    nonzero Nyquist mode, 0 for none): what a product's plan is built from."""
+    held = f.spectrum != 0
+    m1, m2 = f.grid.modes1()[:, 0], np.abs(f.grid.modes2()[0])
+    return (int(m1[held.any(axis=1)].max(initial=0)),
+            int(m2[held.any(axis=0)].max(initial=0)))
+
+
+@functools.lru_cache(maxsize=None)
+def product_plan(grid: GridSpec, factors: int, s1: int, s2: int
+                 ) -> tuple[GridSpec, tuple[int, int]]:
+    """The fine grid and the kept band (R1, R2) of a product of `factors`
+    fields on `grid` whose supports sum to (s1, s2); built once per key."""
+    band = tuple(min(s, n // 2 - 1) for s, n in zip((s1, s2), grid.shape))
+    return GridSpec(*(_fine_size(s + r + 1, (factors + 1) * n // 2)
+                      for s, r, n in zip((s1, s2), band, grid.shape))), band
+
+
+def padded_samples(f: TorusField, fine: GridSpec) -> np.ndarray:
+    """f's samples on the finer grid `fine`: the ones kept on f for that grid
+    (see fields.keep), else one inverse real transform of f's padded half
+    spectrum.  Each Nyquist row or column of f is split evenly between -n/2
+    and +n/2 on a finer axis (the row reduced to its Hermitian part, as the
+    inverse transform reads it) and dropped on an axis no finer."""
+    samples = kept(f, fine)
+    if samples is not None:
+        return samples
+    spec, (s1, s2) = f.spectrum, support(f)
     h1, h2 = spec.shape[0] - 1, spec.shape[1] // 2
-    out = _band(spec, grid.spectrum_shape, min(h1, grid.n1 // 2 - 1), min(h2, grid.n2 // 2 - 1))
-    if grid.n2 > 2 * h2:
+    out = _band(spec, fine.spectrum_shape, min(s1, fine.n1 // 2 - 1), min(s2, fine.n2 // 2 - 1))
+    if s2 == h2 and fine.n2 > 2 * h2:
         out[:h1 + 1, [h2, -h2]] *= 0.5
-    if grid.n1 > 2 * h1:
+    if s1 == h1 and fine.n1 > 2 * h1:
         row = out[h1]
         out[h1] = 0.25 * (row + np.conj(np.roll(row[::-1], 1)))  # row(m2) + conj row(-m2)
-    return out
+    samples = np.fft.irfftn(out, s=(fine.n2, fine.n1), axes=(1, 0))
+    samples *= fine.npoints
+    return samples
 
 
-def _padded_product(fields: list[TorusField]) -> TorusField:
-    """The factors' product on the grid their supports need, cut to |m| <= R:
-    one inverse real transform per distinct factor, one forward transform."""
-    grid, distinct = fields[0].grid, {id(f): f for f in fields}
-    held = {k: f.spectrum != 0 for k, f in distinct.items()}
-    sizes, band = [], []
-    for axis, m in enumerate((grid.modes1()[:, 0], np.abs(grid.modes2()[0]))):
-        s = sum(int(m[held[id(f)].any(axis=1 - axis)].max(initial=0)) for f in fields)
-        band.append(min(s, grid.shape[axis] // 2 - 1))
-        sizes.append(_fine_size(s + band[-1] + 1, (len(fields) + 1) * grid.shape[axis] // 2))
-    fine = GridSpec(*sizes)
-    physical = {k: TorusField.from_spectrum(fine, _padded_half(f.spectrum, fine)).samples
-                for k, f in distinct.items()}
+def _padded_product(fields: list[TorusField], fine: GridSpec | None = None) -> TorusField:
+    """The factors' product on the fine grid of their plan (or on `fine`, a
+    grid no coarser), cut to |m| <= R: one inverse real transform per
+    distinct factor without samples kept on that grid, one forward transform."""
+    grid = fields[0].grid
+    plan, band = product_plan(grid, len(fields),
+                              *(sum(s) for s in zip(*map(support, fields))))
+    if fine is None:
+        fine = plan
+    elif fine.n1 < plan.n1 or fine.n2 < plan.n2:
+        raise ValueError(f"fine grid {fine.shape} is coarser than the product's {plan.shape}")
+    distinct = {id(f): f for f in fields}
+    physical = {k: padded_samples(f, fine) for k, f in distinct.items()}
     prod = functools.reduce(np.multiply, [physical[id(f)] for f in fields])
-    spec = TorusField.from_samples(fine, prod).spectrum
-    return TorusField.from_spectrum(grid, _band(spec, grid.spectrum_shape, *band))
+    spec = _band(np.fft.rfftn(prod, axes=(1, 0)), grid.spectrum_shape, *band)
+    spec /= fine.npoints
+    return _made(grid, spec)
 
 
-def multiply_dealiased(f: TorusField, g: TorusField) -> TorusField:
-    """Alias-free f * g on the band |m| <= R, for any input."""
-    return _padded_product([f, g])
+def multiply_dealiased(f: TorusField, g: TorusField, fine: GridSpec | None = None
+                       ) -> TorusField:
+    """Alias-free f * g on the band |m| <= R, for any input; on `fine` when
+    given (see _padded_product)."""
+    return _padded_product([f, g], fine)
 
 
 def square_dealiased(f: TorusField) -> TorusField:

@@ -544,6 +544,17 @@ class TestMinimizeCommand:
         assert (tmp_path / "final.bin").exists()
         assert report["grid"] == [32, 32]
 
+    def test_save_final_into_a_missing_directory(self, tmp_path):
+        """--out is made before the final field is saved into it, and the
+        saved field is the descent's result."""
+        out = tmp_path / "new" / "dir"
+        code = run(["minimize", "--grid", "32x32", "--kmax", "4", "--max-iters", "5",
+                    "--save-final", "--out", str(out)])
+        assert code == 0
+        w0 = random_band_limited(GridSpec(32, 32), seed=0, kmax=4, amplitude=0.05)
+        w, _ = minimize(w0, 2.0 ** -4, MinimizeOptions(max_iters=5))
+        assert np.array_equal(load_field(out / "final").samples, w.samples)
+
     def test_x2_independent_field_descends_on_the_lean_grid(self, tmp_path):
         shock = ansatz.mollify(ansatz.vertical_two_shock(0.5), 0.125, GridSpec(64, 16))
         save_field(shock, tmp_path / "shock")

@@ -1,10 +1,19 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smectic import energy, operators
 from smectic.besov import verify_b2s
-from smectic.energy import EnergyReport, energy_eps, energy_indep, gradient_eps
-from smectic.fields import (GridSpec, TorusField, as_admissible, inner,
+from smectic.energy import (EnergyLine, EnergyReport, energy_eps, energy_indep,
+                            gradient_eps)
+from smectic.errors import NonAdmissibleInput
+from smectic.fields import (GridSpec, TorusField, as_admissible, inner, kept,
                             random_band_limited)
+from smectic.operators import eta_with_residual, padded_samples
 
 GRID = GridSpec(128, 128)
 
@@ -104,3 +113,76 @@ class TestRealTransformsOnly:
             monkeypatch.setattr(np.fft, name, lambda *a, _n=name, **k: calls.append(_n))
         energy_eps(w, 0.1), gradient_eps(w, 0.1), verify_b2s(w)
         assert calls == []
+
+
+def _traced(test):
+    """Run test(tracer) with perfbench's tracer installed on the package."""
+    importlib.import_module("smectic.cli")  # the tracer wraps every module
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        test(tracer)
+    finally:
+        tracer.uninstall()
+
+
+class TestEnergyLine:
+    EPS = 0.0625
+
+    @staticmethod
+    def line(seed=3, grid=GridSpec(64, 64)):
+        w = random_band_limited(grid, seed=seed, kmax=8, amplitude=0.3)
+        d = gradient_eps(w, TestEnergyLine.EPS)
+        return w, d, EnergyLine(w, d, TestEnergyLine.EPS)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n1=st.integers(8, 32).map(lambda k: 2 * k), n2=st.integers(8, 32).map(lambda k: 2 * k),
+           seeds=st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)),
+           kmax=st.integers(1, 5), amplitudes=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+           eps=st.floats(0.01, 1.0), a=st.floats(0.0, 4.0))
+    def test_energy_is_the_energy_of_the_point(self, n1, n2, seeds, kmax, amplitudes, eps, a):
+        grid = GridSpec(n1, n2)
+        w, d = (random_band_limited(grid, seed=s, kmax=kmax, amplitude=amp)
+                for s, amp in zip(seeds, amplitudes))
+        direct = energy_eps(as_admissible(w - a * d), eps).energy_eps
+        assert EnergyLine(w, d, eps).energy(a) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+    def test_point_keeps_the_eta_and_samples_of_a_fresh_twin(self):
+        w, d, line = self.line()
+        p = line.point(0.37)
+        twin = TorusField.from_spectrum(p.grid, p.spectrum)
+        (e, residual), (e_twin, residual_twin) = eta_with_residual(p), eta_with_residual(twin)
+        assert residual == residual_twin == 0.0
+        scale = e_twin.l2()
+        assert np.abs(e.spectrum - e_twin.spectrum).max() <= 1e-14 * scale
+        assert np.allclose(kept(p, line.fine), padded_samples(twin, line.fine),
+                           rtol=0.0, atol=1e-14 * np.abs(p.samples).max())
+        assert energy_eps(p, self.EPS).energy_eps == pytest.approx(line.energy(0.37), rel=1e-13)
+
+    def test_point_needs_no_transform_for_its_energy_and_two_for_its_gradient(self):
+        _, _, line = self.line()
+
+        def check(tracer):
+            p = line.point(0.5)
+            before = tracer.fft_calls
+            kept_eta = kept(p, eta_with_residual.key)
+            # the names the tracer rebound: the kept value is found through them
+            assert operators.eta_with_residual(p) is kept_eta
+            energy.energy_eps(p, self.EPS)
+            assert tracer.fft_calls == before
+            energy.gradient_eps(p, self.EPS)
+            assert tracer.fft_calls == before + 2  # d1 G's inverse, the product's forward
+
+        _traced(check)
+
+    def test_lines_need_admissible_factors(self):
+        w = random_band_limited(GridSpec(32, 32), seed=1, kmax=4)
+        ones = TorusField.from_samples(w.grid, np.ones(w.grid.shape))
+        with pytest.raises(NonAdmissibleInput):
+            EnergyLine(w, ones, 0.1)
+        with pytest.raises(ValueError):
+            EnergyLine(w, w, 0.0)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,14 +12,19 @@ from hypothesis import strategies as st
 
 from smectic import fields
 from smectic.besov import tail_mass
-from smectic.energy import energy_eps, gradient_eps
+from smectic import minimize as minimize_module
+from smectic.energy import EnergyLine, energy_eps, gradient_eps
 from smectic.errors import NonAdmissibleInput
 from smectic.fields import (ADMISSIBLE_TOL, GridSpec, TorusField,
                             as_admissible, inner, k1zero_residual,
                             load_field, project_vanishing_x1_mean,
                             random_band_limited, regrid, relative_mass,
                             require_admissible, save_field)
-from smectic.operators import outer_band
+from smectic.minimize import minimize
+from smectic.operators import (d1, inv_abs_d1, multiply_dealiased, outer_band, shift1,
+                               square_dealiased)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def sine_field(grid, a=1.0, m=1):
@@ -68,6 +77,36 @@ class TestTorusField:
         assert np.array_equal(f.spectrum, kept)
         assert np.array_equal(s.samples, kept_samples)
         assert not f.spectrum.flags.writeable and not s.samples.flags.writeable
+
+    def test_public_constructors_copy_only_a_writeable_array(self):
+        """A caller's writeable array is copied; another field's read-only
+        array is held as it is."""
+        g = GridSpec(8, 8)
+        samples = np.random.default_rng(3).standard_normal(g.shape)
+        f = TorusField.from_samples(g, samples)
+        assert not np.shares_memory(f.samples, samples) and samples.flags.writeable
+        twin = TorusField.from_spectrum(g, f.spectrum)
+        assert twin.spectrum is f.spectrum
+
+    def test_operator_results_are_held_without_a_copy(self, monkeypatch):
+        """The package hands the arrays it makes to its fields as they are:
+        no operator, energy, line or descent goes through the copying
+        constructors' `_held`."""
+        g = GridSpec(32, 32)
+        w = random_band_limited(g, seed=4, kmax=4, amplitude=0.3)
+        v = random_band_limited(g, seed=5, kmax=4, amplitude=0.3)
+        minimize_module.gradient_certificate(g)
+        copies = []
+        real = fields._held
+        monkeypatch.setattr(fields, "_held", lambda *a: copies.append(a) or real(*a))
+        made = [d1(w), inv_abs_d1(w), shift1(w, 0.1), w + v, w - v, 2.0 * w,
+                regrid(w, GridSpec(16, 16)), square_dealiased(w), multiply_dealiased(w, v),
+                gradient_eps(w, 0.1), random_band_limited(g, seed=6, kmax=4),
+                EnergyLine(w, v, 0.1).point(0.5),
+                minimize(w, 0.1, minimize_module.MinimizeOptions(max_iters=3))[0]]
+        energy_eps(made[-1], 0.1)
+        assert copies == []
+        assert all(not f.spectrum.flags.writeable for f in made)
 
     def test_equal_arrays_make_distinct_fields(self):
         """Fields compare by identity: two fields of equal but distinct
@@ -133,6 +172,21 @@ class TestTorusField:
         g = GridSpec(32, 32)
         assert inner(sine_field(g, m=1), sine_field(g, m=2)) == pytest.approx(0.0, abs=1e-15)
         assert inner(sine_field(g, a=3.0), sine_field(g)) == pytest.approx(1.5, rel=1e-12)
+
+    def test_inner_does_not_depend_on_the_blas_thread_count(self):
+        """inner sums with numpy's own reduction: two 512^2 fields give the
+        same bits with one BLAS thread and with two."""
+        script = ("from smectic.fields import GridSpec, inner, random_band_limited\n"
+                  "g = GridSpec(512, 512)\n"
+                  "print(repr(inner(random_band_limited(g, 1, 160), "
+                  "random_band_limited(g, 2, 160))))\n")
+        reads = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            reads.append(done.stdout)
+        assert reads[0] == reads[1] != ""
 
     def test_needs_a_representation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from smectic import minimize as minimize_module
 from smectic.ansatz import mollify, vertical_two_shock
 from smectic.cli import main
-from smectic.energy import energy_eps, gradient_eps
+from smectic.energy import EnergyLine, energy_eps, gradient_eps
 from smectic.errors import LineSearchFailure
 from smectic.fields import (GridSpec, TorusField, as_admissible,
                             load_field, random_band_limited, save_field)
@@ -77,8 +77,7 @@ class TestDescentStep:
         w = random_band_limited(GRID, seed=1, kmax=8, amplitude=0.1)
         g = TorusField.zero(GRID)
         w2, accepted, f2, halvings = descent_step(
-            w, g, 1.0, lambda u: energy_eps(u, 0.1).energy_eps,
-            energy_eps(w, 0.1).energy_eps, g)
+            EnergyLine(w, g, 0.1), g, 1.0, energy_eps(w, 0.1).energy_eps, g)
         assert accepted and halvings == 0
         assert w2 is w
 
@@ -87,10 +86,52 @@ class TestDescentStep:
         eps = 0.0625
         f_w = energy_eps(w, eps).energy_eps
         g = gradient_eps(w, eps)
-        _, accepted, f2, _ = descent_step(
-            w, g, 1.0, lambda u: energy_eps(u, eps).energy_eps, f_w, g)
+        w2, accepted, f2, _ = descent_step(EnergyLine(w, g, eps), g, 1.0, f_w, g)
         assert accepted
         assert f2 <= f_w
+        assert f2 == pytest.approx(energy_eps(as_admissible(w2 + 0 * w2), eps).energy_eps,
+                                   rel=1e-12)
+
+
+class TestTransformCount:
+    """The transforms of a descent do not depend on the machine: after the
+    first iteration, each makes five (d, w d, d^2, d1 G and w d1 G), and
+    its Armijo trials make none."""
+
+    @staticmethod
+    def count(monkeypatch, max_iters):
+        w0 = random_band_limited(GRID, seed=0, kmax=8, amplitude=0.05)
+        gradient_certificate(GRID)
+        calls, in_steps = [0], []
+        for name in ("fft2", "ifft2", "fftn", "ifftn", "rfftn", "irfftn", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=getattr(np.fft, name), **k:
+                                calls.__setitem__(0, calls[0] + 1) or _f(*a, **k))
+        step = minimize_module.descent_step
+
+        def counted_step(*args):
+            before = calls[0]
+            result = step(*args)
+            in_steps.append(calls[0] - before)
+            return result
+
+        monkeypatch.setattr(minimize_module, "descent_step", counted_step)
+        _, rep = minimize(w0, 0.0625, MinimizeOptions(max_iters=max_iters))
+        monkeypatch.undo()
+        assert rep.iterations == max_iters and set(in_steps) == {0}
+        return calls[0]
+
+    def test_five_transforms_per_iteration(self, monkeypatch):
+        first, fifty = self.count(monkeypatch, 1), self.count(monkeypatch, 50)
+        assert (fifty - first) / 49 <= 5.2
+
+
+class TestFinalEnergy:
+    def test_history_ends_at_the_energy_of_a_fresh_twin(self):
+        w0 = random_band_limited(GRID, seed=0, kmax=8, amplitude=0.05)
+        w, rep = minimize(w0, 0.0625, MinimizeOptions(max_iters=60))
+        twin = energy_eps(TorusField.from_spectrum(w.grid, w.spectrum), 0.0625)
+        assert twin.energy_eps == pytest.approx(rep.energy_history[-1], rel=1e-10, abs=0.0)
+        assert twin.energy_eps == pytest.approx(rep.final_energy.energy_eps, rel=1e-10, abs=0.0)
 
 
 class TestMinimize:

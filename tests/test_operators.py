@@ -390,9 +390,9 @@ class TestEta:
         w = random_band_limited(GRID, seed=8, kmax=8, amplitude=0.5)
         squares = []  # per product: is it a square (eta's only product)?
 
-        def counting(fields):
+        def counting(fields, *fine):
             squares.append(fields[0] is fields[-1])
-            return _padded_product(fields)
+            return _padded_product(fields, *fine)
 
         monkeypatch.setattr(operators, "_padded_product", counting)
         first = energy_eps(w, 0.1)
@@ -412,9 +412,9 @@ class TestEta:
         w = random_band_limited(GRID, seed=9, kmax=8, amplitude=0.5)
         squares, inverses = [], []
 
-        def counting(fields):
+        def counting(fields, *fine):
             squares.append(fields[0] is fields[-1])
-            return _padded_product(fields)
+            return _padded_product(fields, *fine)
 
         def counting_inverse(f):
             inverses.append(f)
