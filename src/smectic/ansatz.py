@@ -17,6 +17,13 @@ from .fields import GridSpec, TorusField, _made
 #: log-spaced widths probed before golden section refines the best of them
 N_BRACKET_PROBE = 16
 
+#: erf(t) is exactly +-1 in double precision from |t| = 6 on: erfc(6) < 2.2e-17
+#: is less than half an ulp of 1, so libm rounds erf(t) to sign(t) there
+ERF_SATURATION = 6.0
+
+#: relative width tolerance of golden section, |x3 - x0| <= GOLDEN_XTOL (|x1| + |x2|)
+GOLDEN_XTOL = 1e-6
+
 
 def vertical_two_shock(c: float) -> JumpProfile:
     """w = +c on x1 in [0, 1/2), -c on [1/2, 1): the stationary entropy
@@ -44,17 +51,27 @@ def _vertical_jumps(p: JumpProfile) -> list[tuple[float, float]]:
     return sorted(jumps)
 
 
+def _erf(t: np.ndarray) -> np.ndarray:
+    """erf elementwise: the C library's `math.erf` where |t| < ERF_SATURATION,
+    sign(t) beyond, where erf rounds to +-1 anyway."""
+    out = np.sign(t)
+    inner = np.abs(t) < ERF_SATURATION
+    out[inner] = list(map(math.erf, t[inner].tolist()))
+    return out
+
+
 def mollify(p: JumpProfile, delta: float, grid: GridSpec) -> TorusField:
     """Gaussian mollification (width delta) of an x2-independent profile.
 
     The smoothed profile is evaluated in closed form as a superposition of
-    error functions over periodic images, so its energy agrees with 1D
-    composite-quadrature oracles of the continuum mollified profile; this is
-    equivalent to the spectral multiplier exp(-delta^2 k1^2 / 2) up to the
-    sampling error of the sharp step.
+    error functions over periodic images (`_erf`, within 4e-16 of
+    `scipy.special.erf`, the tests' reference), so its energy agrees with
+    1D composite-quadrature oracles of the continuum mollified profile;
+    this is equivalent to the spectral multiplier exp(-delta^2 k1^2 / 2) up
+    to the sampling error of the sharp step.  At small widths almost every
+    point is saturated: only those within ERF_SATURATION / scale of a jump
+    call `math.erf`.
     """
-    from scipy.special import erf  # only the sweep needs scipy
-
     if not (2.0 / grid.n1 <= delta <= 0.125):
         raise WidthOutOfRange(
             f"delta {delta} outside [2/n1, 1/8] = [{2.0 / grid.n1}, 0.125]")
@@ -64,7 +81,7 @@ def mollify(p: JumpProfile, delta: float, grid: GridSpec) -> TorusField:
     scale = 1.0 / (math.sqrt(2.0) * delta)
     for a, j in jumps:
         for image in (-2, -1, 0, 1, 2):
-            w += 0.5 * j * erf((x - a - image) * scale)
+            w += 0.5 * j * _erf((x - a - image) * scale)
     w -= np.mean(w)
     return _made(grid, samples=np.repeat(w[:, None], grid.n2, axis=1))
 
@@ -73,8 +90,9 @@ def mollify(p: JumpProfile, delta: float, grid: GridSpec) -> TorusField:
 class SweepRecord:
     """The optimized ansatz at one eps, and how its optimum was found:
     `n_evals` objective evaluations (N_BRACKET_PROBE when no golden section
-    ran, 1 when the range is the one width 2/n1 = 1/8), whether golden
-    section refined the best probe between its two higher neighbours
+    ran, N_BRACKET_PROBE + 1 + its iterations when it did, 43-44 at
+    n1 = 1024, and 1 when the range is the one width 2/n1 = 1/8), whether
+    golden section refined the best probe between its two higher neighbours
     (`bracketed`) or the best probe itself is returned, and whether
     delta_star sits on an end of the width range (`at_bound`), a box value,
     not an optimum."""
@@ -90,13 +108,41 @@ class SweepRecord:
     at_bound: bool
 
 
-def minimize_scalar(fun, **kwargs):
-    """scipy.optimize.minimize_scalar, imported on first call so that no
-    command but the sweep loads scipy.  `_optimize_delta` calls it by this
-    module-level name: perfbench's tracer rebinds it (span ansatz.golden)."""
-    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+def minimize_scalar(fun, bracket: tuple[float, float, float],
+                    f_middle: float) -> tuple[float, float]:
+    """Golden section search in a strict bracket xa < xb < xc whose middle
+    value f(xb) = f_middle lies below f(xa) and f(xc); returns (x, f(x)).
 
-    return scipy_minimize_scalar(fun, **kwargs)
+    A step-for-step port of scipy's `minimize_scalar(method="golden")` at
+    xtol = GOLDEN_XTOL: the same points, stop rule and final choice of the
+    lower inner point, so the same x and f(x) bit for bit.  It reuses
+    f_middle where scipy evaluates the three bracket points again and the
+    middle one a fourth time: 4 evaluations fewer, one per iteration plus
+    one to start.  scipy's cap of 5000 iterations is left out: the bracket
+    shrinks by g_r per iteration, so on widths the rule holds within ~30.
+    `_optimize_delta` calls it by this module-level name:
+    perfbench's tracer rebinds it (span ansatz.golden)."""
+    g_r = 0.61803399  # scipy's rounding of the golden ratio conjugate 2 / (1 + sqrt 5)
+    g_c = 1.0 - g_r
+    x0, xb, x3 = bracket
+    if x3 - xb > xb - x0:
+        x1, f1 = xb, f_middle
+        x2 = xb + g_c * (x3 - xb)
+        f2 = fun(x2)
+    else:
+        x2, f2 = xb, f_middle
+        x1 = xb - g_c * (xb - x0)
+        f1 = fun(x1)
+    while abs(x3 - x0) > GOLDEN_XTOL * (abs(x1) + abs(x2)):
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = g_r * x1 + g_c * x3
+            f2 = fun(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = g_r * x2 + g_c * x0
+            f1 = fun(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
 
 
 def _optimize_delta(objective, lo: float, hi: float) -> tuple[float, float, bool]:
@@ -111,9 +157,9 @@ def _optimize_delta(objective, lo: float, hi: float) -> tuple[float, float, bool
     values = [objective(d) for d in probes]
     i = int(np.argmin(values))
     if 0 < i < len(probes) - 1 and values[i - 1] > values[i] < values[i + 1]:
-        res = minimize_scalar(objective, bracket=tuple(probes[i - 1:i + 2]),
-                              method="golden", options={"xtol": 1e-6})
-        return float(res.x), float(res.fun), True
+        x, f = minimize_scalar(objective, bracket=tuple(probes[i - 1:i + 2]),
+                               f_middle=values[i])
+        return float(x), float(f), True
     return float(probes[i]), float(values[i]), False
 
 

@@ -60,11 +60,12 @@ _finite.__name__ = "float"  # argparse names the type in its error messages
 
 
 def _parse_eps_list(text: str) -> list[float]:
-    """Either a single value or a dyadic range `2^-a..2^-b`, every value finite."""
+    """Either a single value (a float or a dyadic `2^-k`, read as the range
+    `2^-k..2^-k`) or a dyadic range `2^-a..2^-b`, every value finite."""
     try:
-        if ".." not in text:
+        if ".." not in text and not text.startswith("2^"):
             return [_finite(text)]
-        lo, hi = text.split("..")
+        lo, hi = text.split("..") if ".." in text else (text, text)
         if not (lo.startswith("2^") and hi.startswith("2^")):
             raise ValueError("range endpoints must be dyadic 2^-k")
         a, b = int(lo[2:]), int(hi[2:])
@@ -232,7 +233,7 @@ _FLAGS = {
     "grid": {"type": _parse_grid, "default": "256x256"},
     "seed": {"type": int, "default": 0},
     "eps": {"type": _parse_eps_list, "default": "0.0625",
-            "help": "single value or dyadic range 2^-a..2^-b"},
+            "help": "single value (a float or 2^-k) or dyadic range 2^-a..2^-b"},
     "p": {"type": _finite, "default": 2.0},
     "c": {"type": _finite, "default": 0.5},
     "kmax": {"type": _at_least(1), "default": 16},

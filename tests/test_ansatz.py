@@ -4,12 +4,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+from scipy.special import erf as scipy_erf
 
 from smectic import ansatz
-from smectic.ansatz import (N_BRACKET_PROBE, SweepRecord, eps_sweep, mollify,
-                            vertical_two_shock)
+from smectic.ansatz import (ERF_SATURATION, GOLDEN_XTOL, N_BRACKET_PROBE, SweepRecord,
+                            eps_sweep, minimize_scalar, mollify, vertical_two_shock)
 from smectic.energy import energy_eps
 from smectic.errors import WidthOutOfRange
 from smectic.fields import GridSpec
@@ -70,6 +72,25 @@ class TestMollify:
             pred = 2 * (c ** 4 / 4) * delta * I
             deficits.append(1.0 - rep.compression / pred)
         assert deficits[1] == pytest.approx(deficits[0] / 2.0, rel=0.05)
+
+
+class TestErf:
+    """The C library's erf inside |t| < ERF_SATURATION, sign(t) outside,
+    pinned against scipy's erf, which stays a test-only reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=64))
+    @example(t=np.linspace(-8.0, 8.0, 100_001).tolist())
+    def test_matches_scipy(self, t):
+        t = np.array(t)
+        got = ansatz._erf(t)
+        assert np.max(np.abs(got - scipy_erf(t))) <= 4e-16
+        assert np.array_equal(ansatz._erf(-t), -got)
+
+    @given(t=st.floats(ERF_SATURATION, 1e300))
+    def test_saturated_exactly(self, t):
+        assert ansatz._erf(np.array([t, -t])).tolist() == [1.0, -1.0]
+        assert math.erf(t) == 1.0 and scipy_erf(t) == 1.0
 
 
 class TestEpsSweep:
@@ -171,8 +192,8 @@ class TestOptimizeDelta:
         assert not bracketed and calls == [] and n == N_BRACKET_PROBE
 
     def test_plateau_tie_beside_the_best_probe(self, monkeypatch):
-        # probes 7 and 8 share the lowest value: no strict bracket, and
-        # scipy's golden section would raise on it
+        # probes 7 and 8 share the lowest value: no strict bracket, which
+        # golden section needs
         tied = set(self.PROBES[7:9])
         d_star, e_star, bracketed, calls, n = self.optimize(
             monkeypatch, lambda d: 0.0 if d in tied else abs(math.log(d / self.PROBES[7])) + 1.0)
@@ -193,6 +214,38 @@ class TestOptimizeDelta:
         assert self.LO <= d_star <= self.HI
         assert e_star == objective(d_star)
         assert e_star <= min(objective(d) for d in self.PROBES)
+
+
+class TestGoldenSection:
+    """`minimize_scalar` is scipy's golden section step for step: the same
+    result bit for bit, 4 objective evaluations fewer (the bracket values it
+    is handed, the middle one twice)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(xb=st.floats(1e-3, 1e3), left=st.floats(1e-3, 0.9), right=st.floats(1e-3, 9.0),
+           target=st.floats(-2.0, 2.0), ripple=st.floats(0.0, 1.0), freq=st.floats(0.5, 40.0),
+           floor=st.sampled_from([-1.0, 0.0, 0.05]))
+    def test_matches_scipy_bit_for_bit(self, xb, left, right, target, ripple, freq, floor):
+        bracket = (xb * (1.0 - left), xb, xb * (1.0 + right))
+        width = min(left, right)
+
+        def objective(x):
+            # a dip near xb plus a ripple: one or several minima; a floor
+            # above the dip's bottom makes a plateau, where f1 == f2 ties
+            u = math.log(x / xb)
+            dip = (u - target * width) ** 2 + ripple * width ** 2 * math.sin(freq * u)
+            return max(dip, floor * width ** 2)
+
+        fa, fb, fc = map(objective, bracket)
+        assume(fb < fa and fb < fc)
+        ours, theirs = [], []
+        x, f = minimize_scalar(lambda d: ours.append(d) or objective(d), bracket=bracket,
+                               f_middle=fb)
+        res = scipy_minimize_scalar(lambda d: theirs.append(d) or objective(d), bracket=bracket,
+                                    method="golden", options={"xtol": GOLDEN_XTOL})
+        assert (x, f) == (res.x, res.fun)
+        assert len(ours) == len(theirs) - 4 == res.nfev - 4
+        assert bracket[0] < x < bracket[2] and f <= fb
 
 
 class TestLeanGrid:

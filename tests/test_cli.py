@@ -42,7 +42,7 @@ def one_error_line(capsys) -> bool:
 class TestImportContract:
     @pytest.mark.parametrize("module", ["smectic", "smectic.cli"])
     def test_import_loads_no_scipy(self, module):
-        """Only the sweep needs scipy; every other command starts without it.
+        """Importing the package loads no scipy, which no command needs.
         numpy.fft is loaded, as perfbench's tracer wraps it when it installs."""
         code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import {module}; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
@@ -50,6 +50,30 @@ class TestImportContract:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120).stdout
         assert out.split() == ["[]", "True"]
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        """No command needs scipy: in an interpreter where `import scipy`
+        fails, each returns its usual exit code (besov's known failure on a
+        small grid is 1) and golden section refines the interior sweep points."""
+        usual = {
+            "verify": (["--grid", "32x32", "--kmax", "4", "--nfields", "1"], 0),
+            "energy": (["--grid", "32x32", "--kmax", "4"], 0),
+            "besov": (["--grid", "32x32", "--kmax", "4"], 1),
+            "entropy": ([], 0),
+            "minimize": (["--grid", "32x32", "--kmax", "4", "--max-iters", "5"], 0),
+            "tail": (["--grid", "32x32", "--kmax", "8"], 0),
+            "sweep": (["--c", "0.5", "--eps", "2^-8..2^-9", "--grid", "1024x64"], 0),
+        }
+        argvs = [[c, *argv, "--out", str(tmp_path / c)] for c, (argv, _) in usual.items()]
+        code = ("import json, sys; sys.modules['scipy'] = None; "
+                f"sys.path.insert(0, {str(SRC)!r}); from smectic.cli import main; "
+                "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                             capture_output=True, text=True, timeout=300)
+        assert out.stderr == "" and out.returncode == 0
+        assert json.loads(out.stdout.splitlines()[-1]) == [e for _, e in usual.values()]
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "sweep" / "sweep.csv").read_text())))
+        assert [r["bracketed"] for r in rows] == ["1", "1"]
 
     def test_golden_section_called_by_module_name(self, monkeypatch):
         """perfbench's tracer rebinds `smectic.ansatz.minimize_scalar` (span
@@ -59,9 +83,9 @@ class TestImportContract:
         calls = []
         golden = ansatz.minimize_scalar
 
-        def counted(fun, **kwargs):
-            calls.append(kwargs["method"])
-            return golden(fun, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append("golden")
+            return golden(*args, **kwargs)
 
         monkeypatch.setattr(ansatz, "minimize_scalar", counted)
         d_star, _, bracketed = ansatz._optimize_delta(
@@ -105,6 +129,14 @@ class TestParsing:
     def test_bad_eps_range(self, tmp_path):
         assert run(["sweep", "--eps", "1..2", "--out", str(tmp_path)]) == 2
 
+    def test_lone_dyadic_eps(self, tmp_path, capsys):
+        """A lone `2^-k` is read like the range `2^-k..2^-k`; `2^x` is refused."""
+        parser = cli.build_parser()
+        for eps in ("2^-8", "2^-8..2^-8"):
+            assert parser.parse_args(["sweep", "--eps", eps]).eps == [2.0 ** -8]
+        assert run(["sweep", "--eps", "2^x", "--out", str(tmp_path)]) == 2
+        assert one_error_line(capsys)
+
     @pytest.mark.parametrize("argv", [["verify", "--field", "X"],
                                       ["sweep", "--seed", "1"],
                                       ["tail", "--eps", "0.1"]])
@@ -114,7 +146,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("argv", [
         ["energy", "--eps", "nan"], ["energy", "--eps", "1e400"], ["energy", "--eps", "inf"],
-        ["energy", "--eps", "2^2000..2^2001"], ["sweep", "--eps", "nan"],
+        ["energy", "--eps", "2^2000..2^2001"], ["energy", "--eps", "2^2000"],
+        ["sweep", "--eps", "nan"],
         ["sweep", "--eps", "2^-1..2^1024"], ["sweep", "--c", "nan"],
         ["minimize", "--eps", "nan"], ["besov", "--eps", "nan"], ["besov", "--p", "inf"],
         ["entropy", "--c", "inf"]], ids=lambda argv: "-".join(a.strip("-") for a in argv))
