@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateEnergy
 from .energy import energy_eps, energy_indep, gradient_eps
-from .fields import TorusField, _made, as_admissible, inner, mode_masses
+from .fields import GridSpec, TorusField, _made, as_admissible, inner, mode_masses
 from .operators import d1, eta, shift1, shift_symbol
 
 
@@ -76,11 +76,11 @@ def hkm2_residual(w: TorusField, h: float) -> VerificationRecord:
     -(1/6) d/dh int (diff1 w)^3 = int diff1(eta_w) * diff1(w), with the
     h-derivative evaluated exactly via d/dh diff1(w, h) = (d1 w)(. + h e1).
     """
-    sym = shift_symbol(w.grid, h, axis=1)
-    dw = _x1_samples(_x1_coefficients(w), sym - 1.0)
+    dw = _x1_diff(_x1_coefficients(w), w.grid, h)
     # the shifted derivative dies with the lhs, before the rhs allocates (a lower peak)
-    lhs = -0.5 * _mean(dw ** 2 * _x1_samples(_x1_coefficients(d1(w)), sym))
-    rhs = _mean(_x1_samples(_x1_coefficients(eta(w)), sym - 1.0) * dw)
+    lhs = -0.5 * _mean(dw ** 2 * _x1_samples(_x1_coefficients(d1(w)),
+                                             shift_symbol(w.grid, h, axis=1)))
+    rhs = _mean(_x1_diff(_x1_coefficients(eta(w)), w.grid, h) * dw)
     return VerificationRecord.checked("hkm2_integrated", lhs, rhs, abs(lhs - rhs),
                                       1e-8 * (1.0 + w.l2() ** 3), {"h": h})
 
@@ -95,13 +95,9 @@ def hkm1_balance(w: TorusField, h: float) -> VerificationRecord:
     if h <= 0.0:
         raise ValueError(f"h must be positive, got {h}")
     dh, c = h / 100.0, _x1_coefficients(w)
-
-    def diff(coeffs: np.ndarray, hh: float) -> np.ndarray:
-        return _x1_samples(coeffs, shift_symbol(w.grid, hh, axis=1) - 1.0)
-
-    plus, minus = (_mean(np.abs(diff(c, hh)) ** 3) for hh in (h + dh, h - dh))
+    plus, minus = (_mean(np.abs(_x1_diff(c, w.grid, hh)) ** 3) for hh in (h + dh, h - dh))
     lhs = (plus - minus) / (2.0 * dh)
-    rhs = -6.0 * _mean(diff(_x1_coefficients(eta(w)), h) * np.abs(diff(c, h)))
+    rhs = -6.0 * _mean(_x1_diff(_x1_coefficients(eta(w)), w.grid, h) * np.abs(_x1_diff(c, w.grid, h)))
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return VerificationRecord.checked("hkm1_balance", lhs, rhs, residual, 1e-4,
                                       {"h": h, "dh": dh})
@@ -131,10 +127,14 @@ def _x1_coefficients(w: TorusField) -> np.ndarray:
 
 def _x1_samples(c: np.ndarray, sym: np.ndarray) -> np.ndarray:
     """Samples of the field whose x1-coefficients are c * sym, sym a symbol of
-    m1 alone (one value per row; the shift1 symbol for a translate, less 1
-    for a difference): one 1D transform along x1."""
+    m1 alone (one value per row): one 1D transform along x1."""
     n1 = 2 * (c.shape[0] - 1)
     return np.fft.irfft(c * sym, n=n1, axis=0) * n1
+
+
+def _x1_diff(c: np.ndarray, grid: GridSpec, h: float) -> np.ndarray:
+    """Samples of diff1(w, h) = w(. + h e1) - w, c the x1-coefficients of w."""
+    return _x1_samples(c, shift_symbol(grid, h, axis=1) - 1.0)
 
 
 def verify_l3(w: TorusField,
@@ -143,7 +143,7 @@ def verify_l3(w: TorusField,
     e_val, c = energy_indep(w), _x1_coefficients(w)
     records = []
     for h in hs:
-        dw = _x1_samples(c, shift_symbol(w.grid, h, axis=1) - 1.0)
+        dw = _x1_diff(c, w.grid, h)
         records.append(_ratio_record("l3_estimate", _mean(np.abs(dw) ** 3),
                                      h * e_val, e_val, {"h": h}))
     return records

@@ -19,9 +19,9 @@ import os
 import sys
 import tempfile
 import time
-from importlib import metadata
 from pathlib import Path
 
+from . import __version__
 from .ansatz import eps_sweep, vertical_two_shock
 from .besov import (VerificationRecord, adjointness, gradient_check,
                     hkm1_balance, hkm2_residual, parseval, shift_group_law,
@@ -29,7 +29,7 @@ from .besov import (VerificationRecord, adjointness, gradient_check,
 from .energy import energy_eps
 from .entropy import (JumpProfile, div_sigma_identity, div_sigma_jump_measure,
                       field_records, jump_cost, rankine_hugoniot_check)
-from .errors import LineSearchFailure, SmecticError
+from .errors import LineSearchFailure, NonAdmissibleInput, SmecticError
 from .fields import (GridSpec, TorusField, as_admissible, load_field,
                      random_band_limited, save_field)
 from .minimize import MinimizeOptions, minimize
@@ -131,14 +131,10 @@ def _write(path: Path, data) -> None:
 
 def _manifest(out: Path, args: argparse.Namespace, t0: float, exit_code: int,
               error: str | None = None) -> None:
-    try:
-        version = metadata.version("smectic")
-    except metadata.PackageNotFoundError:
-        version = "unknown"
     _write(out / "manifest.json", {
         "command": args.command,
         "config": vars(args),
-        "version": version,
+        "version": __version__,
         "exit_code": exit_code,
         "error": error,
         "elapsed_seconds": time.time() - t0,
@@ -150,9 +146,12 @@ def _manifest(out: Path, args: argparse.Namespace, t0: float, exit_code: int,
 
 def _input_field(args, seed: int = 0, amplitude: float = 0.5) -> TorusField:
     """The --field file when given, else a random band-limited field drawn
-    with --seed plus `seed`."""
+    with --seed plus `seed`; a file with x1-mean content is a usage error."""
     if getattr(args, "field", None):
-        return as_admissible(load_field(args.field))
+        try:
+            return as_admissible(load_field(args.field))
+        except NonAdmissibleInput as exc:
+            raise ValueError(f"--field {args.field}: {exc}") from exc
     return random_band_limited(args.grid, seed=args.seed + seed, kmax=args.kmax,
                                amplitude=amplitude)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import smectic
 from smectic import ansatz, cli
 from smectic import minimize as minimize_module
 from smectic.besov import (VerificationRecord, verify_b2s, verify_l3, verify_lp,
@@ -42,14 +43,15 @@ def one_error_line(capsys) -> bool:
 class TestImportContract:
     @pytest.mark.parametrize("module", ["smectic", "smectic.cli"])
     def test_import_loads_no_scipy(self, module):
-        """Importing the package loads no scipy, which no command needs.
+        """Importing the package loads no scipy, which no command needs, and
+        no importlib.metadata, as the manifest's version is `smectic.__version__`.
         numpy.fft is loaded, as perfbench's tracer wraps it when it installs."""
         code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import {module}; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-                "'numpy.fft' in sys.modules)")
+                "'importlib.metadata' in sys.modules, 'numpy.fft' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120).stdout
-        assert out.split() == ["[]", "True"]
+        assert out.split() == ["[]", "False", "True"]
 
     def test_every_command_runs_with_scipy_blocked(self, tmp_path):
         """No command needs scipy: in an interpreter where `import scipy`
@@ -426,6 +428,19 @@ class TestEnergy:
         assert code == 2
         assert not (tmp_path / "energy.json").exists()
 
+    @pytest.mark.parametrize("command", ["energy", "entropy", "minimize"])
+    def test_field_with_x1_mean_is_usage_error(self, tmp_path, capsys, command):
+        """A --field file that is not admissible (here 1 + cos 2 pi x1, whose
+        k1 = 0 row is the constant 1) is bad input, not a failed record."""
+        grid = GridSpec(32, 32)
+        samples = np.repeat(1.0 + np.cos(2 * np.pi * grid.x1()), grid.n2, axis=1)
+        save_field(TorusField.from_samples(grid, samples), tmp_path / "mean")
+        out = tmp_path / "out"
+        assert run([command, "--field", str(tmp_path / "mean"), "--out", str(out)]) == 2
+        assert one_error_line(capsys)
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
+        assert {p.name for p in out.iterdir()} == {"manifest.json"}
+
 
 class TestSweep:
     def test_csv_jump_cost_column(self, tmp_path):
@@ -627,6 +642,12 @@ class TestManifest:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert code == manifest["exit_code"] == 2
         assert "missing" in manifest["error"]
+
+    def test_version_is_the_package_version(self, tmp_path):
+        """The manifest names the code that ran, also when run from the sources."""
+        assert run(["entropy", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["version"] == smectic.__version__
 
     def test_passing_command_manifest_has_no_error(self, tmp_path):
         assert run(["minimize", "--grid", "32x32", "--kmax", "4", "--max-iters", "5",

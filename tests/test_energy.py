@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smectic import energy, operators
@@ -144,12 +144,16 @@ class TestEnergyLine:
            seeds=st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)),
            kmax=st.integers(1, 5), amplitudes=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
            eps=st.floats(0.01, 1.0), a=st.floats(0.0, 4.0))
+    # w = a*d exactly: both sides are roundoff of the zero field's energy
+    @example(n1=16, n2=16, seeds=(0, 0), kmax=1, amplitudes=(0.375, 1.0), eps=1.0, a=0.375)
     def test_energy_is_the_energy_of_the_point(self, n1, n2, seeds, kmax, amplitudes, eps, a):
         grid = GridSpec(n1, n2)
         w, d = (random_band_limited(grid, seed=s, kmax=kmax, amplitude=amp)
                 for s, amp in zip(seeds, amplitudes))
         direct = energy_eps(as_admissible(w - a * d), eps).energy_eps
-        assert EnergyLine(w, d, eps).energy(a) == pytest.approx(direct, rel=1e-12, abs=0.0)
+        # an absolute floor at roundoff of the sizes of the line's terms
+        floor = 1e-14 * (energy_eps(w, eps).energy_eps + energy_eps(a * d, eps).energy_eps)
+        assert EnergyLine(w, d, eps).energy(a) == pytest.approx(direct, rel=1e-12, abs=floor)
 
     def test_point_keeps_the_eta_and_samples_of_a_fresh_twin(self):
         w, d, line = self.line()
