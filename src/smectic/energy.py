@@ -16,11 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NonAdmissibleInput
 from .fields import (TorusField, _freeze, _made, derived, keep, kept,
-                     k1zero_residual, project_vanishing_x1_mean, spectral_inner)
-from .operators import (d1, d2, eta_with_residual, inv_abs_d1, multiply_dealiased,
-                        padded_samples, product_plan, require_band_headroom, support)
+                     k1zero_residual, spectral_inner)
+from .operators import (_derivative_symbol, _padded_product, d1, eta_with_residual,
+                        inv_abs_d1, inv_abs_d1_spectrum, multiply_spectrum, product_grid,
+                        product_plan, require_band_headroom, samples_on, support)
 
 
 def _check_eps(eps: float) -> None:
@@ -85,14 +88,26 @@ def gradient_eps(w: TorusField, eps: float) -> TorusField:
         g = (1/eps) * (-d2 G + w * d1 G) - eps * d11 w,   G = |d1|^-2 eta_w.
 
     Validated against central finite differences of energy_eps (see the test
-    suite); do not modify one without the other.
+    suite); do not modify one without the other.  Evaluated on half spectra,
+    in the order of the field operators (d1, d2, inv_abs_d1,
+    multiply_dealiased, project_vanishing_x1_mean) and to their bits: the
+    product's grid is its plan's, and w's samples kept there are read in
+    place of a transform.
     """
     _check_eps(eps)
-    e, _ = eta_with_residual(w)
-    big_g = inv_abs_d1(inv_abs_d1(e))
-    compression_part = multiply_dealiased(w, d1(big_g)) - d2(big_g)
-    g = (1.0 / eps) * compression_part - eps * d1(d1(w))
-    return project_vanishing_x1_mean(g)
+    grid = w.grid
+    s1, s2 = _derivative_symbol(grid, 1), _derivative_symbol(grid, 2)
+    big_g = inv_abs_d1_spectrum(grid, inv_abs_d1_spectrum(grid, eta_with_residual(w)[0].spectrum))
+    # in place, each step the field operators' own: (1/eps) (w d1 G - d2 G) - eps d1 d1 w
+    g = multiply_spectrum(w, big_g * s1)
+    g -= big_g * s2
+    g *= 1.0 / eps
+    bending = w.spectrum * s1
+    bending *= s1
+    bending *= eps
+    g -= bending
+    g[0] = 0.0  # as project_vanishing_x1_mean zeroes it
+    return _made(grid, g)
 
 
 class EnergyLine:
@@ -105,8 +120,9 @@ class EnergyLine:
     and the energy is a quartic in a.  Each dealiased product is the exact
     product cut to one band (see operators), so the identity holds for them
     too, up to roundoff.  The line is built from w's kept eta and two
-    products, w d and d^2; after that, the energy at a is two norms of
-    spectra quadratic in a, and a point's eta a sum of three spectra.
+    products, w d and d^2, on half spectra in the order of the field
+    operators; after that, the energy at a is two norms of spectra quadratic
+    in a, and a point's eta a sum of three spectra.
 
     The products run on `fine`, the grid of the product w * d1 G that
     gradient_eps makes at a point of the line.  w's and d's samples there
@@ -122,26 +138,40 @@ class EnergyLine:
             raise NonAdmissibleInput("a line needs w and d with exactly zero k1 = 0 rows")
         require_band_headroom(d)
         self.w, self.d, self.eps = w, d, eps
+        grid, sw, sd = w.grid, support(w), support(d)
         # a point's support is generically the larger of w's and d's, and its
         # eta reaches min(2 s, n/2 - 1) on each axis
-        s = [max(a, b) for a, b in zip(support(w), support(d))]
-        self.fine = product_plan(w.grid, 2, *(si + min(2 * si, n // 2 - 1)
-                                              for si, n in zip(s, w.grid.shape)))[0]
+        s = [max(a, b) for a, b in zip(sw, sd)]
+        self.fine = fine = product_plan(grid, 2, *(si + min(2 * si, n // 2 - 1)
+                                                   for si, n in zip(s, grid.shape)))[0]
         for f in (w, d):
-            keep(f, self.fine, _freeze(padded_samples(f, self.fine)))
-        self._etas = (eta_with_residual(w)[0],
-                      d1(multiply_dealiased(w, d, self.fine)) - d2(d),
-                      -0.5 * d1(multiply_dealiased(d, d, self.fine)))
+            keep(f, fine, _freeze(samples_on(f, fine)))
+        pw, pd = kept(w, fine), kept(d, fine)
+        s1, s2 = _derivative_symbol(grid, 1), _derivative_symbol(grid, 2)
+        # eta(a) = e0 + a (e1 + a e2), as half spectra: e1 = d1(w d) - d2 d and
+        # e2 = -d1(d^2) / 2, in place
+        e1 = _padded_product(grid, [pw, pd], product_grid(grid, [sw, sd], fine)[1])
+        e1 *= s1
+        e1 -= d.spectrum * s2
+        e2 = _padded_product(grid, [pd, pd], product_grid(grid, [sd, sd], fine)[1])
+        e2 *= s1
+        e2 *= -0.5
+        self._etas = (eta_with_residual(w)[0].spectrum, e1, e2)
         # the spectra of |d1|^-1 eta(a) and d1(w - a d) are quadratic in a
-        self._compression = [inv_abs_d1(e).spectrum for e in self._etas]
-        self._bending = [d1(w).spectrum, d1(d).spectrum]
+        self._compression = [inv_abs_d1_spectrum(grid, e) for e in self._etas]
+        self._bending = [w.spectrum * s1, d.spectrum * s1]
 
     def energy(self, a: float) -> float:
         """energy_eps(w - a d): the squared norms of the spectra of
         |d1|^-1 eta(a) and d1(w - a d), weighted as energy_eps weights them."""
         c0, c1, c2 = self._compression
         b0, b1 = self._bending
-        q, b = c0 + a * (c1 + a * c2), b0 - a * b1
+        q = a * c2  # q = c0 + a (c1 + a c2) and b = b0 - a b1, in place
+        q += c1
+        q *= a
+        q += c0
+        b = a * b1
+        np.subtract(b0, b, out=b)
         return 0.5 * (spectral_inner(q, q) / self.eps + self.eps * spectral_inner(b, b))
 
     def point(self, a: float) -> TorusField:
@@ -149,9 +179,15 @@ class EnergyLine:
         samples on `fine` kept: its energy needs no transform, and its
         gradient only the inverse transform of d1 G and the forward one of
         the product."""
-        e0, e1, e2 = (e.spectrum for e in self._etas)
+        e0, e1, e2 = self._etas
         p = _made(self.w.grid, self.w.spectrum - a * self.d.spectrum)
-        e = _made(p.grid, e0 + a * (e1 + a * e2))
+        eta = a * e2  # e0 + a (e1 + a e2), in place
+        eta += e1
+        eta *= a
+        eta += e0
+        e = _made(p.grid, eta)
         keep(p, eta_with_residual.key, (e, k1zero_residual(e)))
-        keep(p, self.fine, _freeze(kept(self.w, self.fine) - a * kept(self.d, self.fine)))
+        samples = a * kept(self.d, self.fine)
+        np.subtract(kept(self.w, self.fine), samples, out=samples)
+        keep(p, self.fine, _freeze(samples))
         return p

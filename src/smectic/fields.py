@@ -118,7 +118,7 @@ class TorusField:
     first access and cached.  Instances are immutable; every operation in this
     package returns a new field.  Values derived from it (see `derived`) are
     kept in `_derived`, not shown.  Fields compare (and hash) by identity, as
-    the dedupe of operators._padded_product does.
+    the dedupe of operators._dealiased_product does.
     """
 
     grid: GridSpec
@@ -183,8 +183,7 @@ class TorusField:
         """L^2(T^2) norm, exact for the trigonometric interpolant, summed
         from `_scaled_squares`: a nonzero field has a nonzero norm."""
         if self.has_spectrum:
-            sq, e = _scaled_squares(self._spectrum, spectral=True)
-            return float(np.ldexp(np.sqrt(sq.sum()), e))
+            return spectral_l2(self._spectrum)
         sq, e = _scaled_squares(self._samples)
         return float(np.ldexp(np.sqrt(np.mean(sq)), e))
 
@@ -250,6 +249,12 @@ def spectral_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(2.0 * re[1:-1].sum() + re[0].sum() + re[-1].sum())
 
 
+def spectral_l2(spec: np.ndarray) -> float:
+    """The L^2 norm of the field whose half spectrum is spec (see `l2`)."""
+    sq, e = _scaled_squares(spec, spectral=True)
+    return float(np.ldexp(np.sqrt(sq.sum()), e))
+
+
 def _scaled_squares(values: np.ndarray, spectral: bool = False) -> tuple[np.ndarray, int]:
     """(|values|^2 * 4^-e, e), with e the exponent that brings the largest
     magnitude into [1/2, 1) (0 when all are zero); for a half spectrum
@@ -293,7 +298,12 @@ def k1zero_residual(f: TorusField) -> float:
 
 
 def require_admissible(f: TorusField, tol: float = ADMISSIBLE_TOL) -> None:
-    res = k1zero_residual(f)
+    require_admissible_spectrum(f.spectrum, tol)
+
+
+def require_admissible_spectrum(spec: np.ndarray, tol: float = ADMISSIBLE_TOL) -> None:
+    """require_admissible for the field whose half spectrum is spec."""
+    res = relative_mass(spec, 0)
     if res > tol:
         raise NonAdmissibleInput(
             f"k1=0 spectral content at relative level {res:.3e} exceeds {tol:.1e}")

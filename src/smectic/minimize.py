@@ -8,13 +8,20 @@ perturb the energy landscape away from the pins).
 The energy along a step is an exact quartic in the step length
 (energy.EnergyLine), so the Armijo trials read their energies off the line
 and make no transform; the accepted point arrives with its eta and its
-padded samples kept.  An iteration makes five transforms: d, w d and d^2
-for the line, d1 G and w d1 G for the gradient at the new point.
+padded samples kept.
+
+Cost model of one iteration after the first: five transforms (d, w d and
+d^2 for the line, d1 G and w d1 G for the gradient at the new point), at
+most six TorusFields (the direction, the point and its eta, the gradient),
+and half-spectrum arrays in between: the gradient and the direction, the
+Barzilai-Borwein pair, the pin and k1 = 0 masks, the inner products and the
+l2 norm never become fields.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +29,8 @@ import numpy as np
 from .besov import VerificationRecord, gradient_check
 from .energy import EnergyLine, energy_eps, gradient_eps
 from .errors import LineSearchFailure
-from .fields import (GridSpec, TorusField, _freeze, _made, inner, random_band_limited,
-                     regrid)
+from .fields import (GridSpec, TorusField, _freeze, _made, random_band_limited, regrid,
+                     spectral_inner, spectral_l2)
 from .operators import outer_band
 
 ARMIJO_C = 1e-4
@@ -48,8 +55,10 @@ class MinimizeOptions:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.pins < 0:
             raise ValueError(f"pins must be >= 0, got {self.pins}")
-        if self.grad_tol <= 0 or self.energy_rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("grad_tol", "energy_rel_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # also refuses NaN
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -96,10 +105,11 @@ def _dropped(grid: GridSpec) -> np.ndarray:
     return _freeze((grid.modes1() == 0) | outer_band(grid))
 
 
-def _admissible(f: TorusField) -> TorusField:
-    """Project onto the admissible subspace (zero the m1 = 0 row) and filter
-    the outer spectral band so iterates keep dealiasing headroom."""
-    return _made(f.grid, np.where(_dropped(f.grid), 0.0, f.spectrum))
+def _admissible(grid: GridSpec, spec: np.ndarray) -> TorusField:
+    """The field of the half spectrum spec projected onto the admissible
+    subspace (the m1 = 0 row zeroed) and filtered of the outer spectral band,
+    so iterates keep dealiasing headroom."""
+    return _made(grid, np.where(_dropped(grid), 0.0, spec))
 
 
 # -- anchoring helpers -------------------------------------------------------
@@ -120,17 +130,15 @@ def lowest_mode_pins(w: TorusField, count: int) -> np.ndarray:
 
 # -- descent -----------------------------------------------------------------
 
-def descent_step(line: EnergyLine, g: TorusField, step: float, f_w: float,
-                 direction: TorusField):
-    """One Armijo-gated step from line.w along the line, whose d is
-    `direction` less its k1 = 0 row and outer band.  The slope is
-    <g, direction>, and every trial reads its energy off the line, with no
-    transform.
+def descent_step(line: EnergyLine, slope: float, step: float, f_w: float):
+    """One Armijo-gated step from line.w along the line, whose energy falls
+    at rate `slope` at a = 0 (<g, direction> in the minimizer, for the
+    direction whose k1 = 0 row and outer band the line's d drops).  Every
+    trial reads its energy off the line, with no transform.
 
     Returns (w_next, accepted, f_next, rejected trial steps).  A direction
     with no descent slope (a zero gradient) is a fixed point, accepted.
     """
-    slope = inner(g, direction)
     if slope <= 0.0:
         return line.w, True, f_w, 0
     alpha = step
@@ -170,17 +178,21 @@ def minimize(w0: TorusField, eps: float, opts: MinimizeOptions
         w0 = regrid(w0, lean)
     if w0.grid != requested:
         held = held[:, :1] & (lean.modes2() == 0)
-    if not gradient_certificate(w0.grid):
+    grid = w0.grid
+    if not gradient_certificate(grid):
         raise RuntimeError("gradient finite-difference certificate failed for "
-                           f"grid {w0.grid.n1}x{w0.grid.n2}; refusing to run")
+                           f"grid {grid.n1}x{grid.n2}; refusing to run")
+    k1_squared = grid.k1() ** 2
 
-    def gradient(w: TorusField) -> TorusField:
-        return _made(w.grid, np.where(held, 0.0, gradient_eps(w, eps).spectrum))
+    def gradient(w: TorusField) -> np.ndarray:
+        return np.where(held, 0.0, gradient_eps(w, eps).spectrum)
 
-    w = _admissible(w0)
+    # w is the iterate; g, the direction and the Barzilai-Borwein pair are
+    # half spectra
+    w = _admissible(grid, w0.spectrum)
     f_w = energy_eps(w, eps).energy_eps
     g = gradient(w)
-    energies, grad_norms, steps, backtracks = [f_w], [g.l2()], [], []
+    energies, grad_norms, steps, backtracks = [f_w], [spectral_l2(g)], [], []
     step = INITIAL_STEP
     prev_w = prev_g = None
     iterations, termination = 0, "max-iters"
@@ -191,16 +203,17 @@ def minimize(w0: TorusField, eps: float, opts: MinimizeOptions
             break
 
         if prev_w is not None:
-            s = w - prev_w
-            sy = inner(s, g - prev_g)
+            s = w.spectrum - prev_w
+            sy = spectral_inner(s, g - prev_g)
             if sy > 0.0:
-                step = min(max(inner(s, s) / sy, BB_CLIP[0]), BB_CLIP[1])
+                step = min(max(spectral_inner(s, s) / sy, BB_CLIP[0]), BB_CLIP[1])
 
         # semi-implicit damping of the stiff bending modes
-        direction = _made(g.grid, g.spectrum / (1.0 + step * eps * g.grid.k1() ** 2))
-        line = EnergyLine(w, _admissible(direction), eps)
-        prev_w, prev_g = w, g
-        w_next, accepted, f_next, halvings = descent_step(line, g, step, f_w, direction)
+        direction = g / (1.0 + step * eps * k1_squared)
+        line = EnergyLine(w, _admissible(grid, direction), eps)
+        prev_w, prev_g = w.spectrum, g
+        w_next, accepted, f_next, halvings = descent_step(
+            line, spectral_inner(g, direction), step, f_w)
         iterations = it + 1
         steps.append(0.0 if w_next is w else step * 0.5 ** halvings)
         backtracks.append(halvings)
@@ -211,7 +224,7 @@ def minimize(w0: TorusField, eps: float, opts: MinimizeOptions
         w, f_w = w_next, f_next
         g = gradient(w)
         energies.append(f_w)
-        grad_norms.append(g.l2())
+        grad_norms.append(spectral_l2(g))
         if stalled:
             termination = "energy-stall"
             break

@@ -7,6 +7,11 @@ nonzero coefficient, n/2 for a nonzero Nyquist mode), alias-free on N >=
 S + R + 1 points rounded up to an even 2,3,5-smooth size in [8, 3n/2] (two
 factors) or [8, 2n] (three).  Each factor's Nyquist row and column is split
 evenly between -n/2 and +n/2; the product is exactly zero beyond R.
+
+The product kernel (`_padded_product`), the padded samples and the
+supports work on half-spectrum arrays; the field operators wrap them, and
+the descent's gradient and line (energy.py) call them with the cached
+symbols, so an iteration builds no field between its transforms.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import numpy as np
 
 from .errors import BandLimitExceeded
 from .fields import (GridSpec, TorusField, _band, _freeze, _made, derived, kept,
-                     k1zero_residual, project_vanishing_x1_mean,
-                     relative_mass, require_admissible)
+                     k1zero_residual, project_vanishing_x1_mean, relative_mass,
+                     require_admissible, require_admissible_spectrum)
 
 #: Relative spectral mass allowed in the outer band (|m| > 7/16 * n) before a
 #: nonlinear evaluation is refused as under-resolved.
@@ -57,8 +62,13 @@ def d2(f: TorusField) -> TorusField:
 
 def inv_abs_d1(f: TorusField) -> TorusField:
     """|d1|^-1: divide by |k1|, defined only on vanishing-x1-mean input."""
-    require_admissible(f)
-    return _made(f.grid, f.spectrum * _abs_d1_symbol(f.grid, -1.0))
+    return _made(f.grid, inv_abs_d1_spectrum(f.grid, f.spectrum))
+
+
+def inv_abs_d1_spectrum(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
+    """The half spectrum of inv_abs_d1 of the field whose half spectrum is spec."""
+    require_admissible_spectrum(spec)
+    return spec * _abs_d1_symbol(grid, -1.0)
 
 
 def frac_abs_d1(f: TorusField, s: float) -> TorusField:
@@ -135,12 +145,20 @@ def _fine_size(n: int, full: int) -> int:
 
 @derived
 def support(f: TorusField) -> tuple[int, int]:
-    """Per axis, the largest |m| of f's nonzero coefficients (n/2 for a
-    nonzero Nyquist mode, 0 for none): what a product's plan is built from."""
-    held = f.spectrum != 0
-    m1, m2 = f.grid.modes1()[:, 0], np.abs(f.grid.modes2()[0])
-    return (int(m1[held.any(axis=1)].max(initial=0)),
-            int(m2[held.any(axis=0)].max(initial=0)))
+    """f's spectrum_support, built once per field instance."""
+    return spectrum_support(f.grid, f.spectrum)
+
+
+def spectrum_support(grid: GridSpec, spec: np.ndarray) -> tuple[int, int]:
+    """Per axis, the largest |m| of the nonzero coefficients of the half
+    spectrum spec (n/2 for a nonzero Nyquist mode, 0 for none): what a
+    product's plan is built from."""
+    held = spec.view(float) != 0  # real and imaginary parts side by side
+    rows = held.any(axis=1).nonzero()[0]  # row index = m1
+    columns = held.any(axis=0)
+    columns = columns[::2] | columns[1::2]
+    return (int(rows[-1]) if rows.size else 0,
+            int(np.maximum.reduce(np.abs(grid.modes2()[0]), where=columns, initial=0)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,16 +171,25 @@ def product_plan(grid: GridSpec, factors: int, s1: int, s2: int
                       for s, r, n in zip((s1, s2), band, grid.shape))), band
 
 
-def padded_samples(f: TorusField, fine: GridSpec) -> np.ndarray:
-    """f's samples on the finer grid `fine`: the ones kept on f for that grid
-    (see fields.keep), else one inverse real transform of f's padded half
-    spectrum.  Each Nyquist row or column of f is split evenly between -n/2
+def product_grid(grid: GridSpec, supports: list[tuple[int, int]], fine: GridSpec | None = None
+                 ) -> tuple[GridSpec, tuple[int, int]]:
+    """The grid a product of factors with these supports runs on, its plan's
+    or `fine`, a grid no coarser, and the band (R1, R2) it keeps."""
+    plan, band = product_plan(grid, len(supports), *map(sum, zip(*supports)))
+    if fine is None:
+        return plan, band
+    if fine.n1 < plan.n1 or fine.n2 < plan.n2:
+        raise ValueError(f"fine grid {fine.shape} is coarser than the product's {plan.shape}")
+    return fine, band
+
+
+def padded_samples(spec: np.ndarray, s: tuple[int, int], fine: GridSpec) -> np.ndarray:
+    """The samples on the finer grid `fine` of the field whose half spectrum
+    is spec and whose support is s: one inverse real transform of spec
+    padded.  Each Nyquist row or column of spec is split evenly between -n/2
     and +n/2 on a finer axis (the row reduced to its Hermitian part, as the
     inverse transform reads it) and dropped on an axis no finer."""
-    samples = kept(f, fine)
-    if samples is not None:
-        return samples
-    spec, (s1, s2) = f.spectrum, support(f)
+    s1, s2 = s
     h1, h2 = spec.shape[0] - 1, spec.shape[1] // 2
     out = _band(spec, fine.spectrum_shape, min(s1, fine.n1 // 2 - 1), min(s2, fine.n2 // 2 - 1))
     if s2 == h2 and fine.n2 > 2 * h2:
@@ -175,42 +202,60 @@ def padded_samples(f: TorusField, fine: GridSpec) -> np.ndarray:
     return samples
 
 
-def _padded_product(fields: list[TorusField], fine: GridSpec | None = None) -> TorusField:
-    """The factors' product on the fine grid of their plan (or on `fine`, a
-    grid no coarser), cut to |m| <= R: one inverse real transform per
-    distinct factor without samples kept on that grid, one forward transform."""
+def samples_on(f: TorusField, fine: GridSpec) -> np.ndarray:
+    """f's samples on the finer grid `fine`: the ones kept on f for that grid
+    (see fields.keep), else padded_samples of its spectrum."""
+    samples = kept(f, fine)
+    return padded_samples(f.spectrum, support(f), fine) if samples is None else samples
+
+
+def _padded_product(grid: GridSpec, samples: list[np.ndarray], band: tuple[int, int]
+                    ) -> np.ndarray:
+    """The half spectrum on `grid`, cut to |m| <= band, of the product of the
+    factors whose samples on one fine grid are `samples`: one forward real
+    transform."""
+    prod = functools.reduce(np.multiply, samples)
+    # s spelled out: numpy then takes it as given instead of deriving it
+    spec = _band(np.fft.rfftn(prod, s=prod.shape[::-1], axes=(1, 0)), grid.spectrum_shape, *band)
+    spec /= prod.size
+    return spec
+
+
+def _dealiased_product(fields: list[TorusField]) -> TorusField:
+    """The factors' product on the fine grid of their plan, cut to |m| <= R:
+    one inverse real transform per distinct factor without samples kept on
+    that grid, one forward transform."""
     grid = fields[0].grid
-    plan, band = product_plan(grid, len(fields),
-                              *(sum(s) for s in zip(*map(support, fields))))
-    if fine is None:
-        fine = plan
-    elif fine.n1 < plan.n1 or fine.n2 < plan.n2:
-        raise ValueError(f"fine grid {fine.shape} is coarser than the product's {plan.shape}")
+    fine, band = product_grid(grid, [support(f) for f in fields])
     distinct = {id(f): f for f in fields}
-    physical = {k: padded_samples(f, fine) for k, f in distinct.items()}
-    prod = functools.reduce(np.multiply, [physical[id(f)] for f in fields])
-    spec = _band(np.fft.rfftn(prod, axes=(1, 0)), grid.spectrum_shape, *band)
-    spec /= fine.npoints
-    return _made(grid, spec)
+    physical = {k: samples_on(f, fine) for k, f in distinct.items()}
+    return _made(grid, _padded_product(grid, [physical[id(f)] for f in fields], band))
 
 
-def multiply_dealiased(f: TorusField, g: TorusField, fine: GridSpec | None = None
-                       ) -> TorusField:
-    """Alias-free f * g on the band |m| <= R, for any input; on `fine` when
-    given (see _padded_product)."""
-    return _padded_product([f, g], fine)
+def multiply_spectrum(f: TorusField, spec: np.ndarray) -> np.ndarray:
+    """The half spectrum of multiply_dealiased(f, g), g the field whose half
+    spectrum is spec: f's samples kept on the product's grid are read in
+    place of a transform, g's take one."""
+    s = spectrum_support(f.grid, spec)
+    fine, band = product_grid(f.grid, [support(f), s])
+    return _padded_product(f.grid, [samples_on(f, fine), padded_samples(spec, s, fine)], band)
+
+
+def multiply_dealiased(f: TorusField, g: TorusField) -> TorusField:
+    """Alias-free f * g on the band |m| <= R, for any input."""
+    return _dealiased_product([f, g])
 
 
 def square_dealiased(f: TorusField) -> TorusField:
     """Alias-free f^2 on the band |m| <= R."""
     require_band_headroom(f)
-    return _padded_product([f, f])
+    return _dealiased_product([f, f])
 
 
 def cube_dealiased(f: TorusField) -> TorusField:
     """Alias-free f^3 on the band |m| <= R."""
     require_band_headroom(f)
-    return _padded_product([f, f, f])
+    return _dealiased_product([f, f, f])
 
 
 def eta(w: TorusField) -> TorusField:

@@ -12,8 +12,9 @@ from smectic.energy import (EnergyLine, EnergyReport, energy_eps, energy_indep,
                             gradient_eps)
 from smectic.errors import NonAdmissibleInput
 from smectic.fields import (GridSpec, TorusField, as_admissible, inner, kept,
-                            random_band_limited)
-from smectic.operators import eta_with_residual, padded_samples
+                            project_vanishing_x1_mean, random_band_limited)
+from smectic.operators import (d1, d2, eta, eta_with_residual, inv_abs_d1,
+                               multiply_dealiased, padded_samples, support)
 
 GRID = GridSpec(128, 128)
 
@@ -100,6 +101,30 @@ class TestGradient:
         assert g.l2() == 0.0
 
 
+class TestHalfSpectrumPath:
+    """gradient_eps and EnergyLine work on half spectra; they give the bits
+    of the field operators they stand for."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n1=st.integers(8, 40).map(lambda k: 2 * k), n2=st.integers(8, 40).map(lambda k: 2 * k),
+           seeds=st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)),
+           kmax=st.integers(1, 5), amplitude=st.floats(0.01, 1.0), eps=st.floats(0.01, 1.0),
+           a=st.floats(0.0, 2.0), on_a_line=st.booleans())
+    def test_matches_the_field_operators_bit_for_bit(self, n1, n2, seeds, kmax, amplitude,
+                                                     eps, a, on_a_line):
+        grid = GridSpec(n1, n2)
+        w, d = (random_band_limited(grid, seed=s, kmax=kmax, amplitude=amplitude)
+                for s in seeds)
+        p = EnergyLine(w, d, eps).point(a)
+        assert np.array_equal(p.spectrum, w.spectrum - a * d.spectrum)
+        if on_a_line:  # its eta and samples kept, as the minimizer's iterates
+            w = p
+        big_g = inv_abs_d1(inv_abs_d1(eta(w)))
+        expected = project_vanishing_x1_mean(
+            (1 / eps) * (multiply_dealiased(w, d1(big_g)) - d2(big_g)) - eps * d1(d1(w)))
+        assert np.array_equal(gradient_eps(w, eps).spectrum, expected.spectrum)
+
+
 class TestRealTransformsOnly:
     @pytest.mark.parametrize("from_samples", [False, True])
     def test_no_complex_2d_transform(self, monkeypatch, from_samples):
@@ -163,8 +188,9 @@ class TestEnergyLine:
         assert residual == residual_twin == 0.0
         scale = e_twin.l2()
         assert np.abs(e.spectrum - e_twin.spectrum).max() <= 1e-14 * scale
-        assert np.allclose(kept(p, line.fine), padded_samples(twin, line.fine),
-                           rtol=0.0, atol=1e-14 * np.abs(p.samples).max())
+        fresh = padded_samples(twin.spectrum, support(twin), line.fine)
+        assert np.allclose(kept(p, line.fine), fresh, rtol=0.0,
+                           atol=1e-14 * np.abs(p.samples).max())
         assert energy_eps(p, self.EPS).energy_eps == pytest.approx(line.energy(0.37), rel=1e-13)
 
     def test_point_needs_no_transform_for_its_energy_and_two_for_its_gradient(self):

@@ -166,9 +166,9 @@ class TestFieldRecords:
         w = self.file_field(tmp_path)
         factors = []  # per product: its number of factors
 
-        def counting(fields, *fine):
-            factors.append(len(fields))
-            return _padded_product(fields, *fine)
+        def counting(grid, samples, band):
+            factors.append(len(samples))
+            return _padded_product(grid, samples, band)
 
         monkeypatch.setattr(operators, "_padded_product", counting)
         field_records(w, self.EPS)

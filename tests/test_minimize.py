@@ -10,7 +10,7 @@ from smectic.ansatz import mollify, vertical_two_shock
 from smectic.cli import main
 from smectic.energy import EnergyLine, energy_eps, gradient_eps
 from smectic.errors import LineSearchFailure
-from smectic.fields import (GridSpec, TorusField, as_admissible,
+from smectic.fields import (GridSpec, TorusField, as_admissible, inner,
                             load_field, random_band_limited, save_field)
 from smectic.minimize import (MinimizeOptions, descent_step, gradient_certificate,
                               lowest_mode_pins, minimize)
@@ -35,6 +35,14 @@ class TestOptions:
     @pytest.mark.parametrize("field,value", [("max_iters", -1), ("pins", -3)])
     def test_negative_count_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            MinimizeOptions(**{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["grad_tol", "energy_rel_tol"])
+    def test_tolerance_not_positive_and_finite_names_its_field(self, field, value):
+        """With NaN the gradient test never ends a descent; with inf every
+        step counts as a stall."""
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             MinimizeOptions(**{field: value})
 
 
@@ -77,7 +85,7 @@ class TestDescentStep:
         w = random_band_limited(GRID, seed=1, kmax=8, amplitude=0.1)
         g = TorusField.zero(GRID)
         w2, accepted, f2, halvings = descent_step(
-            EnergyLine(w, g, 0.1), g, 1.0, energy_eps(w, 0.1).energy_eps, g)
+            EnergyLine(w, g, 0.1), inner(g, g), 1.0, energy_eps(w, 0.1).energy_eps)
         assert accepted and halvings == 0
         assert w2 is w
 
@@ -86,7 +94,7 @@ class TestDescentStep:
         eps = 0.0625
         f_w = energy_eps(w, eps).energy_eps
         g = gradient_eps(w, eps)
-        w2, accepted, f2, _ = descent_step(EnergyLine(w, g, eps), g, 1.0, f_w, g)
+        w2, accepted, f2, _ = descent_step(EnergyLine(w, g, eps), inner(g, g), 1.0, f_w)
         assert accepted
         assert f2 <= f_w
         assert f2 == pytest.approx(energy_eps(as_admissible(w2 + 0 * w2), eps).energy_eps,
@@ -123,6 +131,32 @@ class TestTransformCount:
     def test_five_transforms_per_iteration(self, monkeypatch):
         first, fifty = self.count(monkeypatch, 1), self.count(monkeypatch, 50)
         assert (fifty - first) / 49 <= 5.2
+
+
+class TestFieldCount:
+    """Between its transforms an iteration works on half spectra: after the
+    first iteration, each builds at most six fields (the direction, the
+    point and its eta, the gradient), whatever the machine."""
+
+    @staticmethod
+    def count(monkeypatch, max_iters):
+        w0 = random_band_limited(GRID, seed=0, kmax=8, amplitude=0.05)
+        gradient_certificate(GRID)
+        built, post_init = [0], TorusField.__post_init__
+
+        def counted(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(TorusField, "__post_init__", counted)
+        _, rep = minimize(w0, 0.0625, MinimizeOptions(max_iters=max_iters))
+        monkeypatch.undo()
+        assert rep.iterations == max_iters
+        return built[0]
+
+    def test_at_most_six_fields_per_iteration(self, monkeypatch):
+        first, fifty = self.count(monkeypatch, 1), self.count(monkeypatch, 50)
+        assert (fifty - first) / 49 <= 6
 
 
 class TestFinalEnergy:

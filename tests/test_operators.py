@@ -14,8 +14,9 @@ from smectic.fields import (ADMISSIBLE_TOL, GridSpec, TorusField, as_admissible,
                             inner, k1zero_residual, project_vanishing_x1_mean,
                             random_band_limited, regrid, require_admissible)
 from smectic.minimize import MinimizeOptions, minimize
-from smectic.operators import (_padded_product, band_headroom_residual,
-                               cube_dealiased, d1, d2, diff1, diff2, eta,
+from smectic.operators import (_dealiased_product, _padded_product,
+                               band_headroom_residual, cube_dealiased, d1, d2,
+                               diff1, diff2, eta,
                                frac_abs_d1, inv_abs_d1, multiply_dealiased,
                                outer_band, require_band_headroom, shift1,
                                shift2, square_dealiased)
@@ -205,7 +206,7 @@ class TestDealiasedProducts:
         expected = np.zeros(half, dtype=complex)  # the modes |m| < n/2
         expected[:h1, :h2] = full[:h1, :h2]
         expected[:h1, 1 - h2:] = full[:h1, 1 - h2:]
-        got = _padded_product(fields).spectrum
+        got = _dealiased_product(fields).spectrum
         assert np.all(got[h1] == 0.0) and np.all(got[:, h2] == 0.0)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -241,7 +242,7 @@ class TestDealiasedProducts:
         m1, m2 = grid.modes1(), grid.modes2()
         retained = (m1 <= r1) & (np.abs(m2) <= r2)
         expected = np.where(retained, full[m1 % full.shape[0], m2 % full.shape[1]], 0.0)
-        got = _padded_product(fields).spectrum
+        got = _dealiased_product(fields).spectrum
         assert np.all(got[~retained] == 0.0)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -254,7 +255,7 @@ class TestDealiasedProducts:
         grid = GridSpec(*shape)
         f = TorusField.from_samples(grid, np.random.default_rng(9).standard_normal(shape))
         f.spectrum  # transformed before the count starts
-        assert self._forward_shapes(monkeypatch, _padded_product, [f] * arity) == [
+        assert self._forward_shapes(monkeypatch, _dealiased_product, [f] * arity) == [
             tuple(int(np.ceil(pad * n)) + int(np.ceil(pad * n)) % 2 for n in shape)]
 
     @pytest.mark.parametrize("x2_free,kmax,expected", [
@@ -390,9 +391,9 @@ class TestEta:
         w = random_band_limited(GRID, seed=8, kmax=8, amplitude=0.5)
         squares = []  # per product: is it a square (eta's only product)?
 
-        def counting(fields, *fine):
-            squares.append(fields[0] is fields[-1])
-            return _padded_product(fields, *fine)
+        def counting(grid, samples, band):
+            squares.append(samples[0] is samples[-1])
+            return _padded_product(grid, samples, band)
 
         monkeypatch.setattr(operators, "_padded_product", counting)
         first = energy_eps(w, 0.1)
@@ -412,9 +413,9 @@ class TestEta:
         w = random_band_limited(GRID, seed=9, kmax=8, amplitude=0.5)
         squares, inverses = [], []
 
-        def counting(fields, *fine):
-            squares.append(fields[0] is fields[-1])
-            return _padded_product(fields, *fine)
+        def counting(grid, samples, band):
+            squares.append(samples[0] is samples[-1])
+            return _padded_product(grid, samples, band)
 
         def counting_inverse(f):
             inverses.append(f)
