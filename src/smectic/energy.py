@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonAdmissibleInput
-from .fields import (TorusField, _freeze, _made, derived, keep, kept,
-                     k1zero_residual, spectral_inner)
+from .fields import (TorusField, _freeze, _made, derived, keep, k1zero_residual,
+                     spectral_inner)
 from .operators import (_derivative_symbol, _padded_product, d1, eta_with_residual,
-                        inv_abs_d1, inv_abs_d1_spectrum, multiply_spectrum, product_grid,
-                        product_plan, require_band_headroom, samples_on, support)
+                        inv_abs_d1, inv_abs_d1_spectrum, multiply_spectrum, product_plan,
+                        require_band_headroom, samples_on, support)
 
 
 def _check_eps(eps: float) -> None:
@@ -124,12 +124,12 @@ class EnergyLine:
     operators; after that, the energy at a is two norms of spectra quadratic
     in a, and a point's eta a sum of three spectra.
 
-    The products run on `fine`, the grid of the product w * d1 G that
-    gradient_eps makes at a point of the line.  w's and d's samples there
-    are kept on them, and `point` keeps the point's, so that product reads
-    them in place of a transform (and a line from the point reads them for
-    its w).  w and d must hold exactly zero k1 = 0 rows, as the minimizer's
-    iterates and directions do.
+    The products run on `fine`, the grid that product_plan gives the
+    product w * d1 G which gradient_eps makes at a point of the line.  The
+    line holds w's and d's samples there, and `point` keeps the point's on
+    the point, so that product reads them in place of a transform (and a
+    line from the point reads them for its w).  w and d must hold exactly
+    zero k1 = 0 rows, as the minimizer's iterates and directions do.
     """
 
     def __init__(self, w: TorusField, d: TorusField, eps: float):
@@ -139,21 +139,19 @@ class EnergyLine:
         require_band_headroom(d)
         self.w, self.d, self.eps = w, d, eps
         grid, sw, sd = w.grid, support(w), support(d)
-        # a point's support is generically the larger of w's and d's, and its
-        # eta reaches min(2 s, n/2 - 1) on each axis
-        s = [max(a, b) for a, b in zip(sw, sd)]
-        self.fine = fine = product_plan(grid, 2, *(si + min(2 * si, n // 2 - 1)
-                                                   for si, n in zip(s, grid.shape)))[0]
-        for f in (w, d):
-            keep(f, fine, _freeze(samples_on(f, fine)))
-        pw, pd = kept(w, fine), kept(d, fine)
+        # a point's support is generically the larger of w's and d's: the line
+        # runs on the grid of the point's product with d1 G, whose support is
+        # the band of the point's square
+        s = tuple(max(a, b) for a, b in zip(sw, sd))
+        self.fine = product_plan(grid, (s, product_plan(grid, (s, s))[1]))[0]
+        self._pw, self._pd = samples_on(w, self.fine), samples_on(d, self.fine)
         s1, s2 = _derivative_symbol(grid, 1), _derivative_symbol(grid, 2)
         # eta(a) = e0 + a (e1 + a e2), as half spectra: e1 = d1(w d) - d2 d and
         # e2 = -d1(d^2) / 2, in place
-        e1 = _padded_product(grid, [pw, pd], product_grid(grid, [sw, sd], fine)[1])
+        e1 = _padded_product(grid, [self._pw, self._pd], product_plan(grid, (sw, sd))[1])
         e1 *= s1
         e1 -= d.spectrum * s2
-        e2 = _padded_product(grid, [pd, pd], product_grid(grid, [sd, sd], fine)[1])
+        e2 = _padded_product(grid, [self._pd, self._pd], product_plan(grid, (sd, sd))[1])
         e2 *= s1
         e2 *= -0.5
         self._etas = (eta_with_residual(w)[0].spectrum, e1, e2)
@@ -187,7 +185,7 @@ class EnergyLine:
         eta += e0
         e = _made(p.grid, eta)
         keep(p, eta_with_residual.key, (e, k1zero_residual(e)))
-        samples = a * kept(self.d, self.fine)
-        np.subtract(kept(self.w, self.fine), samples, out=samples)
+        samples = a * self._pd
+        np.subtract(self._pw, samples, out=samples)
         keep(p, self.fine, _freeze(samples))
         return p

@@ -142,10 +142,11 @@ class TorusField:
 
     @classmethod
     def from_spectrum(cls, grid: GridSpec, spectrum: np.ndarray) -> "TorusField":
-        """The field of a half spectrum.  Precondition, not checked (a check
-        would cost every construction): rows m1 = 0 and n1/2 are Hermitian in
-        m2, row(-m2) = conj row(m2).  `samples` reads only their Hermitian
-        part, while `l2` and `inner` count all of it."""
+        """The field of a half spectrum.  Precondition, not checked: rows
+        m1 = 0 and n1/2 are Hermitian in m2, row(-m2) = conj row(m2).  An
+        exact check would refuse the spectra of `from_samples` fields, most
+        of whose rows are Hermitian only to roundoff: it needs a tolerance.
+        `samples` reads only their Hermitian part, `l2` and `inner` all."""
         return cls(grid, _spectrum=_held(spectrum, complex))
 
     @classmethod

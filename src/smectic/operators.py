@@ -8,10 +8,12 @@ S + R + 1 points rounded up to an even 2,3,5-smooth size in [8, 3n/2] (two
 factors) or [8, 2n] (three).  Each factor's Nyquist row and column is split
 evenly between -n/2 and +n/2; the product is exactly zero beyond R.
 
-The product kernel (`_padded_product`), the padded samples and the
-supports work on half-spectrum arrays; the field operators wrap them, and
-the descent's gradient and line (energy.py) call them with the cached
-symbols, so an iteration builds no field between its transforms.
+`product_plan` is the one place that turns the factors' supports into that
+fine grid and band.  The product kernel (`_padded_product`), the padded
+samples and the supports work on half-spectrum arrays; the field operators
+wrap them, and the descent's gradient and line (energy.py) call them with
+the cached symbols, so an iteration builds no field between its
+transforms.
 """
 
 from __future__ import annotations
@@ -126,11 +128,11 @@ def band_headroom_residual(f: TorusField) -> float:
     return relative_mass(f.spectrum, outer_band(f.grid))
 
 
-def require_band_headroom(f: TorusField, tol: float = HEADROOM_TOL) -> None:
+def require_band_headroom(f: TorusField) -> None:
     res = band_headroom_residual(f)
-    if res > tol:
+    if res > HEADROOM_TOL:
         raise BandLimitExceeded(
-            f"outer-band spectral mass {res:.3e} exceeds {tol:.1e}; "
+            f"outer-band spectral mass {res:.3e} exceeds {HEADROOM_TOL:.1e}; "
             "grid too coarse for alias-controlled products")
 
 
@@ -162,25 +164,14 @@ def spectrum_support(grid: GridSpec, spec: np.ndarray) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def product_plan(grid: GridSpec, factors: int, s1: int, s2: int
+def product_plan(grid: GridSpec, supports: tuple[tuple[int, int], ...]
                  ) -> tuple[GridSpec, tuple[int, int]]:
-    """The fine grid and the kept band (R1, R2) of a product of `factors`
-    fields on `grid` whose supports sum to (s1, s2); built once per key."""
-    band = tuple(min(s, n // 2 - 1) for s, n in zip((s1, s2), grid.shape))
-    return GridSpec(*(_fine_size(s + r + 1, (factors + 1) * n // 2)
-                      for s, r, n in zip((s1, s2), band, grid.shape))), band
-
-
-def product_grid(grid: GridSpec, supports: list[tuple[int, int]], fine: GridSpec | None = None
-                 ) -> tuple[GridSpec, tuple[int, int]]:
-    """The grid a product of factors with these supports runs on, its plan's
-    or `fine`, a grid no coarser, and the band (R1, R2) it keeps."""
-    plan, band = product_plan(grid, len(supports), *map(sum, zip(*supports)))
-    if fine is None:
-        return plan, band
-    if fine.n1 < plan.n1 or fine.n2 < plan.n2:
-        raise ValueError(f"fine grid {fine.shape} is coarser than the product's {plan.shape}")
-    return fine, band
+    """The fine grid and the kept band (R1, R2) of a product on `grid` of
+    factors with these supports (s1, s2); built once per key."""
+    total = [sum(axis) for axis in zip(*supports)]
+    band = tuple(min(s, n // 2 - 1) for s, n in zip(total, grid.shape))
+    return GridSpec(*(_fine_size(s + r + 1, (len(supports) + 1) * n // 2)
+                      for s, r, n in zip(total, band, grid.shape))), band
 
 
 def padded_samples(spec: np.ndarray, s: tuple[int, int], fine: GridSpec) -> np.ndarray:
@@ -226,7 +217,7 @@ def _dealiased_product(fields: list[TorusField]) -> TorusField:
     one inverse real transform per distinct factor without samples kept on
     that grid, one forward transform."""
     grid = fields[0].grid
-    fine, band = product_grid(grid, [support(f) for f in fields])
+    fine, band = product_plan(grid, tuple(support(f) for f in fields))
     distinct = {id(f): f for f in fields}
     physical = {k: samples_on(f, fine) for k, f in distinct.items()}
     return _made(grid, _padded_product(grid, [physical[id(f)] for f in fields], band))
@@ -237,7 +228,7 @@ def multiply_spectrum(f: TorusField, spec: np.ndarray) -> np.ndarray:
     spectrum is spec: f's samples kept on the product's grid are read in
     place of a transform, g's take one."""
     s = spectrum_support(f.grid, spec)
-    fine, band = product_grid(f.grid, [support(f), s])
+    fine, band = product_plan(f.grid, (support(f), s))
     return _padded_product(f.grid, [samples_on(f, fine), padded_samples(spec, s, fine)], band)
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import importlib.util
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from smectic.operators import (d1, d2, eta, eta_with_residual, inv_abs_d1,
                                multiply_dealiased, padded_samples, support)
 
 GRID = GridSpec(128, 128)
+#: every numpy.fft transform the package could call
+FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "fftn", "ifftn", "rfftn", "irfftn")
 
 
 def sine1(grid, a=1.0):
@@ -193,7 +197,36 @@ class TestEnergyLine:
                            atol=1e-14 * np.abs(p.samples).max())
         assert energy_eps(p, self.EPS).energy_eps == pytest.approx(line.energy(0.37), rel=1e-13)
 
-    def test_point_needs_no_transform_for_its_energy_and_two_for_its_gradient(self):
+    @settings(max_examples=60, deadline=None)
+    @given(n1=st.integers(8, 32).map(lambda k: 2 * k),
+           n2=st.one_of(st.just(8), st.integers(8, 32).map(lambda k: 2 * k)),
+           seed=st.integers(0, 2 ** 16), kmax=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+           a=st.floats(0.01, 4.0))
+    @example(n1=48, n2=40, seed=0, kmax=(6, 2), a=0.5)
+    @example(n1=64, n2=8, seed=0, kmax=(2, 1), a=4.0)
+    def test_point_needs_no_transform_for_its_energy_and_two_for_its_gradient(
+            self, n1, n2, seed, kmax, a):
+        """The line predicts the grid of the gradient's product at its
+        points: whatever the grid and the supports of w and d, the point's
+        energy makes no transform and its gradient two (d1 G's inverse, the
+        product's forward)."""
+        grid = GridSpec(n1, n2)
+        w, d = (random_band_limited(grid, seed=seed + i, kmax=min(k, (min(n1, n2) - 1) // 3),
+                                    amplitude=0.3)
+                for i, k in enumerate(kmax))
+        p = EnergyLine(w, d, self.EPS).point(a)
+        calls = []
+        with contextlib.ExitStack() as stack:
+            for name in FFT_NAMES:
+                stack.enter_context(mock.patch.object(
+                    np.fft, name, lambda *args, _f=getattr(np.fft, name), **kw:
+                    calls.append(None) or _f(*args, **kw)))
+            energy_eps(p, self.EPS)
+            assert len(calls) == 0
+            gradient_eps(p, self.EPS)
+        assert len(calls) == 2
+
+    def test_the_tracer_finds_the_kept_eta_and_counts_the_same_transforms(self):
         _, _, line = self.line()
 
         def check(tracer):

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -302,12 +303,21 @@ class TestDealiasedProducts:
 #: values for a gated spectral region: signed zeros, subnormal, tiny, unit,
 #: large (squares overflow) and NaN
 GATE_VALUES = [0.0, -0.0, 5e-324, 1e-300, 1e-12, 1.0, 1e300, np.nan]
-#: each gate with its unchanged residual, error, gated region of the 8x8
-#: half spectrum (the k1 = 0 row; the outer band) and tolerance
+
+
+def require_headroom_at(f, tol):
+    """require_band_headroom(f) with operators.HEADROOM_TOL set to tol."""
+    with mock.patch.object(operators, "HEADROOM_TOL", tol):
+        require_band_headroom(f)
+
+
+#: each gate, called as gate(f, tol), with its unchanged residual, error,
+#: gated region of the 8x8 half spectrum (the k1 = 0 row; the outer band)
+#: and tolerance
 GATES = {
     "admissible": (require_admissible, k1zero_residual, NonAdmissibleInput,
                    np.arange(5)[:, None] == 0, ADMISSIBLE_TOL),
-    "headroom": (require_band_headroom, band_headroom_residual, BandLimitExceeded,
+    "headroom": (require_headroom_at, band_headroom_residual, BandLimitExceeded,
                  outer_band(GridSpec(8, 8)), operators.HEADROOM_TOL),
 }
 
