@@ -1,10 +1,10 @@
-"""Admissible test sequences: sharp two-shock profiles, their mollifications,
-and the eps-sweep comparing optimized ansatz energies with the sharp jump cost.
+"""Admissible test sequences: sharp two-shock profiles, their Gaussian
+mollifications (built from their half spectra in closed form), and the
+eps-sweep comparing optimized ansatz energies with the sharp jump cost.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +16,6 @@ from .fields import GridSpec, TorusField, _made
 
 #: log-spaced widths probed before golden section refines the best of them
 N_BRACKET_PROBE = 16
-
-#: erf(t) is exactly +-1 in double precision from |t| = 6 on: erfc(6) < 2.2e-17
-#: is less than half an ulp of 1, so libm rounds erf(t) to sign(t) there
-ERF_SATURATION = 6.0
 
 #: relative width tolerance of golden section, |x3 - x0| <= GOLDEN_XTOL (|x1| + |x2|)
 GOLDEN_XTOL = 1e-6
@@ -51,39 +47,28 @@ def _vertical_jumps(p: JumpProfile) -> list[tuple[float, float]]:
     return sorted(jumps)
 
 
-def _erf(t: np.ndarray) -> np.ndarray:
-    """erf elementwise: the C library's `math.erf` where |t| < ERF_SATURATION,
-    sign(t) beyond, where erf rounds to +-1 anyway."""
-    out = np.sign(t)
-    inner = np.abs(t) < ERF_SATURATION
-    out[inner] = list(map(math.erf, t[inner].tolist()))
-    return out
-
-
 def mollify(p: JumpProfile, delta: float, grid: GridSpec) -> TorusField:
-    """Gaussian mollification (width delta) of an x2-independent profile.
+    """Gaussian mollification (width delta) of an x2-independent profile,
+    built from its half spectrum in closed form.
 
-    The smoothed profile is evaluated in closed form as a superposition of
-    error functions over periodic images (`_erf`, within 4e-16 of
-    `scipy.special.erf`, the tests' reference), so its energy agrees with
-    1D composite-quadrature oracles of the continuum mollified profile;
-    this is equivalent to the spectral multiplier exp(-delta^2 k1^2 / 2) up
-    to the sampling error of the sharp step.  At small widths almost every
-    point is saturated: only those within ERF_SATURATION / scale of a jump
-    call `math.erf`.
+    The profile's derivative is sum_j J_j delta(x1 - a_j), so for
+    0 < m1 < n1/2, k1 = 2 pi m1, the m2 = 0 column holds
+    sum_j J_j exp(-i k1 a_j) / (i k1) * exp(-delta^2 k1^2 / 2); the mean,
+    the Nyquist row and every column off m2 = 0 are zero.  This is the
+    band-limited part of the continuum mollified profile: its samples differ
+    from the continuum's by the aliased modes |m1| >= n1/2, at most
+    exp(-(pi n1 delta)^2 / 2) per unit jump (2.7e-9 at delta = 2/n1).
     """
     if not (2.0 / grid.n1 <= delta <= 0.125):
         raise WidthOutOfRange(
             f"delta {delta} outside [2/n1, 1/8] = [{2.0 / grid.n1}, 0.125]")
-    jumps = _vertical_jumps(p)
-    x = np.arange(grid.n1) / grid.n1
-    w = np.zeros(grid.n1)
-    scale = 1.0 / (math.sqrt(2.0) * delta)
-    for a, j in jumps:
-        for image in (-2, -1, 0, 1, 2):
-            w += 0.5 * j * _erf((x - a - image) * scale)
-    w -= np.mean(w)
-    return _made(grid, samples=np.repeat(w[:, None], grid.n2, axis=1))
+    m1, k1 = grid.modes1()[1:-1, 0], grid.k1()[1:-1, 0]
+    # k1 a reduced mod 2 pi through m1 a mod 1: unreduced, the rounding of a
+    # phase up to pi n1 costs digits (twice the samples' roundoff at n1 = 4096)
+    jumps = sum(j * np.exp(-2j * np.pi * (m1 * a % 1.0)) for a, j in _vertical_jumps(p))
+    spec = np.zeros(grid.spectrum_shape, dtype=complex)
+    spec[1:-1, 0] = jumps / (1j * k1) * np.exp(-0.5 * (delta * k1) ** 2)
+    return _made(grid, spec)
 
 
 @dataclass(frozen=True)

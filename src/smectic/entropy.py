@@ -106,12 +106,6 @@ class JumpProfile:
         except (TypeError, ValueError) as exc:  # e.g. a list for an object, one coordinate
             raise ValueError(f"jump profile: {exc}") from exc
 
-    def to_json(self) -> str:
-        return json.dumps({"interfaces": [
-            {"start": list(i.start), "end": list(i.end),
-             "w_minus": i.w_minus, "w_plus": i.w_plus}
-            for i in self.interfaces]}, indent=2)
-
 
 def rankine_hugoniot_check(p: JumpProfile) -> list[VerificationRecord]:
     """Per-interface compatibility residual |(sigma(w+) - sigma(w-)) . nu|."""

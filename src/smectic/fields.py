@@ -26,6 +26,11 @@ from .errors import NonAdmissibleInput
 #: Relative tolerance for the k1 = 0 admissibility gate.
 ADMISSIBLE_TOL = 1e-10
 
+#: Relative L^2 mass of the anti-Hermitian part of rows m1 = 0 and n1/2 that
+#: `TorusField.from_spectrum` accepts: the spectra of `from_samples` fields
+#: hold those rows Hermitian only to roundoff, about 1e-16 of their norm.
+HERMITIAN_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -142,12 +147,22 @@ class TorusField:
 
     @classmethod
     def from_spectrum(cls, grid: GridSpec, spectrum: np.ndarray) -> "TorusField":
-        """The field of a half spectrum.  Precondition, not checked: rows
-        m1 = 0 and n1/2 are Hermitian in m2, row(-m2) = conj row(m2).  An
-        exact check would refuse the spectra of `from_samples` fields, most
-        of whose rows are Hermitian only to roundoff: it needs a tolerance.
-        `samples` reads only their Hermitian part, `l2` and `inner` all."""
-        return cls(grid, _spectrum=_held(spectrum, complex))
+        """The field of a half spectrum.  Rows m1 = 0 and n1/2 are their own
+        partners, so a real field holds them Hermitian in m2,
+        row(-m2) = conj row(m2); `samples` would drop the rest, which `l2`
+        and `inner` count.  Raises ValueError when their anti-Hermitian part
+        holds more than HERMITIAN_TOL of the spectrum's L^2 norm."""
+        f = cls(grid, _spectrum=_held(spectrum, complex))
+        rows = f._spectrum[[0, -1]]
+        # their anti-Hermitian part, halved before the difference so that it
+        # cannot overflow; as a two-row half spectrum spectral_l2 weighs it once
+        anti = 0.5 * rows - 0.5 * np.conj(np.roll(rows[:, ::-1], 1, axis=1))
+        if anti.any():
+            res = spectral_l2(anti) / spectral_l2(f._spectrum)
+            if res > HERMITIAN_TOL:
+                raise ValueError(f"rows m1 = 0 and n1/2 are not Hermitian in m2: anti-Hermitian "
+                                 f"part at relative level {res:.3e} exceeds {HERMITIAN_TOL:.1e}")
+        return f
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "TorusField":

@@ -10,9 +10,10 @@ from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 from scipy.special import erf as scipy_erf
 
 from smectic import ansatz
-from smectic.ansatz import (ERF_SATURATION, GOLDEN_XTOL, N_BRACKET_PROBE, SweepRecord,
-                            eps_sweep, minimize_scalar, mollify, vertical_two_shock)
+from smectic.ansatz import (GOLDEN_XTOL, N_BRACKET_PROBE, SweepRecord, eps_sweep,
+                            minimize_scalar, mollify, vertical_two_shock)
 from smectic.energy import energy_eps
+from smectic.entropy import Interface, JumpProfile
 from smectic.errors import WidthOutOfRange
 from smectic.fields import GridSpec
 
@@ -74,23 +75,63 @@ class TestMollify:
         assert deficits[1] == pytest.approx(deficits[0] / 2.0, rel=0.05)
 
 
-class TestErf:
-    """The C library's erf inside |t| < ERF_SATURATION, sign(t) outside,
-    pinned against scipy's erf, which stays a test-only reference."""
+@st.composite
+def vertical_profiles(draw):
+    """2-4 vertical interfaces at positions on the dyadic grid 2^-20 (so the
+    reference's x1 - a is exact), with jumps that sum to zero."""
+    k = draw(st.integers(2, 4))
+    positions = [draw(st.integers(0, 2 ** 20 - 1)) / 2.0 ** 20 for _ in range(k)]
+    jumps = [draw(st.floats(-2.0, 2.0)) for _ in range(k - 1)]
+    jumps.append(-sum(jumps))
+    assume(max(map(abs, jumps)) > 1e-3)
+    return positions, jumps
 
-    @settings(max_examples=200, deadline=None)
-    @given(t=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=64))
-    @example(t=np.linspace(-8.0, 8.0, 100_001).tolist())
-    def test_matches_scipy(self, t):
-        t = np.array(t)
-        got = ansatz._erf(t)
-        assert np.max(np.abs(got - scipy_erf(t))) <= 4e-16
-        assert np.array_equal(ansatz._erf(-t), -got)
 
-    @given(t=st.floats(ERF_SATURATION, 1e300))
-    def test_saturated_exactly(self, t):
-        assert ansatz._erf(np.array([t, -t])).tolist() == [1.0, -1.0]
-        assert math.erf(t) == 1.0 and scipy_erf(t) == 1.0
+class TestClosedForm:
+    """mollify's half spectrum against the continuum profile: the erf sum over
+    periodic images from scipy's erf, a test-only reference, less its mean.
+    They differ by the aliased modes |m1| >= n1/2 and roundoff."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(profile=vertical_profiles(), half_n1=st.integers(8, 2048), width=st.floats(0.0, 1.0))
+    @example(profile=([0.0, 0.5], [1.0, -1.0]), half_n1=2048, width=0.0)
+    # delta = 3.5 / n1: the phase k1 a reduced mod 2 pi before exp, or this misses by 2x
+    @example(profile=([770062 / 2 ** 20, 990403 / 2 ** 20, 138306 / 2 ** 20], [0.49, -0.74, 0.25]),
+             half_n1=2048, width=0.1)
+    def test_matches_the_erf_sum_over_images(self, profile, half_n1, width):
+        positions, jumps = profile
+        n1 = 2 * half_n1
+        lo, hi = 2.0 / n1, 0.125
+        delta = lo * (hi / lo) ** width
+        p = JumpProfile(tuple(Interface(start=(a, 0.0), end=(a, 1.0), w_minus=0.0, w_plus=j)
+                              for a, j in zip(positions, jumps)))
+        w = mollify(p, delta, GridSpec(n1, 8))
+        i = np.arange(n1)
+        ref = sum(0.5 * j * scipy_erf((i - n1 * a - image * n1) / (n1 * math.sqrt(2.0) * delta))
+                  for a, j in zip(positions, jumps) for image in range(-3, 4))
+        ref -= np.mean(ref)
+        tol = (1e-14 * max(map(abs, jumps))
+               + sum(map(abs, jumps)) * math.exp(-(math.pi * n1 * delta) ** 2 / 2.0))
+        assert np.max(np.abs(w.samples - ref[:, None])) <= tol
+
+    def test_born_spectral_on_the_m2_zero_column(self):
+        w = mollify(vertical_two_shock(0.5), 0.01, GridSpec(256, 16))
+        assert not w.has_samples
+        spec = w.spectrum
+        assert not spec[:, 1:].any() and not spec[0].any() and not spec[-1].any()
+
+    @pytest.mark.parametrize("eps, n_fft", [((2.0 ** -6, 2.0 ** -7), 64),
+                                            ((2.0 ** -8, 2.0 ** -9), 174)])
+    def test_two_transforms_per_sweep_evaluation(self, monkeypatch, eps, n_fft):
+        """The energy's one product: w's samples and the product's forward
+        transform; mollify makes none."""
+        calls = [0]
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "fftn", "ifftn",
+                     "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=getattr(np.fft, name), **k:
+                                calls.__setitem__(0, calls[0] + 1) or _f(*a, **k))
+        recs = eps_sweep(vertical_two_shock(0.5), list(eps), GridSpec(1024, 64))
+        assert calls[0] == 2 * sum(r.n_evals for r in recs) == n_fft
 
 
 class TestEpsSweep:

@@ -19,7 +19,6 @@ from smectic.besov import (VerificationRecord, verify_b2s, verify_l3, verify_lp,
                            verify_lp_eps)
 from smectic.cli import _encode, main
 from smectic.energy import EnergyReport, energy_eps, gradient_eps
-from smectic.entropy import Interface, JumpProfile
 from smectic.fields import (GridSpec, TorusField, inner, load_field,
                             random_band_limited, save_field)
 from smectic.minimize import MinimizeOptions, minimize
@@ -527,10 +526,9 @@ class TestEntropyAndTail:
         """A failed slope law writes no jump-cost file, yet the records keep
         their name: the name does not depend on the verdict."""
         profile = tmp_path / "profile.json"
-        profile.write_text(JumpProfile((
-            Interface(start=(0.0, 0.0), end=(0.0, 1.0), w_minus=-0.5, w_plus=0.5),
-            Interface(start=(0.0, 0.5), end=(1.0, 0.5), w_minus=-1.0, w_plus=1.0),
-        )).to_json())
+        profile.write_text(json.dumps({"interfaces": [
+            {"start": [0.0, 0.0], "end": [0.0, 1.0], "w_minus": -0.5, "w_plus": 0.5},
+            {"start": [0.0, 0.5], "end": [1.0, 0.5], "w_minus": -1.0, "w_plus": 1.0}]}))
         out = tmp_path / "out"
         assert run(["entropy", "--profile", str(profile), "--format", "json",
                     "--out", str(out)]) == 1

@@ -195,14 +195,18 @@ class TestFieldRecords:
 
 
 class TestProfileSerialization:
-    def test_json_roundtrip(self):
-        p = JumpProfile(interfaces=(compatible_interface(-0.3, 0.7),))
-        back = JumpProfile.from_json(p.to_json())
-        assert back == p
+    TEXT = """{"interfaces": [
+        {"start": [0.2, 0.3], "end": [0.2, 0.7], "w_minus": -0.5, "w_plus": 0.5},
+        {"start": [0.5, 0], "end": [0.5, 1], "w_minus": 1, "w_plus": -1.25}]}"""
+
+    def test_parses_a_written_profile(self):
+        assert JumpProfile.from_json(self.TEXT) == JumpProfile(interfaces=(
+            Interface(start=(0.2, 0.3), end=(0.2, 0.7), w_minus=-0.5, w_plus=0.5),
+            Interface(start=(0.5, 0.0), end=(0.5, 1.0), w_minus=1.0, w_plus=-1.25)))
 
     @pytest.mark.parametrize("key", ["interfaces", "start", "end", "w_minus", "w_plus"])
     def test_missing_key_is_named(self, key):
-        data = json.loads(JumpProfile(interfaces=(compatible_interface(-0.3, 0.7),)).to_json())
+        data = json.loads(self.TEXT)
         if key == "interfaces":
             del data[key]
         else:

@@ -15,7 +15,7 @@ from smectic.besov import tail_mass
 from smectic import minimize as minimize_module
 from smectic.energy import EnergyLine, energy_eps, gradient_eps
 from smectic.errors import NonAdmissibleInput
-from smectic.fields import (ADMISSIBLE_TOL, GridSpec, TorusField,
+from smectic.fields import (ADMISSIBLE_TOL, HERMITIAN_TOL, GridSpec, TorusField,
                             as_admissible, inner, k1zero_residual,
                             load_field, project_vanishing_x1_mean,
                             random_band_limited, regrid, relative_mass,
@@ -68,7 +68,9 @@ class TestGridSpec:
 class TestTorusField:
     def test_constructors_leave_the_callers_array_writeable(self):
         g = GridSpec(8, 8)
-        H = np.random.default_rng(0).standard_normal(g.spectrum_shape) + 0j
+        # a real field's spectrum: rows m1 = 0 and n1/2 Hermitian in m2
+        samples0 = np.random.default_rng(0).standard_normal(g.shape)
+        H = TorusField.from_samples(g, samples0).spectrum.copy()
         samples = np.random.default_rng(1).standard_normal(g.shape)
         f, s = TorusField.from_spectrum(g, H), TorusField.from_samples(g, samples)
         kept, kept_samples = H.copy(), samples.copy()
@@ -77,6 +79,40 @@ class TestTorusField:
         assert np.array_equal(f.spectrum, kept)
         assert np.array_equal(s.samples, kept_samples)
         assert not f.spectrum.flags.writeable and not s.samples.flags.writeable
+
+    def test_spectrum_with_non_hermitian_rows_is_refused(self):
+        """A random complex half spectrum: its samples would drop the
+        anti-Hermitian part of rows m1 = 0 and n1/2, which l2 counts."""
+        g = GridSpec(8, 8)
+        rng = np.random.default_rng(0)
+        spec = rng.standard_normal(g.spectrum_shape) + 1j * rng.standard_normal(g.spectrum_shape)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            TorusField.from_spectrum(g, spec)
+
+    @pytest.mark.parametrize("row", [0, -1])
+    @pytest.mark.parametrize("m2, part", [(0, 1j), (4, 1j), (1, 1.0), (3, 1j)])
+    def test_hermitian_tolerance(self, row, m2, part):
+        """The anti-Hermitian part of a self-partner row is refused above
+        HERMITIAN_TOL of the norm, accepted below it; m2 = 0 and -n2/2 are
+        their own partners, so their imaginary parts are anti-Hermitian."""
+        g = GridSpec(8, 8)
+        f = TorusField.from_samples(g, np.random.default_rng(2).standard_normal(g.shape))
+        for level, refused in ((1e-3 * HERMITIAN_TOL, False), (1e3 * HERMITIAN_TOL, True)):
+            bent = f.spectrum.copy()
+            bent[row, m2] += part * level * f.l2()
+            if refused:
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    TorusField.from_spectrum(g, bent)
+            else:
+                TorusField.from_spectrum(g, bent)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (10, 12), (64, 64), (512, 512), (1024, 8)])
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_spectra_of_sampled_fields_are_accepted(self, shape, scale):
+        g = GridSpec(*shape)
+        f = TorusField.from_samples(g, scale * np.random.default_rng(1).standard_normal(shape))
+        twin = TorusField.from_spectrum(g, f.spectrum.copy())
+        assert np.max(np.abs(twin.samples - f.samples)) <= 1e-13 * scale
 
     def test_public_constructors_copy_only_a_writeable_array(self):
         """A caller's writeable array is copied; another field's read-only
@@ -314,7 +350,7 @@ class TestRegrid:
     def test_coarse_band_edge_dropped_on_refine(self):
         g = GridSpec(8, 8)
         spec = np.zeros(g.spectrum_shape, complex)
-        spec[4, 1] = spec[1, 4] = 1.0  # m1 = 4 and m2 = -4 on the coarse grid
+        spec[4, 1] = spec[4, 7] = spec[1, 4] = 1.0  # m1 = 4 and m2 = -4 on the coarse grid
         spec[1, 1] = 2.0
         fine = regrid(TorusField.from_spectrum(g, spec), GridSpec(16, 16))
         expected = np.zeros((9, 16), complex)
