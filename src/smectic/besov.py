@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateEnergy
 from .energy import energy_eps, energy_indep, gradient_eps
-from .fields import GridSpec, TorusField, _made, as_admissible, inner, mode_masses
+from .fields import GridSpec, TorusField, _scaled_squares, as_admissible, inner, mode_masses
 from .operators import d1, eta, shift1, shift_symbol
 
 
@@ -46,10 +46,10 @@ def _mean(samples: np.ndarray) -> float:
 
 
 def parseval(w: TorusField, params: dict) -> VerificationRecord:
-    """Spectral against grid L2 norm (both through TorusField.l2, so squares
-    that underflow do not hide a difference), at relative tolerance 1e-12."""
-    spec_norm = _made(w.grid, w.spectrum).l2()
-    grid_norm = _made(w.grid, samples=w.samples).l2()
+    """Spectral against grid L2 norm, both from scaled squares (squares that
+    underflow hide no difference), at relative tolerance 1e-12."""
+    sq, e = _scaled_squares(w.samples)
+    spec_norm, grid_norm = w.l2(), float(np.ldexp(np.sqrt(np.mean(sq)), e))
     res = abs(spec_norm - grid_norm) / grid_norm if grid_norm else float(spec_norm > 0.0)
     return VerificationRecord.checked("parseval", spec_norm, grid_norm, res, 1e-12, params)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .besov import VerificationRecord
 from .energy import energy_eps
 from .errors import IncompatibleProfile
-from .fields import TorusField, _made, derived, inner
+from .fields import TorusField, _sampled, derived, inner
 from .operators import cube_dealiased, d1, d2, eta, multiply_dealiased, square_dealiased
 
 RH_TOL = 1e-12
@@ -188,7 +188,7 @@ def field_records(w: TorusField, eps_values: list[float]) -> list[VerificationRe
     bound per eps against the test function phi = sin(2 pi x1) / (2 pi)."""
     identity = div_sigma_identity(w)
     production = entropy_production(w)
-    phi = _made(w.grid, samples=np.sin(
+    phi = _sampled(w.grid, np.sin(
         2 * np.pi * np.repeat(w.grid.x1(), w.grid.n2, axis=1)) / (2 * np.pi))
     return [identity,
             VerificationRecord(name="entropy_production", lhs=production, rhs=0.0,

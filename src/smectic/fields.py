@@ -1,12 +1,13 @@
-"""Periodic scalar fields on the unit torus with dual grid/spectral representation.
+"""Periodic scalar fields on the unit torus, held as half spectra.
 
-Samples live on the uniform grid x = (i/n1, j/n2); spectral coefficients are
-indexed by integer mode pairs (m1, m2) with wavenumber k = 2*pi*(m1, m2).  The
-transform is normalized so that the (0, 0) coefficient is the mean of the
-field.  A real field has fhat(-m) = conj fhat(m), so only the half
-m1 = 0..n1/2 is held: rfftn(samples, axes=(1, 0)) / N, of shape
-(n1/2 + 1, n2), m2 in FFT ordering.  Each held mode stands for its partner -m
-too (the rows m1 = 0 and n1/2 are their own), so Parseval reads
+Spectral coefficients are indexed by integer mode pairs (m1, m2) with
+wavenumber k = 2*pi*(m1, m2); a field's samples, on the uniform grid
+x = (i/n1, j/n2), are a value derived from its spectrum.  The transform is
+normalized so that the (0, 0) coefficient is the mean of the field.  A real
+field has fhat(-m) = conj fhat(m), so only the half m1 = 0..n1/2 is held:
+rfftn(samples, axes=(1, 0)) / N, of shape (n1/2 + 1, n2), m2 in FFT
+ordering.  Each held mode stands for its partner -m too (the rows m1 = 0
+and n1/2 are their own), so Parseval reads
 mean(|f|^2) = sum_m w(m1) |fhat(m)|^2 with w = 2 for 0 < m1 < n1/2, else 1;
 no other module applies that weight.
 """
@@ -30,6 +31,10 @@ ADMISSIBLE_TOL = 1e-10
 #: `TorusField.from_spectrum` accepts: the spectra of `from_samples` fields
 #: hold those rows Hermitian only to roundoff, about 1e-16 of their norm.
 HERMITIAN_TOL = 1e-12
+
+#: `load_field` zeroes every mode below this fraction of the largest: the
+#: transform leaves roundoff in every mode, which pads products at full band.
+LOAD_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -106,44 +111,47 @@ def _held(a: np.ndarray, dtype) -> np.ndarray:
     return _freeze(a.copy() if a.flags.writeable else a)
 
 
-def _made(grid: "GridSpec", spectrum: np.ndarray | None = None,
-          samples: np.ndarray | None = None) -> "TorusField":
-    """The field of arrays the package has just made and hands over: frozen in
+def _made(grid: "GridSpec", spectrum: np.ndarray) -> "TorusField":
+    """The field of a half spectrum the package has just made: frozen in
     place, not copied as `from_samples` and `from_spectrum` copy a caller's."""
-    return TorusField(
-        grid, _samples=None if samples is None else _freeze(np.asarray(samples, float)),
-        _spectrum=None if spectrum is None else _freeze(np.asarray(spectrum, complex)))
+    return TorusField(grid, _freeze(np.asarray(spectrum, complex)))
+
+
+def _sampled(grid: "GridSpec", samples: np.ndarray) -> "TorusField":
+    """The field of samples the package has just made, as `_made` is of a
+    spectrum: transformed once, the samples kept frozen in place."""
+    samples = _freeze(np.asarray(samples, float))
+    if samples.shape != grid.shape:
+        raise ValueError(f"samples shape {samples.shape} != {grid.shape}")
+    f = _made(grid, np.fft.rfftn(samples, axes=(1, 0)) / grid.npoints)
+    keep(f, _grid_samples.key, samples)
+    return f
 
 
 @dataclass(frozen=True, eq=False)
 class TorusField:
-    """Real scalar field on the torus, held as samples and/or coefficients.
+    """Real scalar field on the torus, held as its half spectrum.
 
-    At least one representation is present; the missing one is computed on
-    first access and cached.  Instances are immutable; every operation in this
-    package returns a new field.  Values derived from it (see `derived`) are
-    kept in `_derived`, not shown.  Fields compare (and hash) by identity, as
-    the dedupe of operators._dealiased_product does.
+    Instances are immutable; every operation in this package returns a new
+    field.  Values derived from it (see `derived`), its samples among them,
+    are kept in `_derived`, not shown.  Fields compare (and hash) by
+    identity, as the dedupe of operators._dealiased_product does.
     """
 
     grid: GridSpec
-    _samples: np.ndarray | None = field(default=None, repr=False)
-    _spectrum: np.ndarray | None = field(default=None, repr=False)
+    _spectrum: np.ndarray = field(repr=False)
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self._samples is None and self._spectrum is None:
-            raise ValueError("field needs samples or spectrum")
-        for a, shape in ((self._samples, self.grid.shape),
-                         (self._spectrum, self.grid.spectrum_shape)):
-            if a is not None and a.shape != shape:
-                raise ValueError(f"array shape {a.shape} != {shape} on grid {self.grid.shape}")
+        if self._spectrum.shape != self.grid.spectrum_shape:
+            raise ValueError(f"spectrum shape {self._spectrum.shape} != {self.grid.spectrum_shape}")
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_samples(cls, grid: GridSpec, samples: np.ndarray) -> "TorusField":
-        return cls(grid, _samples=_held(samples, float))
+        """The field of samples on `grid`: transformed once, a copy kept."""
+        return _sampled(grid, _held(samples, float))
 
     @classmethod
     def from_spectrum(cls, grid: GridSpec, spectrum: np.ndarray) -> "TorusField":
@@ -152,7 +160,7 @@ class TorusField:
         row(-m2) = conj row(m2); `samples` would drop the rest, which `l2`
         and `inner` count.  Raises ValueError when their anti-Hermitian part
         holds more than HERMITIAN_TOL of the spectrum's L^2 norm."""
-        f = cls(grid, _spectrum=_held(spectrum, complex))
+        f = cls(grid, _held(spectrum, complex))
         rows = f._spectrum[[0, -1]]
         # their anti-Hermitian part, halved before the difference so that it
         # cannot overflow; as a two-row half spectrum spectral_l2 weighs it once
@@ -166,31 +174,25 @@ class TorusField:
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "TorusField":
-        return _made(grid, samples=np.zeros(grid.shape))
+        return _made(grid, np.zeros(grid.spectrum_shape, dtype=complex))
 
     # -- representations ----------------------------------------------------
 
     @property
     def has_samples(self) -> bool:
-        return self._samples is not None
+        """Whether the samples are kept (see `samples`)."""
+        return _grid_samples.key in self._derived
 
     @property
     def has_spectrum(self) -> bool:
-        return self._spectrum is not None
+        return True  # the one state a field holds
 
     @property
     def samples(self) -> np.ndarray:
-        if self._samples is None:
-            g = self.grid
-            raw = np.fft.irfftn(self._spectrum, s=(g.n2, g.n1), axes=(1, 0)) * g.npoints
-            object.__setattr__(self, "_samples", _freeze(raw))
-        return self._samples
+        return _grid_samples(self)
 
     @property
     def spectrum(self) -> np.ndarray:
-        if self._spectrum is None:
-            spec = np.fft.rfftn(self._samples, axes=(1, 0)) / self.grid.npoints
-            object.__setattr__(self, "_spectrum", _freeze(spec))
         return self._spectrum
 
     # -- norms and algebra --------------------------------------------------
@@ -198,10 +200,7 @@ class TorusField:
     def l2(self) -> float:
         """L^2(T^2) norm, exact for the trigonometric interpolant, summed
         from `_scaled_squares`: a nonzero field has a nonzero norm."""
-        if self.has_spectrum:
-            return spectral_l2(self._spectrum)
-        sq, e = _scaled_squares(self._samples)
-        return float(np.ldexp(np.sqrt(np.mean(sq)), e))
+        return spectral_l2(self._spectrum)
 
     def lp(self, p: float) -> float:
         """L^p grid norm (rectangle rule)."""
@@ -235,6 +234,14 @@ def derived(build):
         return f._derived[build]
     get.key = build
     return get
+
+
+@derived
+def _grid_samples(f: TorusField) -> np.ndarray:
+    """f's samples on its grid: those `from_samples` was given, else one
+    inverse transform; kept under a key no GridSpec equals (see `keep`)."""
+    g = f.grid
+    return _freeze(np.fft.irfftn(f.spectrum, s=(g.n2, g.n1), axes=(1, 0)) * g.npoints)
 
 
 def keep(f: TorusField, key, value) -> None:
@@ -273,9 +280,9 @@ def spectral_l2(spec: np.ndarray) -> float:
 
 def _scaled_squares(values: np.ndarray, spectral: bool = False) -> tuple[np.ndarray, int]:
     """(|values|^2 * 4^-e, e), with e the exponent that brings the largest
-    magnitude into [1/2, 1) (0 when all are zero); for a half spectrum
-    (`spectral`), the rows 0 < m1 < n1/2 doubled for their partners -m1, so
-    the squares sum to the L^2 mass times 4^-e.
+    finite magnitude into [1/2, 1) (0 if there is none); for a half
+    spectrum (`spectral`), the rows 0 < m1 < n1/2 doubled for their partners
+    -m1, so the squares sum to the L^2 mass times 4^-e.
 
     The magnitudes are scaled before they are squared, so a nonzero array
     cannot underflow to a zero sum of squares (1e-170 cos(2 pi x2) squares
@@ -283,7 +290,7 @@ def _scaled_squares(values: np.ndarray, spectral: bool = False) -> tuple[np.ndar
     or its square root scaled back keeps its bits wherever the unscaled
     squares did not underflow or overflow."""
     a = np.abs(values)
-    e = int(np.frexp(a.max())[1])
+    e = int(np.frexp(np.max(a, where=np.isfinite(a), initial=0.0))[1])
     np.ldexp(a, -e, out=a)
     np.square(a, out=a)
     if spectral:
@@ -327,14 +334,8 @@ def require_admissible_spectrum(spec: np.ndarray, tol: float = ADMISSIBLE_TOL) -
 
 def project_vanishing_x1_mean(f: TorusField) -> TorusField:
     """Zero every coefficient with k1 = 0 (orthogonal projection onto the
-    admissible subspace); idempotent.  A field held as samples keeps them,
-    less the x1-mean of each column, so a column equality survives."""
-    spec = f.spectrum.copy()
-    spec[0, :] = 0.0
-    samples = None
-    if f.has_samples:
-        samples = _freeze(f.samples - np.mean(f.samples, axis=0))
-    return TorusField(f.grid, _samples=samples, _spectrum=_freeze(spec))
+    admissible subspace); idempotent."""
+    return _made(f.grid, np.where(f.grid.modes1() == 0, 0.0, f.spectrum))
 
 
 def as_admissible(f: TorusField, tol: float = ADMISSIBLE_TOL) -> TorusField:
@@ -351,7 +352,7 @@ def random_band_limited(grid: GridSpec, seed: int, kmax: int,
     if kmax >= min(grid.n1, grid.n2) / 3:
         raise ValueError(f"kmax {kmax} leaves no dealiasing headroom on {grid.n1}x{grid.n2}")
     rng = np.random.default_rng(seed)
-    spec = _made(grid, samples=rng.standard_normal(grid.shape)).spectrum
+    spec = _sampled(grid, rng.standard_normal(grid.shape)).spectrum
     m1, m2 = grid.modes1(), grid.modes2()
     band = (0 < m1) & (m1 <= kmax) & (np.abs(m2) <= kmax)
     spec = np.where(band, spec, 0.0)
@@ -403,6 +404,8 @@ def save_field(f: TorusField, path: str | Path) -> None:
 
 
 def load_field(path: str | Path) -> TorusField:
+    """The field of a field file, its modes below LOAD_FLOOR times the largest
+    zeroed (an approximation: in-band modes below the floor go too)."""
     header_path, data_path = _field_paths(path)
     header = json.loads(header_path.read_text())
     if not (isinstance(header, dict) and all(type(header.get(n)) is int for n in ("n1", "n2"))):
@@ -415,4 +418,6 @@ def load_field(path: str | Path) -> TorusField:
         raise ValueError(f"{data_path}: expected {grid.npoints} samples, got {raw.size}")
     if not np.all(np.isfinite(raw)):
         raise ValueError(f"{data_path}: non-finite samples")
-    return _made(grid, samples=raw.reshape(grid.n2, grid.n1).T)
+    spec = _sampled(grid, raw.reshape(grid.n2, grid.n1).T).spectrum
+    mag = np.abs(spec)
+    return _made(grid, np.where(mag < LOAD_FLOOR * mag.max(), 0.0, spec))

@@ -160,21 +160,15 @@ def minimize(w0: TorusField, eps: float, opts: MinimizeOptions
     the band below `outer_band`, pins too.  A failed line search raises
     LineSearchFailure carrying the report up to the last accepted iterate.
 
-    A w0 that does not depend on x2 keeps that independence, as do eta,
-    G = |d1|^-2 eta and the gradient of such a field, so the descent runs
-    on `w0.grid.x2_free()` and its result is regridded to w0's grid.  The
-    lean start is w0's first sample column when w0 holds samples and every
-    column equals it (8 equal columns transform to exact zeros off m2 = 0),
-    else w0's m2 = 0 column when its spectrum is exactly zero off it.  The
-    pins are chosen on w0's grid; those off m2 = 0 hold zeros that the
-    descent never changes.
+    A w0 whose spectrum is exactly zero off m2 = 0 keeps that x2-independence,
+    as do eta, G = |d1|^-2 eta and the gradient of such a field, so the
+    descent runs on `w0.grid.x2_free()` and its result is regridded to w0's
+    grid.  The pins are chosen on w0's grid; those off m2 = 0 hold zeros that
+    the descent never changes.
     """
     requested, lean = w0.grid, w0.grid.x2_free()
     held = lowest_mode_pins(w0, opts.pins)
-    column = w0.samples[:, :1] if w0.has_samples else None
-    if column is not None and np.all(w0.samples == column):
-        w0 = _made(lean, samples=np.repeat(column, lean.n2, axis=1))
-    elif not w0.spectrum[:, 1:].any():
+    if not w0.spectrum[:, 1:].any():
         w0 = regrid(w0, lean)
     if w0.grid != requested:
         held = held[:, :1] & (lean.modes2() == 0)

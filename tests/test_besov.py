@@ -11,8 +11,8 @@ from smectic.besov import (gradient_check, hkm1_balance, hkm2_residual, parseval
                            shift_group_law, tail_mass, verify_b2s, verify_l3, verify_lp,
                            verify_lp_eps)
 from smectic.errors import DegenerateEnergy, NonAdmissibleInput
-from smectic.fields import (GridSpec, TorusField, project_vanishing_x1_mean,
-                            random_band_limited)
+from smectic.fields import (GridSpec, TorusField, _grid_samples, keep,
+                            project_vanishing_x1_mean, random_band_limited)
 from smectic.operators import d1, diff1, eta, shift1, shift_symbol
 
 GRID = GridSpec(256, 256)
@@ -235,7 +235,8 @@ class TestParseval:
         its samples unchanged must still fail."""
         w = random_band_limited(GridSpec(16, 16), seed=1, kmax=2, amplitude=1e-170)
         assert parseval(w, {}).passed
-        off = TorusField(w.grid, _samples=w.samples, _spectrum=w.spectrum * (1 + 1e-3))
+        off = TorusField.from_spectrum(w.grid, w.spectrum * (1 + 1e-3))
+        keep(off, _grid_samples.key, w.samples)
         rec = parseval(off, {"seed": 1})
         assert not rec.passed
         assert rec.ratio_or_residual == pytest.approx(1e-3, rel=1e-6)

@@ -1,7 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -15,14 +18,14 @@ from smectic.besov import tail_mass
 from smectic import minimize as minimize_module
 from smectic.energy import EnergyLine, energy_eps, gradient_eps
 from smectic.errors import NonAdmissibleInput
-from smectic.fields import (ADMISSIBLE_TOL, HERMITIAN_TOL, GridSpec, TorusField,
+from smectic.fields import (ADMISSIBLE_TOL, HERMITIAN_TOL, LOAD_FLOOR, GridSpec, TorusField,
                             as_admissible, inner, k1zero_residual,
                             load_field, project_vanishing_x1_mean,
                             random_band_limited, regrid, relative_mass,
                             require_admissible, save_field)
 from smectic.minimize import minimize
 from smectic.operators import (d1, inv_abs_d1, multiply_dealiased, outer_band, shift1,
-                               square_dealiased)
+                               square_dealiased, support)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -181,8 +184,9 @@ class TestTorusField:
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(-600, 600), seed=st.integers(0, 2 ** 16))
     def test_l2_scales_exactly_by_powers_of_two(self, k, seed):
-        """l2(2^k f) == 2^k l2(f) bit for bit on both paths, also where the
-        squares of 2^k f underflow or overflow."""
+        """l2(2^k f) == 2^k l2(f) bit for bit, also for a field built from
+        scaled samples, and where the squares of 2^k f underflow or
+        overflow."""
         f = random_band_limited(GridSpec(16, 16), seed=seed, kmax=4)
         assert (2.0 ** k * f).l2() == 2.0 ** k * f.l2()
         samples = TorusField.from_samples(f.grid, f.samples)
@@ -225,13 +229,35 @@ class TestTorusField:
         assert reads[0] == reads[1] != ""
 
     def test_needs_a_representation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             TorusField(GridSpec(16, 16))
 
     def test_immutability(self):
         f = sine_field(GridSpec(16, 16))
         with pytest.raises(ValueError):
             f.samples[0, 0] = 1.0
+
+
+class TestNonFinite:
+    """The scaling exponent comes from the largest finite magnitude, so a
+    huge value beside a NaN is scaled before it is squared: NaN in, NaN out,
+    with no overflow warning."""
+
+    @staticmethod
+    def spectrum_with_nan(huge_at):
+        spec = np.zeros(GridSpec(8, 8).spectrum_shape, complex)
+        spec[1, 1], spec[huge_at] = np.nan, 1e300
+        return TorusField.from_spectrum(GridSpec(8, 8), spec)
+
+    def test_l2(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(self.spectrum_with_nan((2, 2)).l2())
+
+    def test_k1zero_residual(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(k1zero_residual(self.spectrum_with_nan((0, 0))))
 
 
 class TestHalfLayout:
@@ -366,6 +392,39 @@ class TestFieldFiles:
         assert back.grid == w.grid
         assert np.allclose(back.samples, w.samples, atol=1e-15)
 
+    @settings(max_examples=40, deadline=None)
+    @given(sides=st.tuples(*[st.sampled_from([8, 16, 32, 64, 128])] * 2),
+           seed=st.integers(0, 2 ** 16), kmax=st.integers(1, 42))
+    def test_roundtrip_keeps_the_support(self, sides, seed, kmax):
+        """The transform of the saved samples leaves roundoff in every mode;
+        the load floor drops it, so the field comes back with its support,
+        and its samples move by a few ulps of max|w|."""
+        grid = GridSpec(*sides)
+        kmax = min(kmax, (min(sides) - 1) // 3)
+        w = random_band_limited(grid, seed=seed, kmax=kmax)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_field(w, Path(tmp) / "w")
+            back = load_field(Path(tmp) / "w")
+        assert support(back) == support(w) == (kmax, kmax)
+        peak = np.max(np.abs(w.samples))
+        assert np.max(np.abs(back.samples - w.samples)) <= 8 * np.spacing(peak)
+
+    def test_floor_keeps_small_modes_above_it(self, tmp_path):
+        g = GridSpec(16, 16)
+        spec = np.zeros(g.spectrum_shape, complex)
+        spec[1, 1], spec[2, 3], spec[3, 2] = 1.0, 1e-12, 1e-16
+        save_field(TorusField.from_spectrum(g, spec), tmp_path / "w")
+        back = load_field(tmp_path / "w").spectrum
+        assert 1e-16 < LOAD_FLOOR < 1e-12
+        assert back[2, 3] == pytest.approx(1e-12, rel=1e-3)
+        assert back[3, 2] == 0.0
+        assert np.count_nonzero(back) == 2
+
+    def test_zero_file_loads_as_the_zero_field(self, tmp_path):
+        save_field(TorusField.zero(GridSpec(16, 8)), tmp_path / "w")
+        back = load_field(tmp_path / "w")
+        assert not back.spectrum.any() and not back.samples.any()
+
     def test_layout_x1_fastest(self, tmp_path):
         g = GridSpec(8, 16)
         samples = np.arange(g.npoints, dtype=float).reshape(g.shape)
@@ -397,6 +456,7 @@ class TestFieldFiles:
     def test_non_finite_rejected(self, tmp_path, bad):
         samples = np.zeros((16, 16))
         samples[3, 5] = bad
-        save_field(TorusField.from_samples(GridSpec(16, 16), samples), tmp_path / "w")
+        save_field(TorusField.zero(GridSpec(16, 16)), tmp_path / "w")
+        samples.astype("<f8").tofile(tmp_path / "w.bin")
         with pytest.raises(ValueError, match="non-finite"):
             load_field(tmp_path / "w")

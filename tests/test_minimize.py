@@ -268,8 +268,9 @@ class TestLeanGrid:
 
     def test_field_file_decided_from_its_samples(self, tmp_path):
         """The mollified two-shock from a field file: with n2 = 40 the
-        transform leaves roundoff off m2 = 0, but every sample column is
-        equal, so the descent runs on 256x8 as it does for n2 = 48."""
+        transform leaves roundoff off m2 = 0, which load_field's floor
+        zeroes, as every sample column is equal; so the descent runs on
+        256x8 as it does for n2 = 48."""
         column = mollify(vertical_two_shock(0.5), 0.125, GridSpec(256, 8)).samples[:, :1]
         runs = {}
         for n2 in (40, 48):
@@ -280,8 +281,8 @@ class TestLeanGrid:
             assert main(["minimize", "--field", str(tmp_path / f"w{n2}"), "--pins", "8",
                          "--eps", str(2.0 ** -6), "--out", str(out)]) == 0
             runs[n2] = json.loads((out / "minimize.json").read_text())
-        # the spectral exact-zero rule alone would keep 256x40
-        assert as_admissible(load_field(tmp_path / "w40")).spectrum[:, 1:].any()
+        # the loaded spectrum is exactly zero off m2 = 0
+        assert not as_admissible(load_field(tmp_path / "w40")).spectrum[:, 1:].any()
         assert runs[40]["grid"] == runs[48]["grid"] == [256, 8]
         assert runs[40]["iterations"] == runs[48]["iterations"]
         assert runs[40]["energy_history"] == runs[48]["energy_history"]
