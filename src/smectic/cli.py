@@ -77,6 +77,14 @@ def _parse_eps_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
 
 
+def _one_eps(text: str) -> float:
+    """argparse type: one eps, a float or a dyadic `2^-k`; a range is refused
+    (every error is an ArgumentTypeError, which argparse prints as is)."""
+    if ".." in text:
+        raise argparse.ArgumentTypeError(f"{text!r}: takes a single eps, not a range")
+    return _parse_eps_list(text)[0]
+
+
 def _at_least(low: int):
     """argparse type: an integer >= low."""
     def parse(text: str) -> int:
@@ -248,7 +256,7 @@ _FLAGS = {
     "config": {"default": None, "help": "JSON config file; flags override"},
 }
 #: minimize descends at a single eps
-_MINIMIZE_EPS = {"type": _finite, "default": 0.0625}
+_MINIMIZE_EPS = {"type": _one_eps, "default": 0.0625, "help": "single value, a float or 2^-k"}
 
 #: command -> (handler, the flags it reads besides --out and --config)
 _COMMANDS = {

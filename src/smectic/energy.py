@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonAdmissibleInput
-from .fields import (TorusField, _freeze, _made, derived, keep, k1zero_residual,
+from .fields import (TorusField, _freeze, _made, derived, keep, kept, k1zero_residual,
                      spectral_inner)
-from .operators import (_derivative_symbol, _padded_product, d1, eta_with_residual,
-                        inv_abs_d1, inv_abs_d1_spectrum, multiply_spectrum, product_plan,
-                        require_band_headroom, samples_on, support)
+from .operators import (_dealiased_product, _derivative_symbol, d1, eta_with_residual,
+                        inv_abs_d1, inv_abs_d1_spectrum, product_plan, require_band_headroom,
+                        samples_on, support)
 
 
 def _check_eps(eps: float) -> None:
@@ -91,15 +91,15 @@ def gradient_eps(w: TorusField, eps: float) -> TorusField:
     suite); do not modify one without the other.  Evaluated on half spectra,
     in the order of the field operators (d1, d2, inv_abs_d1,
     multiply_dealiased, project_vanishing_x1_mean) and to their bits: the
-    product's grid is its plan's, and w's samples kept there are read in
-    place of a transform.
+    product w * d1 G is operators._dealiased_product's on its plan's grid,
+    where w's kept samples are read in place of a transform.
     """
     _check_eps(eps)
     grid = w.grid
     s1, s2 = _derivative_symbol(grid, 1), _derivative_symbol(grid, 2)
     big_g = inv_abs_d1_spectrum(grid, inv_abs_d1_spectrum(grid, eta_with_residual(w)[0].spectrum))
     # in place, each step the field operators' own: (1/eps) (w d1 G - d2 G) - eps d1 d1 w
-    g = multiply_spectrum(w, big_g * s1)
+    g = _dealiased_product([w, _made(grid, big_g * s1)])
     g -= big_g * s2
     g *= 1.0 / eps
     bending = w.spectrum * s1
@@ -124,12 +124,13 @@ class EnergyLine:
     operators; after that, the energy at a is two norms of spectra quadratic
     in a, and a point's eta a sum of three spectra.
 
-    The products run on `fine`, the grid that product_plan gives the
-    product w * d1 G which gradient_eps makes at a point of the line.  The
-    line holds w's and d's samples there, and `point` keeps the point's on
-    the point, so that product reads them in place of a transform (and a
-    line from the point reads them for its w).  w and d must hold exactly
-    zero k1 = 0 rows, as the minimizer's iterates and directions do.
+    Both products come from operators._dealiased_product on `fine`, the
+    grid that product_plan gives the product w * d1 G which gradient_eps
+    makes at a point of the line.  The line keeps w's and d's samples there,
+    so the products read them, and `point` keeps the point's on the point,
+    so that gradient reads them in place of a transform (and a line from the
+    point reads them for its w).  w and d must hold exactly zero k1 = 0
+    rows, as the minimizer's iterates and directions do.
     """
 
     def __init__(self, w: TorusField, d: TorusField, eps: float):
@@ -138,20 +139,21 @@ class EnergyLine:
             raise NonAdmissibleInput("a line needs w and d with exactly zero k1 = 0 rows")
         require_band_headroom(d)
         self.w, self.d, self.eps = w, d, eps
-        grid, sw, sd = w.grid, support(w), support(d)
+        grid = w.grid
         # a point's support is generically the larger of w's and d's: the line
         # runs on the grid of the point's product with d1 G, whose support is
         # the band of the point's square
-        s = tuple(max(a, b) for a, b in zip(sw, sd))
+        s = tuple(max(a, b) for a, b in zip(support(w), support(d)))
         self.fine = product_plan(grid, (s, product_plan(grid, (s, s))[1]))[0]
-        self._pw, self._pd = samples_on(w, self.fine), samples_on(d, self.fine)
+        for f in (w, d):
+            keep(f, self.fine, _freeze(samples_on(f, self.fine)))
         s1, s2 = _derivative_symbol(grid, 1), _derivative_symbol(grid, 2)
         # eta(a) = e0 + a (e1 + a e2), as half spectra: e1 = d1(w d) - d2 d and
         # e2 = -d1(d^2) / 2, in place
-        e1 = _padded_product(grid, [self._pw, self._pd], product_plan(grid, (sw, sd))[1])
+        e1 = _dealiased_product([w, d], self.fine)
         e1 *= s1
         e1 -= d.spectrum * s2
-        e2 = _padded_product(grid, [self._pd, self._pd], product_plan(grid, (sd, sd))[1])
+        e2 = _dealiased_product([d, d], self.fine)
         e2 *= s1
         e2 *= -0.5
         self._etas = (eta_with_residual(w)[0].spectrum, e1, e2)
@@ -185,7 +187,7 @@ class EnergyLine:
         eta += e0
         e = _made(p.grid, eta)
         keep(p, eta_with_residual.key, (e, k1zero_residual(e)))
-        samples = a * self._pd
-        np.subtract(self._pw, samples, out=samples)
+        samples = a * kept(self.d, self.fine)
+        np.subtract(kept(self.w, self.fine), samples, out=samples)
         keep(p, self.fine, _freeze(samples))
         return p

@@ -11,11 +11,11 @@ and make no transform; the accepted point arrives with its eta and its
 padded samples kept.
 
 Cost model of one iteration after the first: five transforms (d, w d and
-d^2 for the line, d1 G and w d1 G for the gradient at the new point), at
-most six TorusFields (the direction, the point and its eta, the gradient),
-and half-spectrum arrays in between: the gradient and the direction, the
-Barzilai-Borwein pair, the pin and k1 = 0 masks, the inner products and the
-l2 norm never become fields.
+d^2 for the line, d1 G and w d1 G for the gradient at the new point; each
+product by operators._dealiased_product), five TorusFields (the direction,
+the point and its eta, d1 G, the gradient), and half-spectrum arrays in
+between: the gradient and the direction, the Barzilai-Borwein pair, the pin
+and k1 = 0 masks, the inner products and the l2 norm never become fields.
 """
 
 from __future__ import annotations

@@ -9,11 +9,11 @@ factors) or [8, 2n] (three).  Each factor's Nyquist row and column is split
 evenly between -n/2 and +n/2; the product is exactly zero beyond R.
 
 `product_plan` is the one place that turns the factors' supports into that
-fine grid and band.  The product kernel (`_padded_product`), the padded
-samples and the supports work on half-spectrum arrays; the field operators
-wrap them, and the descent's gradient and line (energy.py) call them with
-the cached symbols, so an iteration builds no field between its
-transforms.
+fine grid and band, and `_dealiased_product` the one entry that plans, pads
+and multiplies: it returns the product's half spectrum, which the field
+operators wrap and the descent's gradient and line (energy.py) use as an
+array.  A factor's samples kept on the fine grid are read in place of its
+inverse transform.
 """
 
 from __future__ import annotations
@@ -147,20 +147,15 @@ def _fine_size(n: int, full: int) -> int:
 
 @derived
 def support(f: TorusField) -> tuple[int, int]:
-    """f's spectrum_support, built once per field instance."""
-    return spectrum_support(f.grid, f.spectrum)
-
-
-def spectrum_support(grid: GridSpec, spec: np.ndarray) -> tuple[int, int]:
-    """Per axis, the largest |m| of the nonzero coefficients of the half
-    spectrum spec (n/2 for a nonzero Nyquist mode, 0 for none): what a
-    product's plan is built from."""
-    held = spec.view(float) != 0  # real and imaginary parts side by side
+    """Per axis, the largest |m| of f's nonzero coefficients (n/2 for a
+    nonzero Nyquist mode, 0 for none): what a product's plan is built from;
+    built once per field instance."""
+    held = f.spectrum.view(float) != 0  # real and imaginary parts side by side
     rows = held.any(axis=1).nonzero()[0]  # row index = m1
     columns = held.any(axis=0)
     columns = columns[::2] | columns[1::2]
     return (int(rows[-1]) if rows.size else 0,
-            int(np.maximum.reduce(np.abs(grid.modes2()[0]), where=columns, initial=0)))
+            int(np.maximum.reduce(np.abs(f.grid.modes2()[0]), where=columns, initial=0)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,41 +207,33 @@ def _padded_product(grid: GridSpec, samples: list[np.ndarray], band: tuple[int, 
     return spec
 
 
-def _dealiased_product(fields: list[TorusField]) -> TorusField:
-    """The factors' product on the fine grid of their plan, cut to |m| <= R:
-    one inverse real transform per distinct factor without samples kept on
-    that grid, one forward transform."""
+def _dealiased_product(fields: list[TorusField], fine: GridSpec | None = None) -> np.ndarray:
+    """The half spectrum of the factors' product, cut to |m| <= R: on the
+    fine grid of their plan, or on `fine`, a grid at least as fine.  One
+    inverse real transform per distinct factor without samples kept on that
+    grid, one forward transform."""
     grid = fields[0].grid
-    fine, band = product_plan(grid, tuple(support(f) for f in fields))
-    distinct = {id(f): f for f in fields}
-    physical = {k: samples_on(f, fine) for k, f in distinct.items()}
-    return _made(grid, _padded_product(grid, [physical[id(f)] for f in fields], band))
-
-
-def multiply_spectrum(f: TorusField, spec: np.ndarray) -> np.ndarray:
-    """The half spectrum of multiply_dealiased(f, g), g the field whose half
-    spectrum is spec: f's samples kept on the product's grid are read in
-    place of a transform, g's take one."""
-    s = spectrum_support(f.grid, spec)
-    fine, band = product_plan(f.grid, (support(f), s))
-    return _padded_product(f.grid, [samples_on(f, fine), padded_samples(spec, s, fine)], band)
+    plan, band = product_plan(grid, tuple(support(f) for f in fields))
+    # fields hash by identity: each distinct factor is transformed once
+    physical = {f: samples_on(f, fine or plan) for f in dict.fromkeys(fields)}
+    return _padded_product(grid, [physical[f] for f in fields], band)
 
 
 def multiply_dealiased(f: TorusField, g: TorusField) -> TorusField:
     """Alias-free f * g on the band |m| <= R, for any input."""
-    return _dealiased_product([f, g])
+    return _made(f.grid, _dealiased_product([f, g]))
 
 
 def square_dealiased(f: TorusField) -> TorusField:
     """Alias-free f^2 on the band |m| <= R."""
     require_band_headroom(f)
-    return _dealiased_product([f, f])
+    return _made(f.grid, _dealiased_product([f, f]))
 
 
 def cube_dealiased(f: TorusField) -> TorusField:
     """Alias-free f^3 on the band |m| <= R."""
     require_band_headroom(f)
-    return _dealiased_product([f, f, f])
+    return _made(f.grid, _dealiased_product([f, f, f]))
 
 
 def eta(w: TorusField) -> TorusField:

@@ -176,6 +176,20 @@ class TestParsing:
         assert not (tmp_path / "manifest.json").exists()
         assert run(argv + ["--eps", "0.0625"]) == 0
 
+    @pytest.mark.parametrize("spelling", ["2^-6", "0.015625", "config"])
+    def test_minimize_eps_in_either_spelling(self, tmp_path, spelling):
+        """`minimize --eps` takes one value as a float or a dyadic `2^-k`,
+        from the command line and from a config file alike."""
+        if spelling == "config":
+            (tmp_path / "cfg.json").write_text('{"eps": "2^-6"}')
+            eps = ["--config", str(tmp_path / "cfg.json")]
+        else:
+            eps = ["--eps", spelling]
+        out = tmp_path / "out"
+        assert run(["minimize", "--grid", "32x32", "--kmax", "4", "--max-iters", "5",
+                    "--out", str(out)] + eps) == 0
+        assert json.loads((out / "minimize.json").read_text())["final_energy"]["eps"] == 0.015625
+
 
 class TestIntegerRanges:
     @pytest.mark.parametrize("argv", [

@@ -226,6 +226,32 @@ class TestEnergyLine:
             gradient_eps(p, self.EPS)
         assert len(calls) == 2
 
+    @settings(max_examples=80, deadline=None)
+    @given(halves=st.tuples(st.integers(4, 40), st.integers(4, 40)), data=st.data(),
+           seed=st.integers(0, 2 ** 16), a=st.floats(0.01, 4.0))
+    def test_the_line_grid_is_as_fine_as_every_plan(self, halves, data, seed, a):
+        """Whatever the supports of w and d (drawn per axis, from 1 and 0 up
+        to the outer band), the line's grid is at least as fine as the plans
+        of w d, of d^2 and of the product w * d1 G that gradient_eps makes at
+        a point."""
+        grid = GridSpec(*(2 * h for h in halves))
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            k1, k2 = (data.draw(st.integers(low, 7 * n // 16)) for low, n in zip((1, 0), grid.shape))
+            keep = (grid.modes1() >= 1) & (grid.modes1() <= k1) & (np.abs(grid.modes2()) <= k2)
+            half = grid.spectrum_shape
+            spec = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+            return TorusField.from_spectrum(grid, np.where(keep, spec, 0.0))
+
+        w, d = draw(), draw()
+        line = EnergyLine(w, d, self.EPS)
+        p = line.point(a)
+        d1_g = d1(inv_abs_d1(inv_abs_d1(eta(p))))
+        for factors in ((w, d), (d, d), (p, d1_g)):
+            plan = operators.product_plan(grid, tuple(support(f) for f in factors))[0]
+            assert plan.n1 <= line.fine.n1 and plan.n2 <= line.fine.n2
+
     def test_the_tracer_finds_the_kept_eta_and_counts_the_same_transforms(self):
         _, _, line = self.line()
 

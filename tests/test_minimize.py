@@ -132,11 +132,41 @@ class TestTransformCount:
         first, fifty = self.count(monkeypatch, 1), self.count(monkeypatch, 50)
         assert (fifty - first) / 49 <= 5.2
 
+    def test_pinned_x2_free_descent_from_a_field_file(self, monkeypatch, tmp_path):
+        """The pinned two-shock descent from a floored field file, on 256 x 8:
+        the start's energy and gradient make five transforms, and so does
+        each iteration (its line and the gradient at its point) once the
+        support stops growing.  While it grows, the line's grid changes (180,
+        360, then 384 rows) and the line makes one more, w's inverse on the
+        new grid."""
+        save_field(mollify(vertical_two_shock(0.5), 0.125, GridSpec(256, 16)), tmp_path / "f")
+        w0 = as_admissible(load_field(tmp_path / "f"))
+        gradient_certificate(GridSpec(256, 8))
+        calls, at_lines, fine_rows = [0], [], []
+        for name in ("fft2", "ifft2", "fftn", "ifftn", "rfftn", "irfftn", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=getattr(np.fft, name), **k:
+                                calls.__setitem__(0, calls[0] + 1) or _f(*a, **k))
+
+        def counted_line(*args):
+            at_lines.append(calls[0])
+            line = EnergyLine(*args)
+            fine_rows.append(line.fine.n1)
+            return line
+
+        monkeypatch.setattr(minimize_module, "EnergyLine", counted_line)
+        _, rep = minimize(w0, 2.0 ** -6, MinimizeOptions(pins=8))
+        per_iteration = np.diff(at_lines + [calls[0]]).tolist()
+        monkeypatch.undo()
+        assert (rep.grid, rep.termination, rep.iterations) == (GridSpec(256, 8), "energy-stall", 18)
+        assert calls[0] == 98 and at_lines[0] == 5
+        assert per_iteration == [6] * 3 + [5] * 15
+        assert fine_rows == [180, 360] + [384] * 16
+
 
 class TestFieldCount:
     """Between its transforms an iteration works on half spectra: after the
     first iteration, each builds at most six fields (the direction, the
-    point and its eta, the gradient), whatever the machine."""
+    point and its eta, d1 G, the gradient), whatever the machine."""
 
     @staticmethod
     def count(monkeypatch, max_iters):

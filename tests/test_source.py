@@ -118,3 +118,30 @@ def test_the_check_sees_a_leftover_name():
     assert unread(sources) == {("a.py", "_erf"), ("a.py", "lone")}
     sources["a.py"] = a.replace(helper, "")
     assert unread(sources) == {("a.py", "SATURATION"), ("a.py", "lone")}
+
+
+#: the product kernel and the padded samples it multiplies, behind the one
+#: entry operators._dealiased_product
+KERNEL = {"_padded_product", "padded_samples"}
+
+
+def kernel_readers(sources: dict[str, str]) -> set[str]:
+    """The modules, operators.py aside, that import or read a KERNEL name."""
+    found = set()
+    for m, text in sources.items():
+        tree = ast.parse(text, m)
+        if m != "operators.py" and KERNEL & ({n for n, _ in reads(tree, m)} | imported_names(tree)):
+            found.add(m)
+    return found
+
+
+def test_only_operators_reads_the_product_kernel():
+    assert kernel_readers({m: (SOURCE / m).read_text() for m in MODULES}) == set()
+
+
+def test_the_check_sees_a_kernel_reader():
+    sources = {"operators.py": "def padded_samples():\n    return _padded_product()\n",
+               "__init__.py": "from .operators import _padded_product\n",
+               "energy.py": "from . import operators\nx = operators.padded_samples\n",
+               "minimize.py": "from .operators import _dealiased_product\n"}
+    assert kernel_readers(sources) == {"__init__.py", "energy.py"}
