@@ -2,10 +2,13 @@
 minimization, and tail diagnostics, with CSV/JSON outputs and a run manifest.
 Every output file goes through `_encode`; the library modules return data.
 
-Exit codes: 0 all pass-gated records passed, 1 at least one record failed,
-2 usage or configuration error.  Outputs are written atomically (temp file +
-rename) into the --out directory; timestamps live only in the manifest so the
-data files are byte-identical across reruns of the same config.
+Exit codes: 0 all pass-gated records passed; 1 a record failed or a package
+error (`SmecticError`: `BandLimitExceeded`, `LineSearchFailure`, ...) was
+raised, its message in the manifest's `error`; 2 usage or configuration
+error, an unusable --out among them (created before the command runs).
+Outputs are written atomically (temp file + rename) into --out; timestamps
+live only in the manifest so the data files are byte-identical across reruns
+of the same config.
 """
 
 from __future__ import annotations
@@ -125,7 +128,6 @@ def _encode(name: str, data) -> str:
 
 def _write(path: Path, data) -> None:
     """Write `_encode(path.name, data)` atomically: temp file, then rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -214,8 +216,6 @@ def _cmd_sweep(args) -> tuple[list[VerificationRecord], dict]:
 
 def _cmd_minimize(args) -> tuple[list[VerificationRecord], dict]:
     opts = MinimizeOptions(max_iters=args.max_iters, pins=args.pins)
-    if args.save_final:  # before the descent: a bad --out fails at once
-        Path(args.out).mkdir(parents=True, exist_ok=True)
     try:
         w, report = minimize(_input_field(args, amplitude=0.05), args.eps, opts)
     except LineSearchFailure as exc:
@@ -314,6 +314,8 @@ def main(argv: list[str] | None = None) -> int:
             # config values first, so that command-line flags override them
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_argv(args) + argv[at:])
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)  # before the work: a bad --out fails at once
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
     except (ValueError, OSError, json.JSONDecodeError) as exc:
@@ -321,9 +323,20 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     t0 = time.time()
-    out = Path(args.out)
     try:
         records, extra = _COMMANDS[args.command][0](args)
+        if records:
+            # records go to <command>.<format>, or to <command>_records.<format>
+            # when the command can write a file of that name itself
+            name = f"{args.command}.{args.format}"
+            if name in _OWN_FILES:
+                name = f"{args.command}_records.{args.format}"
+            _write(out / name, [vars(r) for r in records])
+        for name, data in extra.items():
+            _write(out / name, data)
+        n_fail = sum(not r.passed for r in records)
+        code = EXIT_FAIL if n_fail else EXIT_PASS
+        _manifest(out, args, t0, code)
     except (SmecticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_FAIL if isinstance(exc, SmecticError) else EXIT_USAGE
@@ -332,19 +345,6 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as write_exc:  # the failure may be the --out directory
             print(f"error: no manifest written: {write_exc}", file=sys.stderr)
         return code
-
-    if records:
-        # records go to <command>.<format>, or to <command>_records.<format>
-        # when the command can write a file of that name itself
-        name = f"{args.command}.{args.format}"
-        if name in _OWN_FILES:
-            name = f"{args.command}_records.{args.format}"
-        _write(out / name, [vars(r) for r in records])
-    for name, data in extra.items():
-        _write(out / name, data)
-    n_fail = sum(not r.passed for r in records)
-    code = EXIT_FAIL if n_fail else EXIT_PASS
-    _manifest(out, args, t0, code)
     print(f"{args.command}: {len(records) - n_fail}/{len(records)} records passed"
           if records else f"{args.command}: done")
     return code

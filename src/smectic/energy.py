@@ -21,8 +21,8 @@ import numpy as np
 from .errors import NonAdmissibleInput
 from .fields import (TorusField, _freeze, _made, derived, keep, kept, k1zero_residual,
                      spectral_inner)
-from .operators import (_dealiased_product, _derivative_symbol, d1, eta_with_residual,
-                        inv_abs_d1, inv_abs_d1_spectrum, product_plan, require_band_headroom,
+from .operators import (_abs_d1_symbol, _dealiased_product, _derivative_symbol, d1,
+                        eta_with_residual, inv_abs_d1, product_plan, require_band_headroom,
                         samples_on, support)
 
 
@@ -92,13 +92,16 @@ def gradient_eps(w: TorusField, eps: float) -> TorusField:
     in the order of the field operators (d1, d2, inv_abs_d1,
     multiply_dealiased, project_vanishing_x1_mean) and to their bits: the
     product w * d1 G is operators._dealiased_product's on its plan's grid,
-    where w's kept samples are read in place of a transform.
+    where w's kept samples are read in place of a transform.  w is checked
+    where it enters, by eta_with_residual, and nowhere else.
     """
     _check_eps(eps)
     grid = w.grid
     s1, s2 = _derivative_symbol(grid, 1), _derivative_symbol(grid, 2)
-    big_g = inv_abs_d1_spectrum(grid, inv_abs_d1_spectrum(grid, eta_with_residual(w)[0].spectrum))
+    inv = _abs_d1_symbol(grid, -1.0)
+    big_g = eta_with_residual(w)[0].spectrum * inv * inv
     # in place, each step the field operators' own: (1/eps) (w d1 G - d2 G) - eps d1 d1 w
+    # (no temporaries; plain expressions give the same bits, 256^2 timings in CHANGES.md)
     g = _dealiased_product([w, _made(grid, big_g * s1)])
     g -= big_g * s2
     g *= 1.0 / eps
@@ -158,7 +161,7 @@ class EnergyLine:
         e2 *= -0.5
         self._etas = (eta_with_residual(w)[0].spectrum, e1, e2)
         # the spectra of |d1|^-1 eta(a) and d1(w - a d) are quadratic in a
-        self._compression = [inv_abs_d1_spectrum(grid, e) for e in self._etas]
+        self._compression = [e * _abs_d1_symbol(grid, -1.0) for e in self._etas]
         self._bending = [w.spectrum * s1, d.spectrum * s1]
 
     def energy(self, a: float) -> float:
@@ -167,6 +170,7 @@ class EnergyLine:
         c0, c1, c2 = self._compression
         b0, b1 = self._bending
         q = a * c2  # q = c0 + a (c1 + a c2) and b = b0 - a b1, in place
+        # (no temporaries; plain expressions give the same bits, 256^2 timings in CHANGES.md)
         q += c1
         q *= a
         q += c0
@@ -182,6 +186,7 @@ class EnergyLine:
         e0, e1, e2 = self._etas
         p = _made(self.w.grid, self.w.spectrum - a * self.d.spectrum)
         eta = a * e2  # e0 + a (e1 + a e2), in place
+        # (no temporaries; plain expressions give the same bits, 256^2 timings in CHANGES.md)
         eta += e1
         eta *= a
         eta += e0

@@ -321,12 +321,7 @@ def k1zero_residual(f: TorusField) -> float:
 
 
 def require_admissible(f: TorusField, tol: float = ADMISSIBLE_TOL) -> None:
-    require_admissible_spectrum(f.spectrum, tol)
-
-
-def require_admissible_spectrum(spec: np.ndarray, tol: float = ADMISSIBLE_TOL) -> None:
-    """require_admissible for the field whose half spectrum is spec."""
-    res = relative_mass(spec, 0)
+    res = k1zero_residual(f)
     if res > tol:
         raise NonAdmissibleInput(
             f"k1=0 spectral content at relative level {res:.3e} exceeds {tol:.1e}")

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BandLimitExceeded
 from .fields import (GridSpec, TorusField, _band, _freeze, _made, derived, kept,
                      k1zero_residual, project_vanishing_x1_mean, relative_mass,
-                     require_admissible, require_admissible_spectrum)
+                     require_admissible)
 
 #: Relative spectral mass allowed in the outer band (|m| > 7/16 * n) before a
 #: nonlinear evaluation is refused as under-resolved.
@@ -64,13 +64,8 @@ def d2(f: TorusField) -> TorusField:
 
 def inv_abs_d1(f: TorusField) -> TorusField:
     """|d1|^-1: divide by |k1|, defined only on vanishing-x1-mean input."""
-    return _made(f.grid, inv_abs_d1_spectrum(f.grid, f.spectrum))
-
-
-def inv_abs_d1_spectrum(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
-    """The half spectrum of inv_abs_d1 of the field whose half spectrum is spec."""
-    require_admissible_spectrum(spec)
-    return spec * _abs_d1_symbol(grid, -1.0)
+    require_admissible(f)
+    return _made(f.grid, f.spectrum * _abs_d1_symbol(f.grid, -1.0))
 
 
 def frac_abs_d1(f: TorusField, s: float) -> TorusField:

@@ -592,6 +592,53 @@ class TestEntropyAndTail:
         assert masses == sorted(masses, reverse=True)
 
 
+class TestUnusableOut:
+    """An --out that cannot hold the outputs is a usage error for every
+    command: exit 2 with one `error:` line and no traceback."""
+
+    ARGV = {
+        "verify": ["--grid", "16x16", "--kmax", "2", "--nfields", "1"],
+        "energy": ["--grid", "16x16", "--kmax", "2"],
+        "besov": ["--grid", "16x16", "--kmax", "2"],
+        "entropy": [],
+        "sweep": ["--eps", "0.25", "--grid", "16x8"],
+        "minimize": ["--grid", "16x16", "--kmax", "2", "--max-iters", "2"],
+        "tail": ["--grid", "16x16", "--kmax", "2"],
+    }
+    CALLS = pytest.mark.parametrize(
+        "argv", [[c, *a] for c, a in ARGV.items()] + [["minimize", *ARGV["minimize"],
+                                                        "--save-final"]],
+        ids=[*ARGV, "minimize-save-final"])
+
+    @CALLS
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_regular_file(self, tmp_path, capsys, argv, under):
+        """--out a regular file, or a path under one, is refused before the
+        command runs; the file is left as it was."""
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "out" if under else taken
+        assert run(argv + ["--out", str(out)]) == 2
+        assert one_error_line(capsys)
+        assert taken.read_text() == "kept\n"
+
+    @CALLS
+    def test_records_file_name_taken_by_a_directory(self, tmp_path, capsys, argv):
+        """The first file the command writes cannot replace a directory: the
+        write fails after the work, and the manifest says why."""
+        command = argv[0]
+        if RECORD_NAMES[command]:
+            name = f"{command}.csv"
+            name = f"{command}_records.csv" if name in OWN_FILES[command] else name
+        else:
+            (name,) = OWN_FILES[command]
+        (tmp_path / name).mkdir()
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        assert one_error_line(capsys)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2 and name in manifest["error"]
+
+
 class TestMinimizeCommand:
     def test_runs_and_reports(self, tmp_path):
         code = run(["minimize", "--grid", "32x32", "--seed", "7", "--kmax", "4",

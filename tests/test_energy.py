@@ -104,6 +104,16 @@ class TestGradient:
         g = gradient_eps(TorusField.zero(GRID), 0.1)
         assert g.l2() == 0.0
 
+    def test_checked_where_w_enters(self):
+        """gradient_eps and energy_eps make no admissibility check of their
+        own: eta_with_residual checks w where it enters, so a field with
+        k1 = 0 content is refused by both."""
+        ones = TorusField.from_samples(GridSpec(32, 32), np.ones((32, 32)))
+        with pytest.raises(NonAdmissibleInput):
+            gradient_eps(ones, 0.1)
+        with pytest.raises(NonAdmissibleInput):
+            energy_eps(ones, 0.1)
+
 
 class TestHalfSpectrumPath:
     """gradient_eps and EnergyLine work on half spectra; they give the bits
