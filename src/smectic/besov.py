@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateEnergy
 from .energy import energy_eps, energy_indep, gradient_eps
-from .fields import GridSpec, TorusField, _scaled_squares, as_admissible, inner, mode_masses
+from .fields import TorusField, _scaled_squares, as_admissible, inner, mode_masses
 from .operators import d1, eta, shift1, shift_symbol
 
 
@@ -75,12 +75,13 @@ def hkm2_residual(w: TorusField, h: float) -> VerificationRecord:
 
     -(1/6) d/dh int (diff1 w)^3 = int diff1(eta_w) * diff1(w), with the
     h-derivative evaluated exactly via d/dh diff1(w, h) = (d1 w)(. + h e1).
+    Every term is an x1 translate (`_X1Translates`): at a whole-cell h they
+    read the samples of w, d1 w and eta_w, with no x1 transform.
     """
-    dw = _x1_diff(_x1_coefficients(w), w.grid, h)
+    dw = _X1Translates(w)(h)
     # the shifted derivative dies with the lhs, before the rhs allocates (a lower peak)
-    lhs = -0.5 * _mean(dw ** 2 * _x1_samples(_x1_coefficients(d1(w)),
-                                             shift_symbol(w.grid, h, axis=1)))
-    rhs = _mean(_x1_diff(_x1_coefficients(eta(w)), w.grid, h) * dw)
+    lhs = -0.5 * _mean(dw ** 2 * _X1Translates(d1(w))(h, minus=False))
+    rhs = _mean(_X1Translates(eta(w))(h) * dw)
     return VerificationRecord.checked("hkm2_integrated", lhs, rhs, abs(lhs - rhs),
                                       1e-8 * (1.0 + w.l2() ** 3), {"h": h})
 
@@ -90,14 +91,16 @@ def hkm1_balance(w: TorusField, h: float) -> VerificationRecord:
 
     d/dh int |diff1 w|^3 = -6 int diff1(eta_w) * |diff1 w|; the |.| term
     breaks analyticity in h, so the derivative uses step h/100 and the check
-    is at relative tolerance 1e-4.
+    is at relative tolerance 1e-4.  All differences come from
+    `_X1Translates`; those at h +- dh fall between cells on power-of-two grids.
     """
     if h <= 0.0:
         raise ValueError(f"h must be positive, got {h}")
-    dh, c = h / 100.0, _x1_coefficients(w)
-    plus, minus = (_mean(np.abs(_x1_diff(c, w.grid, hh)) ** 3) for hh in (h + dh, h - dh))
+    dh, dw = h / 100.0, _X1Translates(w)
+    plus, minus = (_mean_abs_cubed(dw(hh)) for hh in (h + dh, h - dh))
     lhs = (plus - minus) / (2.0 * dh)
-    rhs = -6.0 * _mean(_x1_diff(_x1_coefficients(eta(w)), w.grid, h) * np.abs(_x1_diff(c, w.grid, h)))
+    v = dw(h)
+    rhs = -6.0 * _mean(_X1Translates(eta(w))(h) * np.abs(v, out=v))
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return VerificationRecord.checked("hkm1_balance", lhs, rhs, residual, 1e-4,
                                       {"h": h, "dh": dh})
@@ -132,21 +135,55 @@ def _x1_samples(c: np.ndarray, sym: np.ndarray) -> np.ndarray:
     return np.fft.irfft(c * sym, n=n1, axis=0) * n1
 
 
-def _x1_diff(c: np.ndarray, grid: GridSpec, h: float) -> np.ndarray:
-    """Samples of diff1(w, h) = w(. + h e1) - w, c the x1-coefficients of w."""
-    return _x1_samples(c, shift_symbol(grid, h, axis=1) - 1.0)
+class _X1Translates:
+    """Samples of a field f translated along x1, the one kernel of this
+    module's differences: `self(h)` gives diff1(f, h) = f(. + h e1) - f and
+    `self(h, minus=False)` gives f(. + h e1), each in a new array.
+
+    When h n1 is a whole number j (a whole-cell shift), f's samples are read
+    j rows on, into one buffer, with no transform: there the shift symbol,
+    Nyquist mode included, is exactly exp(i k h).  Any other h takes one x1
+    transform of f's x1-coefficients, made once.
+    """
+
+    def __init__(self, f: TorusField):
+        self.f, self._c = f, None
+
+    def __call__(self, h: float, minus: bool = True) -> np.ndarray:
+        n1 = self.f.grid.n1
+        cells = float(h) * n1
+        if cells.is_integer():
+            s, j = self.f.samples, int(cells) % n1
+            out = np.empty_like(s)
+            if minus:
+                np.subtract(s[j:], s[:n1 - j], out=out[:n1 - j])
+                np.subtract(s[:j], s[n1 - j:], out=out[n1 - j:])
+            else:
+                out[:n1 - j], out[n1 - j:] = s[j:], s[:j]
+            return out
+        if self._c is None:
+            self._c = _x1_coefficients(self.f)
+        sym = shift_symbol(self.f.grid, h, axis=1)
+        return _x1_samples(self._c, sym - 1.0 if minus else sym)
+
+
+def _mean_abs_cubed(v: np.ndarray) -> float:
+    """mean |v|^3, formed in v's buffer by multiplication: `** 3` calls pow
+    for every point, about three times the cost."""
+    np.abs(v, out=v)
+    v *= v * v
+    return _mean(v)
 
 
 def verify_l3(w: TorusField,
               hs: tuple[float, ...] = DEFAULT_HGRID) -> list[VerificationRecord]:
-    """Cubed-difference estimate: int |diff1(w, h)|^3 <= C * h * E(w)."""
-    e_val, c = energy_indep(w), _x1_coefficients(w)
-    records = []
-    for h in hs:
-        dw = _x1_diff(c, w.grid, h)
-        records.append(_ratio_record("l3_estimate", _mean(np.abs(dw) ** 3),
-                                     h * e_val, e_val, {"h": h}))
-    return records
+    """Cubed-difference estimate: int |diff1(w, h)|^3 <= C * h * E(w).  The
+    differences come from `_X1Translates`: a whole-cell h (h n1 whole, 2^-1
+    … 2^-8 of DEFAULT_HGRID on 256^2) reads w's samples, any other h takes
+    one x1 transform."""
+    e_val, dw = energy_indep(w), _X1Translates(w)
+    return [_ratio_record("l3_estimate", _mean_abs_cubed(dw(h)), h * e_val, e_val, {"h": h})
+            for h in hs]
 
 
 def verify_b2s(w: TorusField,

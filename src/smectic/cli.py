@@ -167,14 +167,20 @@ def _input_field(args, seed: int = 0, amplitude: float = 0.5) -> TorusField:
 
 
 def _cmd_verify(args) -> tuple[list[VerificationRecord], dict]:
-    # field i is paired with field i + 1: a lone field with the next seed's
-    fields = [_input_field(args, i) for i in range(max(2, args.nfields))]
+    # field i is paired with field i + 1, the last with field 0 (a lone field
+    # with the next seed's).  Two fields are held at a time: field 0 comes
+    # back for the last pairing as its bare spectrum, without the values
+    # derived from it in its own turn.
+    n, w = max(2, args.nfields), _input_field(args)
+    grid, spectrum0 = w.grid, w.spectrum
     records = []
-    for i, w in enumerate(fields[:args.nfields]):
-        g, label = fields[(i + 1) % len(fields)], {"seed": args.seed + i}
+    for i in range(args.nfields):
+        j, label = (i + 1) % n, {"seed": args.seed + i}
+        g = _input_field(args, j) if j else TorusField(grid, spectrum0)
         records += [parseval(w, label), adjointness(w, g, label),
                     shift_group_law(w, label), hkm2_residual(w, 0.1),
                     div_sigma_identity(w), gradient_check(w, g, 0.0625, label)]
+        w = g
     return records, {}
 
 

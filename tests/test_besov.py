@@ -10,6 +10,7 @@ from smectic import besov
 from smectic.besov import (gradient_check, hkm1_balance, hkm2_residual, parseval,
                            shift_group_law, tail_mass, verify_b2s, verify_l3, verify_lp,
                            verify_lp_eps)
+from smectic.energy import energy_indep
 from smectic.errors import DegenerateEnergy, NonAdmissibleInput
 from smectic.fields import (GridSpec, TorusField, _grid_samples, keep,
                             project_vanishing_x1_mean, random_band_limited)
@@ -132,6 +133,10 @@ class TestExactX1Path:
     @settings(max_examples=30, deadline=None)
     @given(shape=SHAPES, seed=st.integers(0, 2 ** 32 - 1),
            hs=st.lists(st.floats(2.0 ** -12, 0.75), min_size=1, max_size=4))
+    # whole-cell shifts (h n1 whole), which read the samples
+    @example(shape=(8, 8), seed=0, hs=[0.25, 0.5])
+    @example(shape=(16, 10), seed=1, hs=[0.125, 0.1])
+    @example(shape=(10, 12), seed=2, hs=[0.5])
     def test_l3_differences_match_diff1(self, shape, seed, hs):
         w = self.full_band(shape, seed)
         with mock.patch.object(besov, "energy_indep", return_value=1.0):
@@ -149,6 +154,41 @@ class TestExactX1Path:
         for s, expected in ((1.0, w), (sym, shift1(w, h)), (sym - 1.0, diff1(w, h))):
             assert np.abs(besov._x1_samples(c, s) - expected.samples).max() <= 1e-12 * scale
 
+    @settings(max_examples=20, deadline=None)
+    @given(shape=SHAPES, seed=st.integers(0, 2 ** 32 - 1), cells=st.integers(-40, 40),
+           sub=st.sampled_from([0.0, 0.25, 0.5]))
+    @example(shape=(8, 8), seed=0, cells=3, sub=0.0)
+    @example(shape=(10, 12), seed=1, cells=-13, sub=0.0)
+    def test_translates_match_shift1_and_diff1(self, shape, seed, cells, sub):
+        """At a whole-cell h (sub = 0, any sign, past one period) the kernel
+        reads the samples, at any other h it takes an x1 transform: both are
+        the trigonometric interpolant's translate, Nyquist row included."""
+        w = self.full_band(shape, seed)
+        h = (cells + sub) / shape[0]
+        kernel, scale = besov._X1Translates(w), np.abs(w.samples).max()
+        for minus, expected in ((False, shift1(w, h)), (True, diff1(w, h))):
+            got = kernel(h, minus=minus)
+            assert np.abs(got - expected.samples).max() <= 1e-12 * scale
+            got[...] = 0.0  # a new array each call: the kernel's state is untouched
+        assert np.abs(kernel(h) - diff1(w, h).samples).max() <= 1e-12 * scale
+
+    def test_whole_cell_shifts_take_no_x1_transform(self):
+        """On 64^2, h = 2^-1 ... 2^-6 move the field by whole cells: verify_l3
+        makes one inverse x1 transform for each of 2^-7 ... 2^-12, and
+        hkm2_residual at h = 1/8 none (and no x1-coefficients)."""
+        w = random_band_limited(GridSpec(64, 64), seed=3, kmax=8, amplitude=0.5)
+        energy_indep(w)  # the energy's and eta's own transforms are not counted
+        eta(w)
+        with mock.patch.object(np.fft, "irfft", wraps=np.fft.irfft) as irfft, \
+                mock.patch.object(besov, "_x1_coefficients",
+                                  wraps=besov._x1_coefficients) as coefficients:
+            verify_l3(w)
+            assert (irfft.call_count, coefficients.call_count) == (6, 1)
+            irfft.reset_mock()
+            coefficients.reset_mock()
+            hkm2_residual(w, 0.125)
+            assert (irfft.call_count, coefficients.call_count) == (0, 0)
+
     @staticmethod
     def assert_close(actual, expected, scale):
         """Within 1e-12 of expected relative to the larger of |expected| and
@@ -159,6 +199,11 @@ class TestExactX1Path:
 
     @settings(max_examples=30, deadline=None)
     @given(shape=SHAPES, seed=st.integers(0, 2 ** 32 - 1), h=st.floats(2.0 ** -9, 0.5))
+    # whole-cell shifts (h n1 whole), which read the samples
+    @example(shape=(8, 8), seed=0, h=0.25)
+    @example(shape=(8, 8), seed=1, h=0.5)
+    @example(shape=(16, 10), seed=2, h=0.125)
+    @example(shape=(10, 12), seed=3, h=0.5)
     def test_hkm_terms_match_diff1_and_shift1(self, shape, seed, h):
         """eta of a full-band field is refused (no dealiasing headroom), so a
         second full-band field stands in for it."""

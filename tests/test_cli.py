@@ -400,6 +400,29 @@ class TestVerify:
         check = next(r for r in records if r["name"] == "gradient_check")
         assert check["rhs"] == inner(gradient_eps(w, 0.0625), g)
 
+    def test_fields_pair_in_a_ring_each_drawn_once(self, tmp_path, monkeypatch):
+        """Field i is paired with field i + 1 and the last with field 0,
+        whose spectrum comes back bare; each field is drawn once."""
+        drawn, draw = [], cli._input_field
+
+        def counted(args, seed=0, **kwargs):
+            drawn.append(seed)
+            return draw(args, seed, **kwargs)
+
+        monkeypatch.setattr(cli, "_input_field", counted)
+        code = run(["verify", "--grid", "32x32", "--seed", "3", "--kmax", "4",
+                    "--nfields", "3", "--format", "json", "--out", str(tmp_path)])
+        assert code == 0 and drawn == [0, 1, 2]
+        records = json.loads((tmp_path / "verify.json").read_text())
+        fields = [random_band_limited(GridSpec(32, 32), seed=s, kmax=4, amplitude=0.5)
+                  for s in (3, 4, 5)]
+        adjoint = [r for r in records if r["name"] == "adjointness"]
+        checks = [r for r in records if r["name"] == "gradient_check"]
+        for i, (w, g) in enumerate(zip(fields, fields[1:] + fields[:1])):
+            assert adjoint[i]["params"] == {"seed": 3 + i}
+            assert adjoint[i]["lhs"] == inner(d1(w), g)
+            assert checks[i]["rhs"] == inner(gradient_eps(w, 0.0625), g)
+
     def test_json_format(self, tmp_path):
         code = run(["verify", "--grid", "64x64", "--kmax", "8", "--nfields", "1",
                     "--format", "json", "--out", str(tmp_path)])
