@@ -170,7 +170,9 @@ def _cmd_verify(args) -> tuple[list[VerificationRecord], dict]:
     # field i is paired with field i + 1, the last with field 0 (a lone field
     # with the next seed's).  Two fields are held at a time: field 0 comes
     # back for the last pairing as its bare spectrum, without the values
-    # derived from it in its own turn.
+    # derived from it in its own turn.  That gives the same bits as field 0
+    # itself because a random_band_limited field keeps no samples: whatever
+    # the last pairing reads of g is derived from g's spectrum alone.
     n, w = max(2, args.nfields), _input_field(args)
     grid, spectrum0 = w.grid, w.spectrum
     records = []

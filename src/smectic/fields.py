@@ -343,23 +343,18 @@ def as_admissible(f: TorusField, tol: float = ADMISSIBLE_TOL) -> TorusField:
 def random_band_limited(grid: GridSpec, seed: int, kmax: int,
                         amplitude: float = 1.0) -> TorusField:
     """Deterministic random admissible field supported on 0 < |m1| <= kmax,
-    |m2| <= kmax, rescaled to the requested max-norm amplitude.  The samples
-    that gave the max-norm are kept, scaled as the spectrum is, as
-    `from_samples` keeps a caller's."""
+    |m2| <= kmax, rescaled to the requested max-norm amplitude."""
     if kmax >= min(grid.n1, grid.n2) / 3:
         raise ValueError(f"kmax {kmax} leaves no dealiasing headroom on {grid.n1}x{grid.n2}")
     rng = np.random.default_rng(seed)
     spec = _sampled(grid, rng.standard_normal(grid.shape)).spectrum
     m1, m2 = grid.modes1(), grid.modes2()
     band = (0 < m1) & (m1 <= kmax) & (np.abs(m2) <= kmax)
-    unscaled = _made(grid, np.where(band, spec, 0.0))
-    peak = unscaled.linf()
+    spec = np.where(band, spec, 0.0)
+    peak = _made(grid, spec).linf()
     if amplitude == 0.0 or peak == 0.0:
         return TorusField.zero(grid)
-    scale = amplitude / peak
-    f = _made(grid, unscaled.spectrum * scale)
-    keep(f, _grid_samples.key, _freeze(unscaled.samples * scale))
-    return f
+    return _made(grid, spec * (amplitude / peak))
 
 
 def _band(spec: np.ndarray, shape: tuple[int, int], c1: int, c2: int) -> np.ndarray:

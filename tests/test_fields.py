@@ -353,23 +353,6 @@ class TestRandomBandLimited:
         with pytest.raises(ValueError):
             random_band_limited(GridSpec(32, 32), seed=0, kmax=11)
 
-    @pytest.mark.parametrize("shape, seed, kmax, amplitude", [
-        ((256, 256), 0, 32, 0.5), ((512, 512), 3, 32, 0.5), ((64, 64), 9, 8, 0.3),
-        ((32, 16), 5, 4, 1e-170)])
-    def test_keeps_the_samples_it_scaled(self, tmp_path, shape, seed, kmax, amplitude):
-        """The samples that gave the max-norm are kept, scaled as the
-        spectrum is: a few ulps of the peak from the spectrum's inverse
-        transform, and a file saved from them loads with the field's support."""
-        g = GridSpec(*shape)
-        w = random_band_limited(g, seed=seed, kmax=kmax, amplitude=amplitude)
-        assert w.has_samples
-        exact = np.fft.irfftn(w.spectrum, s=(g.n2, g.n1), axes=(1, 0)) * g.npoints
-        peak = np.abs(exact).max()
-        assert peak == pytest.approx(amplitude, rel=1e-12)
-        assert np.abs(w.samples - exact).max() <= 8 * np.spacing(peak)
-        save_field(w, tmp_path / "w")
-        assert support(load_field(tmp_path / "w")) == (kmax, kmax)
-
 
 class TestRegrid:
     def test_refine_preserves_field(self):
