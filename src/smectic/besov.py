@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateEnergy
 from .energy import energy_eps, energy_indep, gradient_eps
 from .fields import TorusField, _scaled_squares, as_admissible, inner, mode_masses
-from .operators import d1, eta, shift1, shift_symbol
+from .operators import _derivative_symbol, d1, eta, shift1, shift_symbol
 
 
 #: the h values of every difference-quotient check, in place of the sup over h in (0, 1]
@@ -76,11 +76,13 @@ def hkm2_residual(w: TorusField, h: float) -> VerificationRecord:
     -(1/6) d/dh int (diff1 w)^3 = int diff1(eta_w) * diff1(w), with the
     h-derivative evaluated exactly via d/dh diff1(w, h) = (d1 w)(. + h e1).
     Every term is an x1 translate (`_X1Translates`): at a whole-cell h they
-    read the samples of w, d1 w and eta_w, with no x1 transform.
+    read the samples of w, d1 w and eta_w, with no x1 transform; at any
+    other h, w's x1-coefficients serve both w's and d1 w's terms.
     """
-    dw = _X1Translates(w)(h)
+    translates = _X1Translates(w)
+    dw = translates(h)
     # the shifted derivative dies with the lhs, before the rhs allocates (a lower peak)
-    lhs = -0.5 * _mean(dw ** 2 * _X1Translates(d1(w))(h, minus=False))
+    lhs = -0.5 * _mean(dw ** 2 * translates(h, minus=False, derivative=True))
     rhs = _mean(_X1Translates(eta(w))(h) * dw)
     return VerificationRecord.checked("hkm2_integrated", lhs, rhs, abs(lhs - rhs),
                                       1e-8 * (1.0 + w.l2() ** 3), {"h": h})
@@ -138,22 +140,23 @@ def _x1_samples(c: np.ndarray, sym: np.ndarray) -> np.ndarray:
 class _X1Translates:
     """Samples of a field f translated along x1, the one kernel of this
     module's differences: `self(h)` gives diff1(f, h) = f(. + h e1) - f and
-    `self(h, minus=False)` gives f(. + h e1), each in a new array.
+    `self(h, minus=False)` gives f(. + h e1), each in a new array; with
+    `derivative=True`, the same of d1 f.
 
-    When h n1 is a whole number j (a whole-cell shift), f's samples are read
-    j rows on, into one buffer, with no transform: there the shift symbol,
+    When h n1 is a whole number j (a whole-cell shift), the samples are read
+    j rows on, into one buffer, with no x1 transform: there the shift symbol,
     Nyquist mode included, is exactly exp(i k h).  Any other h takes one x1
-    transform of f's x1-coefficients, made once.
+    transform of f's x1-coefficients, made once, times the symbols.
     """
 
     def __init__(self, f: TorusField):
         self.f, self._c = f, None
 
-    def __call__(self, h: float, minus: bool = True) -> np.ndarray:
+    def __call__(self, h: float, minus: bool = True, derivative: bool = False) -> np.ndarray:
         n1 = self.f.grid.n1
         cells = float(h) * n1
         if cells.is_integer():
-            s, j = self.f.samples, int(cells) % n1
+            s, j = (d1(self.f) if derivative else self.f).samples, int(cells) % n1
             out = np.empty_like(s)
             if minus:
                 np.subtract(s[j:], s[:n1 - j], out=out[:n1 - j])
@@ -164,7 +167,11 @@ class _X1Translates:
         if self._c is None:
             self._c = _x1_coefficients(self.f)
         sym = shift_symbol(self.f.grid, h, axis=1)
-        return _x1_samples(self._c, sym - 1.0 if minus else sym)
+        if minus:
+            sym -= 1.0
+        if derivative:
+            sym *= _derivative_symbol(self.f.grid, 1)
+        return _x1_samples(self._c, sym)
 
 
 def _mean_abs_cubed(v: np.ndarray) -> float:

@@ -46,8 +46,8 @@ class GridSpec:
 
     def __post_init__(self):
         for n in (self.n1, self.n2):
-            if n < 8 or n % 2 != 0:
-                raise ValueError(f"grid sides must be even and >= 8, got {self.n1}x{self.n2}")
+            if n < 2 or n % 2 != 0:
+                raise ValueError(f"grid sides must be even and >= 2, got {self.n1}x{self.n2}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -83,10 +83,11 @@ class GridSpec:
         return _axis(self.n2, False)[1][None, :]
 
     def x2_free(self) -> "GridSpec":
-        """The grid an x2-independent field needs: n1 x 8, the fewest
-        columns a grid may have.  Such a field is held by its m2 = 0 column,
-        which regrid carries over exactly in both directions."""
-        return GridSpec(self.n1, 8)
+        """The grid an x2-independent field needs: n1 x 2, the fewest
+        columns a grid may have, the m2 = 0 column and the (empty) Nyquist
+        column.  Such a field is held by its m2 = 0 column, which regrid
+        carries over exactly in both directions."""
+        return GridSpec(self.n1, 2)
 
 
 @functools.lru_cache(maxsize=None)

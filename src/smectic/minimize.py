@@ -88,12 +88,16 @@ _GRADIENT_CERTIFICATES: dict[tuple[int, int], bool] = {}
 
 
 def gradient_certificate(grid: GridSpec) -> bool:
-    """Finite-difference check of the analytic gradient, cached per grid."""
+    """Finite-difference check of the analytic gradient on `grid`, cached per
+    grid.  The random pair is drawn with each side raised to at least 8, as
+    random_band_limited needs, and regridded to `grid`: the check runs on the
+    grid the descent runs on, on the x2-free n1 x 2 with an x2-free pair."""
     key = (grid.n1, grid.n2)
     if key not in _GRADIENT_CERTIFICATES:
-        kmax = max(2, min(grid.n1, grid.n2) // 8)
-        w = random_band_limited(grid, seed=20240, kmax=kmax, amplitude=0.5)
-        v = random_band_limited(grid, seed=20241, kmax=kmax, amplitude=0.5)
+        drawn = GridSpec(max(grid.n1, 8), max(grid.n2, 8))
+        kmax = max(2, min(drawn.shape) // 8)
+        w, v = (regrid(random_band_limited(drawn, seed=seed, kmax=kmax, amplitude=0.5), grid)
+                for seed in (20240, 20241))
         _GRADIENT_CERTIFICATES[key] = gradient_check(w, v, 0.0625).passed
     return _GRADIENT_CERTIFICATES[key]
 

@@ -4,9 +4,10 @@ All derivative symbols zero the Nyquist mode so that derivatives of real
 fields stay real.  Per axis, a product keeps the band |m| <= R =
 min(S, n/2 - 1), S being the sum of its factors' supports (largest |m| of a
 nonzero coefficient, n/2 for a nonzero Nyquist mode), alias-free on N >=
-S + R + 1 points rounded up to an even 2,3,5-smooth size in [8, 3n/2] (two
-factors) or [8, 2n] (three).  Each factor's Nyquist row and column is split
-evenly between -n/2 and +n/2; the product is exactly zero beyond R.
+S + R + 1 points rounded up to an even 2,3,5-smooth size in [2, 3n/2] (two
+factors) or [2, 2n] (three), the upper ends rounded up to even: an x2-free
+factor's product takes 2 columns.  Each factor's Nyquist row and column is
+split evenly between -n/2 and +n/2; the product is exactly zero beyond R.
 
 `product_plan` is the one place that turns the factors' supports into that
 fine grid and band, and `_dealiased_product` the one entry that plans, pads
@@ -132,9 +133,9 @@ def require_band_headroom(f: TorusField) -> None:
 
 
 def _fine_size(n: int, full: int) -> int:
-    """The smallest even 2,3,5-smooth integer >= max(n, 8) (an even m < 2**64
-    is one iff it divides 30**64), at most `full` rounded up to even."""
-    n = max(n + n % 2, 8)
+    """The smallest even 2,3,5-smooth integer >= n (an even m < 2**64 is one
+    iff it divides 30**64), at most `full` rounded up to even."""
+    n += n % 2
     while 30 ** 64 % n and n < full:
         n += 2
     return n

@@ -171,6 +171,9 @@ class TestExactX1Path:
             assert np.abs(got - expected.samples).max() <= 1e-12 * scale
             got[...] = 0.0  # a new array each call: the kernel's state is untouched
         assert np.abs(kernel(h) - diff1(w, h).samples).max() <= 1e-12 * scale
+        expected = shift1(d1(w), h).samples
+        got = kernel(h, minus=False, derivative=True)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_whole_cell_shifts_take_no_x1_transform(self):
         """On 64^2, h = 2^-1 ... 2^-6 move the field by whole cells: verify_l3
@@ -188,6 +191,16 @@ class TestExactX1Path:
             coefficients.reset_mock()
             hkm2_residual(w, 0.125)
             assert (irfft.call_count, coefficients.call_count) == (0, 0)
+
+    def test_hkm2_between_cells_takes_two_x1_coefficient_transforms(self):
+        """At h = 0.1, between cells on 256^2 as the verify command runs it,
+        hkm2_residual takes the x1-coefficients of w and of eta_w: those of
+        d1 w are w's times d1's symbol."""
+        w = random_band_limited(GRID, seed=3, kmax=32, amplitude=0.5)
+        with mock.patch.object(besov, "_x1_coefficients",
+                               wraps=besov._x1_coefficients) as coefficients:
+            assert hkm2_residual(w, 0.1).passed
+        assert coefficients.call_count == 2
 
     @staticmethod
     def assert_close(actual, expected, scale):

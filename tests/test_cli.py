@@ -692,7 +692,7 @@ class TestMinimizeCommand:
         code = run(["minimize", "--field", str(tmp_path / "shock"), "--pins", "8",
                     "--max-iters", "20", "--save-final", "--out", str(tmp_path)])
         assert code == 0
-        assert json.loads((tmp_path / "minimize.json").read_text())["grid"] == [64, 8]
+        assert json.loads((tmp_path / "minimize.json").read_text())["grid"] == [64, 2]
         header = json.loads((tmp_path / "final.json").read_text())
         assert (header["n1"], header["n2"]) == (64, 16)
         samples = load_field(tmp_path / "final").samples

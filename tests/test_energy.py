@@ -14,7 +14,7 @@ from smectic.energy import (EnergyLine, EnergyReport, energy_eps, energy_indep,
                             gradient_eps)
 from smectic.errors import NonAdmissibleInput
 from smectic.fields import (GridSpec, TorusField, as_admissible, inner, kept,
-                            project_vanishing_x1_mean, random_band_limited)
+                            project_vanishing_x1_mean, random_band_limited, regrid)
 from smectic.operators import (d1, d2, eta, eta_with_residual, inv_abs_d1,
                                multiply_dealiased, padded_samples, support)
 
@@ -137,6 +137,49 @@ class TestHalfSpectrumPath:
         expected = project_vanishing_x1_mean(
             (1 / eps) * (multiply_dealiased(w, d1(big_g)) - d2(big_g)) - eps * d1(d1(w)))
         assert np.array_equal(gradient_eps(w, eps).spectrum, expected.spectrum)
+
+
+class TestTwoColumnGrid:
+    """An x2-free field on n1 x 2, the grid GridSpec.x2_free gives: its m2 = 0
+    column and an empty Nyquist column.  Its energy, gradient and lines are
+    those of the same field on n1 x 8, and regrid carries it over exactly."""
+
+    @staticmethod
+    def column(grid, rng, kmax, amplitude):
+        """A random admissible field of x1 alone on modes 0 < m1 <= kmax."""
+        spec = np.zeros(grid.spectrum_shape, dtype=complex)
+        spec[1:kmax + 1, 0] = rng.standard_normal(kmax) + 1j * rng.standard_normal(kmax)
+        return TorusField.from_spectrum(grid, amplitude / kmax * spec)
+
+    @staticmethod
+    def assert_close(lean, wide):
+        assert abs(lean - wide) <= 1e-14 * abs(wide)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n1=st.integers(4, 64).map(lambda k: 2 * k), seed=st.integers(0, 2 ** 16),
+           kmax=st.integers(1, 5), amplitudes=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+           eps=st.floats(0.01, 1.0), a=st.floats(0.0, 2.0))
+    def test_matches_eight_columns(self, n1, seed, kmax, amplitudes, eps, a):
+        wide = GridSpec(n1, 8)
+        lean = wide.x2_free()
+        assert lean == GridSpec(n1, 2)
+        rng = np.random.default_rng(seed)
+        w8, v8 = (self.column(wide, rng, min(kmax, n1 // 4), amp) for amp in amplitudes)
+        w2, v2 = regrid(w8, lean), regrid(v8, lean)
+        for f8, f2 in ((w8, w2), (v8, v2)):
+            assert np.array_equal(f2.spectrum[:, 0], f8.spectrum[:, 0])
+            assert not f2.spectrum[:, 1].any()
+            assert np.array_equal(regrid(f2, wide).spectrum, f8.spectrum)
+            assert np.array_equal(regrid(regrid(f2, wide), lean).spectrum, f2.spectrum)
+        self.assert_close(energy_eps(w2, eps).energy_eps, energy_eps(w8, eps).energy_eps)
+        g2, g8 = gradient_eps(w2, eps).spectrum, gradient_eps(w8, eps).spectrum
+        assert not g2[:, 1].any() and not g8[:, 1:].any()
+        assert np.abs(g2[:, 0] - g8[:, 0]).max() <= 1e-14 * np.abs(g8).max()
+        line2, line8 = EnergyLine(w2, v2, eps), EnergyLine(w8, v8, eps)
+        self.assert_close(line2.energy(a), line8.energy(a))
+        p2, p8 = line2.point(a), line8.point(a)
+        assert np.array_equal(p2.spectrum, regrid(p8, lean).spectrum)
+        self.assert_close(energy_eps(p2, eps).energy_eps, energy_eps(p8, eps).energy_eps)
 
 
 class TestRealTransformsOnly:

@@ -38,10 +38,11 @@ def sine_field(grid, a=1.0, m=1):
 
 class TestGridSpec:
     def test_rejects_odd_and_small(self):
-        with pytest.raises(ValueError):
-            GridSpec(7, 16)
-        with pytest.raises(ValueError):
-            GridSpec(16, 4)
+        for sides in [(7, 16), (16, 1), (0, 16), (16, 0), (-2, 16)]:
+            with pytest.raises(ValueError, match="even and >= 2"):
+                GridSpec(*sides)
+        assert GridSpec(2, 2).spectrum_shape == (2, 2)
+        assert GridSpec(16, 2).x2_free() == GridSpec(16, 2)
 
     def test_mode_layout(self):
         g = GridSpec(8, 16)

@@ -133,7 +133,7 @@ class TestTransformCount:
         assert (fifty - first) / 49 <= 5.2
 
     def test_pinned_x2_free_descent_from_a_field_file(self, monkeypatch, tmp_path):
-        """The pinned two-shock descent from a floored field file, on 256 x 8:
+        """The pinned two-shock descent from a floored field file, on 256 x 2:
         the start's energy and gradient make five transforms, and so does
         each iteration (its line and the gradient at its point) once the
         support stops growing.  While it grows, the line's grid changes (180,
@@ -141,7 +141,7 @@ class TestTransformCount:
         new grid."""
         save_field(mollify(vertical_two_shock(0.5), 0.125, GridSpec(256, 16)), tmp_path / "f")
         w0 = as_admissible(load_field(tmp_path / "f"))
-        gradient_certificate(GridSpec(256, 8))
+        gradient_certificate(GridSpec(256, 2))
         calls, at_lines, fine_rows = [0], [], []
         for name in ("fft2", "ifft2", "fftn", "ifftn", "rfftn", "irfftn", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, lambda *a, _f=getattr(np.fft, name), **k:
@@ -157,7 +157,7 @@ class TestTransformCount:
         _, rep = minimize(w0, 2.0 ** -6, MinimizeOptions(pins=8))
         per_iteration = np.diff(at_lines + [calls[0]]).tolist()
         monkeypatch.undo()
-        assert (rep.grid, rep.termination, rep.iterations) == (GridSpec(256, 8), "energy-stall", 18)
+        assert (rep.grid, rep.termination, rep.iterations) == (GridSpec(256, 2), "energy-stall", 18)
         assert calls[0] == 98 and at_lines[0] == 5
         assert per_iteration == [6] * 3 + [5] * 15
         assert fine_rows == [180, 360] + [384] * 16
@@ -270,7 +270,7 @@ class TestLeanGrid:
         w, rep = minimize(w0, 0.0625, opts)
         monkeypatch.setattr(GridSpec, "x2_free", lambda self: self)
         w_full, rep_full = minimize(w0, 0.0625, opts)
-        assert rep.grid == GridSpec(n1, 8) and rep_full.grid == grid
+        assert rep.grid == GridSpec(n1, 2) and rep_full.grid == grid
         assert rep.iterations == rep_full.iterations
         assert rep.termination == rep_full.termination
         np.testing.assert_allclose(rep.energy_history, rep_full.energy_history,
@@ -294,13 +294,13 @@ class TestLeanGrid:
     def test_certificate_is_for_the_descent_grid(self, monkeypatch):
         monkeypatch.setattr(minimize_module, "_GRADIENT_CERTIFICATES", {})
         minimize(x1_profile(GridSpec(32, 64), seed=5), 0.0625, MinimizeOptions(max_iters=2))
-        assert list(minimize_module._GRADIENT_CERTIFICATES) == [(32, 8)]
+        assert list(minimize_module._GRADIENT_CERTIFICATES) == [(32, 2)]
 
     def test_field_file_decided_from_its_samples(self, tmp_path):
         """The mollified two-shock from a field file: with n2 = 40 the
         transform leaves roundoff off m2 = 0, which load_field's floor
         zeroes, as every sample column is equal; so the descent runs on
-        256x8 as it does for n2 = 48."""
+        256x2 as it does for n2 = 48."""
         column = mollify(vertical_two_shock(0.5), 0.125, GridSpec(256, 8)).samples[:, :1]
         runs = {}
         for n2 in (40, 48):
@@ -313,6 +313,6 @@ class TestLeanGrid:
             runs[n2] = json.loads((out / "minimize.json").read_text())
         # the loaded spectrum is exactly zero off m2 = 0
         assert not as_admissible(load_field(tmp_path / "w40")).spectrum[:, 1:].any()
-        assert runs[40]["grid"] == runs[48]["grid"] == [256, 8]
+        assert runs[40]["grid"] == runs[48]["grid"] == [256, 2]
         assert runs[40]["iterations"] == runs[48]["iterations"]
         assert runs[40]["energy_history"] == runs[48]["energy_history"]
