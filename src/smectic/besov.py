@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DegenerateEnergy
 from .energy import energy_eps, energy_indep, gradient_eps
-from .fields import TorusField, _scaled_squares, as_admissible, inner, mode_masses
+from .fields import (TorusField, _freeze, _scaled_squares, as_admissible, derived, inner,
+                     mode_masses)
 from .operators import _derivative_symbol, d1, eta, shift1, shift_symbol
 
 
@@ -75,15 +76,14 @@ def hkm2_residual(w: TorusField, h: float) -> VerificationRecord:
 
     -(1/6) d/dh int (diff1 w)^3 = int diff1(eta_w) * diff1(w), with the
     h-derivative evaluated exactly via d/dh diff1(w, h) = (d1 w)(. + h e1).
-    Every term is an x1 translate (`_X1Translates`): at a whole-cell h they
-    read the samples of w, d1 w and eta_w, with no x1 transform; at any
-    other h, w's x1-coefficients serve both w's and d1 w's terms.
+    Every term is an x1 translate (`_x1_translate`): at a whole-cell h the
+    differences read the samples of w and eta_w; any other term, d1 w's at
+    any h, is one x1 transform of w's or eta_w's kept x1-coefficients.
     """
-    translates = _X1Translates(w)
-    dw = translates(h)
+    dw = _x1_translate(w, h)
     # the shifted derivative dies with the lhs, before the rhs allocates (a lower peak)
-    lhs = -0.5 * _mean(dw ** 2 * translates(h, minus=False, derivative=True))
-    rhs = _mean(_X1Translates(eta(w))(h) * dw)
+    lhs = -0.5 * _mean(dw ** 2 * _x1_translate(w, h, minus=False, derivative=True))
+    rhs = _mean(_x1_translate(eta(w), h) * dw)
     return VerificationRecord.checked("hkm2_integrated", lhs, rhs, abs(lhs - rhs),
                                       1e-8 * (1.0 + w.l2() ** 3), {"h": h})
 
@@ -93,16 +93,17 @@ def hkm1_balance(w: TorusField, h: float) -> VerificationRecord:
 
     d/dh int |diff1 w|^3 = -6 int diff1(eta_w) * |diff1 w|; the |.| term
     breaks analyticity in h, so the derivative uses step h/100 and the check
-    is at relative tolerance 1e-4.  All differences come from
-    `_X1Translates`; those at h +- dh fall between cells on power-of-two grids.
+    is at relative tolerance 1e-4.  All differences come from `_x1_translate`;
+    those at h +- dh fall between cells on power-of-two grids: x1 transforms
+    of w's kept x1-coefficients.
     """
     if h <= 0.0:
         raise ValueError(f"h must be positive, got {h}")
-    dh, dw = h / 100.0, _X1Translates(w)
-    plus, minus = (_mean_abs_cubed(dw(hh)) for hh in (h + dh, h - dh))
+    dh = h / 100.0
+    plus, minus = (_mean_abs_cubed(_x1_translate(w, hh)) for hh in (h + dh, h - dh))
     lhs = (plus - minus) / (2.0 * dh)
-    v = dw(h)
-    rhs = -6.0 * _mean(_X1Translates(eta(w))(h) * np.abs(v, out=v))
+    v = _x1_translate(w, h)
+    rhs = -6.0 * _mean(_x1_translate(eta(w), h) * np.abs(v, out=v))
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return VerificationRecord.checked("hkm1_balance", lhs, rhs, residual, 1e-4,
                                       {"h": h, "dh": dh})
@@ -124,10 +125,11 @@ def _ratio_record(name: str, lhs: float, rhs: float, e_val: float,
                               params={**params, "degenerate": True})
 
 
+@derived
 def _x1_coefficients(w: TorusField) -> np.ndarray:
-    """x1-Fourier coefficients c(m1; x2), m1 = 0..n1/2 (the last row is the Nyquist
-    mode), of every grid row x2: one 1D transform along x2; c(-m1; x2) = conj c(m1; x2)."""
-    return np.fft.ifft(w.spectrum, axis=1) * w.grid.n2
+    """x1-Fourier coefficients c(m1; x2), m1 = 0..n1/2 (the last row is the Nyquist mode),
+    of every grid row x2, kept read-only: one 1D transform along x2; c(-m1) = conj c(m1)."""
+    return _freeze(np.fft.ifft(w.spectrum, axis=1) * w.grid.n2)
 
 
 def _x1_samples(c: np.ndarray, sym: np.ndarray) -> np.ndarray:
@@ -137,41 +139,34 @@ def _x1_samples(c: np.ndarray, sym: np.ndarray) -> np.ndarray:
     return np.fft.irfft(c * sym, n=n1, axis=0) * n1
 
 
-class _X1Translates:
-    """Samples of a field f translated along x1, the one kernel of this
-    module's differences: `self(h)` gives diff1(f, h) = f(. + h e1) - f and
-    `self(h, minus=False)` gives f(. + h e1), each in a new array; with
-    `derivative=True`, the same of d1 f.
+def _x1_translate(f: TorusField, h: float, minus: bool = True,
+                  derivative: bool = False) -> np.ndarray:
+    """Samples of f translated along x1, the one kernel of this module's
+    differences: diff1(f, h) = f(. + h e1) - f, or f(. + h e1) with
+    `minus=False`, in a new array; with `derivative=True`, the same of d1 f.
 
-    When h n1 is a whole number j (a whole-cell shift), the samples are read
-    j rows on, into one buffer, with no x1 transform: there the shift symbol,
-    Nyquist mode included, is exactly exp(i k h).  Any other h takes one x1
-    transform of f's x1-coefficients, made once, times the symbols.
+    A whole-cell translate (h n1 a whole number j) reads the samples j rows
+    on, into one buffer: there the shift symbol, Nyquist mode included, is
+    exactly exp(i k h).  Those are f's own samples, with no x1 transform, or
+    d1 f's from one x1 transform of f's kept x1-coefficients.  Any other h
+    takes one x1 transform of those coefficients times the symbols.
     """
-
-    def __init__(self, f: TorusField):
-        self.f, self._c = f, None
-
-    def __call__(self, h: float, minus: bool = True, derivative: bool = False) -> np.ndarray:
-        n1 = self.f.grid.n1
-        cells = float(h) * n1
-        if cells.is_integer():
-            s, j = (d1(self.f) if derivative else self.f).samples, int(cells) % n1
-            out = np.empty_like(s)
-            if minus:
-                np.subtract(s[j:], s[:n1 - j], out=out[:n1 - j])
-                np.subtract(s[:j], s[n1 - j:], out=out[n1 - j:])
-            else:
-                out[:n1 - j], out[n1 - j:] = s[j:], s[:j]
-            return out
-        if self._c is None:
-            self._c = _x1_coefficients(self.f)
-        sym = shift_symbol(self.f.grid, h, axis=1)
+    n1, cells = f.grid.n1, float(h) * f.grid.n1
+    d1_sym = _derivative_symbol(f.grid, 1) if derivative else 1.0
+    if cells.is_integer():
+        j = int(cells) % n1
+        s = _x1_samples(_x1_coefficients(f), d1_sym) if derivative else f.samples
+        out = np.empty_like(s)
         if minus:
-            sym -= 1.0
-        if derivative:
-            sym *= _derivative_symbol(self.f.grid, 1)
-        return _x1_samples(self._c, sym)
+            np.subtract(s[j:], s[:n1 - j], out=out[:n1 - j])
+            np.subtract(s[:j], s[n1 - j:], out=out[n1 - j:])
+        else:
+            out[:n1 - j], out[n1 - j:] = s[j:], s[:j]
+        return out
+    sym = shift_symbol(f.grid, h, axis=1)
+    if minus:
+        sym -= 1.0
+    return _x1_samples(_x1_coefficients(f), sym * d1_sym)
 
 
 def _mean_abs_cubed(v: np.ndarray) -> float:
@@ -185,11 +180,12 @@ def _mean_abs_cubed(v: np.ndarray) -> float:
 def verify_l3(w: TorusField,
               hs: tuple[float, ...] = DEFAULT_HGRID) -> list[VerificationRecord]:
     """Cubed-difference estimate: int |diff1(w, h)|^3 <= C * h * E(w).  The
-    differences come from `_X1Translates`: a whole-cell h (h n1 whole, 2^-1
+    differences come from `_x1_translate`: a whole-cell h (h n1 whole, 2^-1
     … 2^-8 of DEFAULT_HGRID on 256^2) reads w's samples, any other h takes
-    one x1 transform."""
-    e_val, dw = energy_indep(w), _X1Translates(w)
-    return [_ratio_record("l3_estimate", _mean_abs_cubed(dw(h)), h * e_val, e_val, {"h": h})
+    one x1 transform of w's kept x1-coefficients."""
+    e_val = energy_indep(w)
+    return [_ratio_record("l3_estimate", _mean_abs_cubed(_x1_translate(w, h)), h * e_val,
+                          e_val, {"h": h})
             for h in hs]
 
 

@@ -165,42 +165,73 @@ class TestExactX1Path:
         the trigonometric interpolant's translate, Nyquist row included."""
         w = self.full_band(shape, seed)
         h = (cells + sub) / shape[0]
-        kernel, scale = besov._X1Translates(w), np.abs(w.samples).max()
+        scale = np.abs(w.samples).max()
         for minus, expected in ((False, shift1(w, h)), (True, diff1(w, h))):
-            got = kernel(h, minus=minus)
+            got = besov._x1_translate(w, h, minus=minus)
             assert np.abs(got - expected.samples).max() <= 1e-12 * scale
-            got[...] = 0.0  # a new array each call: the kernel's state is untouched
-        assert np.abs(kernel(h) - diff1(w, h).samples).max() <= 1e-12 * scale
+            got[...] = 0.0  # a new array each call: what the field keeps is untouched
+        assert np.abs(besov._x1_translate(w, h) - diff1(w, h).samples).max() <= 1e-12 * scale
         expected = shift1(d1(w), h).samples
-        got = kernel(h, minus=False, derivative=True)
+        got = besov._x1_translate(w, h, minus=False, derivative=True)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_whole_cell_shifts_take_no_x1_transform(self):
         """On 64^2, h = 2^-1 ... 2^-6 move the field by whole cells: verify_l3
-        makes one inverse x1 transform for each of 2^-7 ... 2^-12, and
-        hkm2_residual at h = 1/8 none (and no x1-coefficients)."""
+        makes one inverse x1 transform for each of 2^-7 ... 2^-12 and builds
+        w's x1-coefficients once; hkm2_residual at h = 1/8 reads the samples
+        for both differences and makes one x1 transform, of the coefficients
+        verify_l3 kept, for the translate of d1 w."""
         w = random_band_limited(GridSpec(64, 64), seed=3, kmax=8, amplitude=0.5)
         energy_indep(w)  # the energy's and eta's own transforms are not counted
         eta(w)
         with mock.patch.object(np.fft, "irfft", wraps=np.fft.irfft) as irfft, \
-                mock.patch.object(besov, "_x1_coefficients",
-                                  wraps=besov._x1_coefficients) as coefficients:
+                mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as coefficients:
             verify_l3(w)
             assert (irfft.call_count, coefficients.call_count) == (6, 1)
             irfft.reset_mock()
             coefficients.reset_mock()
             hkm2_residual(w, 0.125)
-            assert (irfft.call_count, coefficients.call_count) == (0, 0)
+            assert (irfft.call_count, coefficients.call_count) == (1, 0)
 
     def test_hkm2_between_cells_takes_two_x1_coefficient_transforms(self):
         """At h = 0.1, between cells on 256^2 as the verify command runs it,
-        hkm2_residual takes the x1-coefficients of w and of eta_w: those of
-        d1 w are w's times d1's symbol."""
+        hkm2_residual builds the x1-coefficients of w and of eta_w, one
+        transform each: those of d1 w are w's times d1's symbol."""
         w = random_band_limited(GRID, seed=3, kmax=32, amplitude=0.5)
-        with mock.patch.object(besov, "_x1_coefficients",
-                               wraps=besov._x1_coefficients) as coefficients:
+        with mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as coefficients:
             assert hkm2_residual(w, 0.1).passed
         assert coefficients.call_count == 2
+
+    def test_besov_records_build_the_x1_coefficients_once(self):
+        """The besov command's record set on one field builds w's
+        x1-coefficients once (the one ifft), for verify_l3, verify_b2s and
+        hkm1_balance alike, and the 2D samples of w and eta_w alone: d1 w's
+        translate reads w's coefficients."""
+        w = random_band_limited(GRID, seed=3, kmax=32, amplitude=0.5)
+        energy_indep(w)  # the energy's and eta's own transforms are not counted
+        eta(w)
+        with mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft, \
+                mock.patch.object(np.fft, "irfftn", wraps=np.fft.irfftn) as irfftn:
+            verify_l3(w)
+            verify_b2s(w)
+            hkm2_residual(w, 0.125)
+            hkm1_balance(w, 0.125)
+        assert (ifft.call_count, irfftn.call_count) == (1, 2)
+
+    @settings(max_examples=15, deadline=None)
+    @given(shape=SHAPES, seed=st.integers(0, 2 ** 32 - 1), h=st.floats(2.0 ** -9, 0.5))
+    @example(shape=(8, 8), seed=0, h=0.125)  # whole-cell: both differences read samples
+    @example(shape=(16, 10), seed=1, h=0.5)
+    def test_kept_values_change_no_bits(self, shape, seed, h):
+        """The records on w equal, bit for bit, those on a bare re-wrap of its
+        spectrum evaluated in reverse order: whichever call builds the kept
+        x1-coefficients (and samples), every record reads the same values."""
+        w = random_band_limited(GridSpec(*shape), seed=seed, kmax=2, amplitude=0.5)
+        twin = TorusField(w.grid, w.spectrum)
+        forward = [verify_l3(w), verify_b2s(w), hkm2_residual(w, h), hkm1_balance(w, h)]
+        backward = [hkm1_balance(twin, h), hkm2_residual(twin, h), verify_b2s(twin),
+                    verify_l3(twin)]
+        assert repr(forward) == repr(backward[::-1])  # repr tells every float's bits apart
 
     @staticmethod
     def assert_close(actual, expected, scale):
