@@ -9,6 +9,15 @@ error, an unusable --out among them (created before the command runs).
 Outputs are written atomically (temp file + rename) into --out; timestamps
 live only in the manifest so the data files are byte-identical across reruns
 of the same config.
+
+The first `main` call of a process fixes glibc's malloc thresholds (mmap at
+32 MiB, trim at 64 MiB; glibc otherwise moves them as the run frees memory).
+Every array of a grid up to 1024² then comes from a heap whose top is not
+handed back mid-run, so a freed temporary's pages are reused instead of
+faulted in again.  Importing the package sets nothing.  Where the C library
+has no `mallopt` or refuses a value, the command runs as without it; the
+manifest's `heap_policy` says which, beside the command's minor page faults
+and the process's max RSS.
 """
 
 from __future__ import annotations
@@ -38,6 +47,41 @@ from .fields import (GridSpec, TorusField, as_admissible, load_field,
 from .minimize import MinimizeOptions, minimize
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+
+#: (param, value) for glibc's mallopt (malloc.h): M_MMAP_THRESHOLD at 32 MiB,
+#: glibc's own dynamic ceiling on 64-bit, and M_TRIM_THRESHOLD at 64 MiB,
+#: glibc's 2x rule at that ceiling
+_HEAP_SETTINGS = ((-3, 32 << 20), (-1, 64 << 20))
+#: whether _HEAP_SETTINGS took; None until the first main call
+_heap_policy: bool | None = None
+
+
+def _keep_heap() -> None:
+    """Apply _HEAP_SETTINGS once per process; _heap_policy is False where the
+    C library has no `mallopt` or refuses a value."""
+    global _heap_policy
+    if _heap_policy is None:
+        import ctypes  # here, not at module level: numpy has loaded it already
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+        except (OSError, AttributeError, TypeError):  # TypeError: CDLL(None) on Windows
+            _heap_policy = False
+        else:
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            # a list, not a generator: each setting is tried
+            _heap_policy = all([mallopt(param, value) for param, value in _HEAP_SETTINGS])
+
+
+def _usage() -> tuple[int | None, float | None]:
+    """This process's minor page faults so far and its max RSS in MB; None
+    for both where `resource` is missing (not POSIX)."""
+    try:
+        import resource
+    except ImportError:
+        return None, None
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    # ru_maxrss counts KiB on Linux, bytes on macOS
+    return usage.ru_minflt, usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin" else 1024)
 
 
 # -- config and argument plumbing -------------------------------------------
@@ -139,8 +183,12 @@ def _write(path: Path, data) -> None:
         raise
 
 
-def _manifest(out: Path, args: argparse.Namespace, t0: float, exit_code: int,
-              error: str | None = None) -> None:
+def _manifest(out: Path, args: argparse.Namespace, start: tuple[float, int | None],
+              exit_code: int, error: str | None = None) -> None:
+    """Write manifest.json; `start` is (time.time(), minor faults) when the
+    command began."""
+    t0, faults0 = start
+    faults, max_rss_mb = _usage()
     _write(out / "manifest.json", {
         "command": args.command,
         "config": vars(args),
@@ -148,6 +196,9 @@ def _manifest(out: Path, args: argparse.Namespace, t0: float, exit_code: int,
         "exit_code": exit_code,
         "error": error,
         "elapsed_seconds": time.time() - t0,
+        "heap_policy": _heap_policy,
+        "minor_faults": None if faults is None else faults - faults0,
+        "max_rss_mb": max_rss_mb,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     })
 
@@ -314,6 +365,7 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_heap()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
@@ -330,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    t0 = time.time()
+    start = (time.time(), _usage()[0])
     try:
         records, extra = _COMMANDS[args.command][0](args)
         if records:
@@ -344,12 +396,12 @@ def main(argv: list[str] | None = None) -> int:
             _write(out / name, data)
         n_fail = sum(not r.passed for r in records)
         code = EXIT_FAIL if n_fail else EXIT_PASS
-        _manifest(out, args, t0, code)
+        _manifest(out, args, start, code)
     except (SmecticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_FAIL if isinstance(exc, SmecticError) else EXIT_USAGE
         try:
-            _manifest(out, args, t0, code, str(exc))
+            _manifest(out, args, start, code, str(exc))
         except OSError as write_exc:  # the failure may be the --out directory
             print(f"error: no manifest written: {write_exc}", file=sys.stderr)
         return code

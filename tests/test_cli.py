@@ -1,5 +1,6 @@
 import argparse
 import csv
+import ctypes
 import dataclasses
 import importlib.util
 import inspect
@@ -749,3 +750,92 @@ class TestManifest:
         assert run(["besov", "--grid", "256x256", "--kmax", "32", "--out", str(tmp_path)]) == 1
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["exit_code"] == 1 and manifest["error"] is None
+
+    def test_manifest_explains_memory(self, tmp_path):
+        """heap_policy says whether the malloc thresholds took, minor_faults
+        counts the command's page faults, max_rss_mb is the process's peak."""
+        resource = pytest.importorskip("resource")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert run(["verify", "--grid", "32x32", "--kmax", "4", "--nfields", "1",
+                    "--out", str(tmp_path)]) == 0
+        during = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["heap_policy"] is cli._heap_policy
+        assert isinstance(manifest["heap_policy"], bool)
+        assert isinstance(manifest["minor_faults"], int)
+        assert 0 <= manifest["minor_faults"] <= during  # the command's, not the process's
+        assert isinstance(manifest["max_rss_mb"], float) and manifest["max_rss_mb"] > 0
+
+    def test_memory_keys_are_null_without_resource(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "resource", None)  # import resource fails
+        assert run(["verify", "--grid", "32x32", "--kmax", "4", "--nfields", "1",
+                    "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["minor_faults"] is None and manifest["max_rss_mb"] is None
+
+
+class FakeLibc:
+    """A C library whose mallopt records its calls and returns `result`."""
+
+    def __init__(self, result=1):
+        self.calls = []
+
+        def mallopt(param, value):  # a function: main sets its argtypes
+            self.calls.append((param, value))
+            return result
+        self.mallopt = mallopt
+
+
+def refusing_cdll(name):
+    raise OSError("no C library")
+
+
+class TestHeapPolicy:
+    RUNS = {"verify": (["--grid", "32x32", "--kmax", "4", "--nfields", "1"], 0),
+            "besov": (["--grid", "32x32", "--kmax", "4"], 1)}
+
+    def data_files(self, out: Path) -> dict:
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+    def test_applied_once_per_process(self, tmp_path, monkeypatch):
+        """Two main runs set M_MMAP_THRESHOLD (-3) to 32 MiB and
+        M_TRIM_THRESHOLD (-1) to 64 MiB once: 2 mallopt calls, not 4."""
+        libc = FakeLibc()
+        monkeypatch.setattr(cli, "_heap_policy", None)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        for i in range(2):
+            assert run(["tail", "--grid", "32x32", "--kmax", "4",
+                        "--out", str(tmp_path / str(i))]) == 0
+            assert json.loads((tmp_path / str(i) / "manifest.json").read_text())["heap_policy"]
+        assert libc.calls == [(-3, 32 * 2 ** 20), (-1, 64 * 2 ** 20)]
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    @pytest.mark.parametrize("cdll", [refusing_cdll, lambda name: object(),
+                                      lambda name: FakeLibc(result=0)],
+                             ids=["oserror", "no-mallopt", "refused"])
+    def test_command_runs_as_before_without_it(self, tmp_path, monkeypatch, command, cdll):
+        """Where the C library cannot take the thresholds, the command exits
+        as it does with them and writes the same data files; the manifest
+        says the policy is off."""
+        flags, code = self.RUNS[command]
+        assert run([command, *flags, "--out", str(tmp_path / "with")]) == code
+        monkeypatch.setattr(cli, "_heap_policy", None)
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert run([command, *flags, "--out", str(tmp_path / "without")]) == code
+        manifest = json.loads((tmp_path / "without" / "manifest.json").read_text())
+        assert manifest["heap_policy"] is False and manifest["exit_code"] == code
+        assert self.data_files(tmp_path / "without") == self.data_files(tmp_path / "with")
+
+    def test_import_applies_nothing(self):
+        """A fresh interpreter that imports the package opens no C library
+        for mallopt; its first main call does."""
+        code = (f"import ctypes, sys; sys.path.insert(0, {str(SRC)!r})\n"
+                "opened, real = [], ctypes.CDLL\n"
+                "ctypes.CDLL = lambda name, *a, **k: opened.append(name) or real(name, *a, **k)\n"
+                "import smectic, smectic.cli\n"
+                "print(smectic.cli._heap_policy, None in opened)\n"
+                "smectic.cli.main([])\n"  # a usage error, after the policy
+                "print(smectic.cli._heap_policy is not None, None in opened)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out.split() == ["None", "False", "True", "True"]
